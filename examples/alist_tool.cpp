@@ -1,12 +1,13 @@
 // alist_tool: export any registered code to MacKay alist format, import an
 // external alist matrix and analyse it, list the registered mode set, or
-// regenerate the golden-vector regression data locked by
-// tests/test_golden.cpp.
+// regenerate the regression data locked by tests/test_golden.cpp (golden
+// vectors) and tests/test_arch.cpp (chip schedules).
 //
 //   ./alist_tool export --standard wimax --rate 1/2 --z 96 > h2304.alist
 //   ./alist_tool import h2304.alist [--z 96]
 //   ./alist_tool modes [--standard nr]
 //   ./alist_tool golden --outdir tests/data
+//   ./alist_tool schedules --outdir tests/data
 //
 // Import prints the matrix profile (dimensions, degree distributions) and
 // attempts QC reconstruction when --z is given, so externally generated
@@ -21,10 +22,13 @@
 // expected hard decisions of the fixed-point and float min-sum datapaths;
 // the regression suite decodes the frames through the scalar fixed,
 // batched-fixed (SoA), chip and float engines and asserts bit-exactness.
+// Schedules writes chip_schedules.txt: one digest line per (mode, pipeline
+// config) of the compiled chip schedule (ldpc/arch/schedule_lock.hpp).
 #include <fstream>
 #include <iostream>
 #include <map>
 
+#include "ldpc/arch/schedule_lock.hpp"
 #include "ldpc/channel/channel.hpp"
 #include "ldpc/codes/alist.hpp"
 #include "ldpc/codes/registry.hpp"
@@ -147,6 +151,38 @@ int do_golden(const util::Args& args) {
   return 0;
 }
 
+// ---- chip-schedule lock -----------------------------------------------------
+
+int do_schedules(const util::Args& args) {
+  const std::string outdir = args.get_or("outdir", std::string{});
+  std::ofstream file;
+  std::ostream* out = &std::cout;
+  if (!outdir.empty()) {
+    file.open(outdir + "/chip_schedules.txt");
+    if (!file) {
+      std::cerr << "cannot open " << outdir << "/chip_schedules.txt\n";
+      return 2;
+    }
+    out = &file;
+  }
+  *out << "# chip schedules v1: per (mode, pipeline config), the compiled "
+          "schedule's\n"
+          "# cycles per iteration, drain, total stalls and an FNV-1a digest "
+          "of the layer\n"
+          "# order, entry orders and per-layer stalls. Regenerate with:\n"
+          "#   alist_tool schedules --outdir tests/data\n";
+  std::size_t lines = 0;
+  for (const codes::CodeId& id : arch::schedule_lock::modes()) {
+    const auto code = codes::make_code(id);
+    for (const auto& config : arch::schedule_lock::configs()) {
+      *out << arch::schedule_lock::digest_line(code, config) << "\n";
+      ++lines;
+    }
+  }
+  std::cerr << "wrote " << lines << " schedule digests\n";
+  return 0;
+}
+
 // ---- mode listing -----------------------------------------------------------
 
 int do_modes(const util::Args& args) {
@@ -258,7 +294,10 @@ int main(int argc, char** argv) {
       return do_golden(args);
     if (!args.positional().empty() && args.positional()[0] == "modes")
       return do_modes(args);
-    std::cerr << "usage: alist_tool export|import|modes|golden [...]\n";
+    if (!args.positional().empty() && args.positional()[0] == "schedules")
+      return do_schedules(args);
+    std::cerr
+        << "usage: alist_tool export|import|modes|golden|schedules [...]\n";
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

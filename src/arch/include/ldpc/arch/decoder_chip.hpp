@@ -16,9 +16,10 @@
 // through the continuous SIMD lane-refill kernel (core::StreamBatchEngine)
 // under the programmed layer order — a lane whose frame stops early is
 // reloaded with the next pending frame mid-flight instead of idling until
-// the batch drains — and then replays each frame's schedule events through
-// the observer, so the per-frame hardware statistics are identical to
-// per-frame decoding while the arithmetic runs several frames per vector.
+// the batch drains — and then derives each frame's hardware statistics in
+// closed form from its iteration count (every counter is linear in it), so
+// they are identical to per-frame decoding while the arithmetic runs
+// several frames per vector.
 #pragma once
 
 #include <cstdint>
@@ -121,7 +122,7 @@ class DecoderChip {
   /// codes (core::QuantisedFrame — one-shot quantise_llrs output or
   /// cross-round HARQ combined state from quantise_combined) instead of
   /// channel doubles. Same streaming kernel, layer order and per-frame
-  /// stats replay as decode_batch; results are bit-identical to decoding
+  /// stats as decode_batch; results are bit-identical to decoding
   /// the doubles the frames were quantised from. Every frame must be
   /// non-empty, sized n, and carry a lane type no wider than the config's.
   std::vector<ChipDecodeResult> decode_batch_quantised(
@@ -129,10 +130,16 @@ class DecoderChip {
 
  private:
   ChipDecodeResult decode_quantized();
-  /// Builds a frame's ChipDecodeResult stats by replaying `iterations`
-  /// full schedule passes through the observer (used by the batched path,
-  /// whose kernel bypasses the per-event hooks).
-  ChipDecodeResult finish_replayed(core::FixedDecodeResult functional);
+  /// Stores the programmed schedule's timing and derives per_iteration_.
+  void program_timing(IterationTiming timing);
+  /// Builds a frame's stats in closed form: per_iteration_ times the
+  /// iteration count plus the drain, exactly what the observer counts
+  /// when the frame runs through the per-event hooks (used by the batched
+  /// path, whose kernel bypasses them).
+  ChipDecodeResult finish_batched(core::FixedDecodeResult functional);
+  /// Completes `stats` with the configuration-level fields.
+  ChipDecodeResult finish(core::FixedDecodeResult functional,
+                          ChipDecodeStats stats) const;
 
   ChipDimensions dims_;
   const codes::QCCode* code_ = nullptr;
@@ -143,6 +150,7 @@ class DecoderChip {
   std::optional<PipelineModel> pipeline_;
   std::vector<int> order_;
   IterationTiming timing_;
+  ChipDecodeStats per_iteration_;  // activity of one schedule pass
   std::vector<std::int32_t> raw_;  // reused quantisation buffer
 };
 

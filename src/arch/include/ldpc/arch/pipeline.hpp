@@ -77,29 +77,37 @@ class PipelineModel {
   IterationTiming analyze_natural() const;
 
   /// Searches for a layer order minimising total stalls: exhaustive for
-  /// j <= 8, greedy insertion + pairwise improvement beyond. Returns the
-  /// best order found.
+  /// j <= 8, greedy insertion + pairwise improvement beyond. Every phase
+  /// reads one j x j matrix of canonical-order stalls (each layer
+  /// processing its entries in ascending column order), computed once per
+  /// call. Returns the best order found.
   std::vector<int> optimize_order() const;
 
-  /// Stall cycles required between consecutive layers `prev` -> `next`,
-  /// with both layers processing entries in canonical (ascending column)
-  /// order.
-  int stall_between(int prev, int next) const;
-
-  /// Stall with explicit per-layer entry orders (`prev_order` /
-  /// `next_order` are permutations of the layers' entry indices).
-  int stall_between(int prev, int next, std::span<const int> prev_order,
-                    std::span<const int> next_order) const;
+  /// Stall cycles required between consecutive layers `prev` -> `next`.
+  /// `prev_slots[e]` / `next_slots[e]` are the processing slots of entry e
+  /// of each layer (a permutation of the layer's entry indices; the
+  /// identity is canonical ascending-column order). O(d), no allocation.
+  int stall_between(int prev, int next, std::span<const int> prev_slots,
+                    std::span<const int> next_slots) const;
 
   /// Per-layer entry processing orders chosen to minimise stalls for the
   /// given layer schedule (only meaningful with config.reorder_reads;
-  /// returns canonical orders otherwise). Indexed by layer id.
+  /// returns canonical orders otherwise). Indexed by layer id;
+  /// orders[l][s] is the entry layer l processes in slot s.
   std::vector<std::vector<int>> optimize_entry_orders(
       std::span<const int> layer_order) const;
 
  private:
+  /// stall_between without the size checks.
+  int stall(int prev, int next, const int* prev_slots,
+            const int* next_slots) const;
+
   const codes::QCCode* code_;
   PipelineConfig config_;
+  int margin_ = 0;  // read-after-write margin incl. shifter latency
+  /// entry_at_[l * k + c]: index of the entry of layer l in block column
+  /// c, or -1 when the layer does not touch c.
+  std::vector<int> entry_at_;
 };
 
 }  // namespace ldpc::arch

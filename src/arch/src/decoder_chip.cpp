@@ -59,19 +59,31 @@ void DecoderChip::configure(const codes::QCCode& code) {
   raw_.resize(static_cast<std::size_t>(code.n()));
   pipeline_.emplace(code, chip_pipeline_config(engine_.config(), dims_));
   order_ = pipeline_->optimize_order();
-  timing_ = pipeline_->analyze(order_);
-  observer_.set_timing({.cycles_per_iteration = timing_.cycles_per_iteration,
-                        .stalls_per_iteration = timing_.total_stalls,
-                        .drain_cycles = timing_.drain_cycles});
+  program_timing(pipeline_->analyze(order_));
 }
 
 void DecoderChip::set_layer_order(std::span<const int> order) {
   if (!code_) throw std::logic_error("DecoderChip: not configured");
-  timing_ = pipeline_->analyze(order);  // validates the permutation
+  program_timing(pipeline_->analyze(order));  // validates the permutation
   order_.assign(order.begin(), order.end());
+}
+
+void DecoderChip::program_timing(IterationTiming timing) {
+  timing_ = std::move(timing);
   observer_.set_timing({.cycles_per_iteration = timing_.cycles_per_iteration,
                         .stalls_per_iteration = timing_.total_stalls,
                         .drain_cycles = timing_.drain_cycles});
+  // What the observer counts per executed iteration: every block is
+  // fetched and written back once through the shifter, and each of its z
+  // rows reads and writes one Lambda word.
+  const long long blocks = code_->nonzero_blocks();
+  const long long rows = blocks * code_->z();
+  per_iteration_ = {.cycles = timing_.cycles_per_iteration,
+                    .l_mem_reads = blocks,
+                    .l_mem_writes = blocks,
+                    .lambda_reads = rows,
+                    .lambda_writes = rows,
+                    .shifter_words = 2 * blocks};
 }
 
 const codes::QCCode& DecoderChip::code() const {
@@ -105,12 +117,12 @@ std::vector<ChipDecodeResult> DecoderChip::decode_batch(
   if (stream_engine_) {
     // Continuous SoA lane-refill kernel under the programmed layer order:
     // the whole burst is one refill queue, so no frame waits on a
-    // slower neighbour's iterations. Per-frame hardware stats come from
-    // an event replay of each frame's schedule, exactly as before.
+    // slower neighbour's iterations. Per-frame hardware stats follow in
+    // closed form from each frame's iteration count.
     std::vector<core::FixedDecodeResult> functional(frames);
     stream_engine_->decode(llrs, order_, functional);
     for (std::size_t i = 0; i < frames; ++i)
-      results.push_back(finish_replayed(std::move(functional[i])));
+      results.push_back(finish_batched(std::move(functional[i])));
     return results;
   }
   for (std::size_t f = 0; f < frames; ++f) {
@@ -141,7 +153,7 @@ std::vector<ChipDecodeResult> DecoderChip::decode_batch_quantised(
     std::vector<core::FixedDecodeResult> functional(frames.size());
     stream_engine_->decode_quantised(frames, order_, functional);
     for (auto& f : functional)
-      results.push_back(finish_replayed(std::move(f)));
+      results.push_back(finish_batched(std::move(f)));
     return results;
   }
   // Non-min-sum fallback: widen each frame's stored codes into the raw
@@ -170,57 +182,39 @@ std::vector<ChipDecodeResult> DecoderChip::decode_batch_quantised(
   return results;
 }
 
-ChipDecodeResult DecoderChip::finish_replayed(
+ChipDecodeResult DecoderChip::finish_batched(
     core::FixedDecodeResult functional) {
-  observer_.reset();
-  const int z = code_->z();
-  const auto& layers = code_->layers();
-  for (int iter = 1; iter <= functional.iterations; ++iter) {
-    for (int l : order_) {
-      const int deg =
-          static_cast<int>(layers[static_cast<std::size_t>(l)].size());
-      observer_.on_layer_fetch(l, deg, z);
-      for (int t = 0; t < z; ++t) observer_.on_row(l, deg);
-      observer_.on_layer_writeback(l, deg, z);
-    }
-    observer_.on_iteration(iter);
-  }
-  observer_.finish();
-
-  ChipDecodeResult result;
-  result.functional = std::move(functional);
-  auto& stats = result.stats;
-  stats.cycles = observer_.cycles();
-  result.functional.datapath_cycles = stats.cycles;
-  stats.l_mem_reads = observer_.l_reads();
-  stats.l_mem_writes = observer_.l_writes();
-  stats.lambda_reads = observer_.lambda_reads();
-  stats.lambda_writes = observer_.lambda_writes();
-  stats.shifter_words = observer_.shifter_words();
-  stats.active_sisos = code_->z();
-  stats.idle_sisos = dims_.z_max - code_->z();
-  stats.stalls_per_iteration = timing_.total_stalls;
-  return result;
+  const long long it = functional.iterations;
+  const ChipDecodeStats& p = per_iteration_;
+  return finish(std::move(functional),
+                {.cycles = it * p.cycles + timing_.drain_cycles,
+                 .l_mem_reads = it * p.l_mem_reads,
+                 .l_mem_writes = it * p.l_mem_writes,
+                 .lambda_reads = it * p.lambda_reads,
+                 .lambda_writes = it * p.lambda_writes,
+                 .shifter_words = it * p.shifter_words});
 }
 
 ChipDecodeResult DecoderChip::decode_quantized() {
   observer_.reset();
-  ChipDecodeResult result;
-  result.functional = engine_.run(raw_, order_, &observer_);
+  auto functional = engine_.run(raw_, order_, &observer_);
   observer_.finish();
+  return finish(std::move(functional),
+                {.cycles = observer_.cycles(),
+                 .l_mem_reads = observer_.l_reads(),
+                 .l_mem_writes = observer_.l_writes(),
+                 .lambda_reads = observer_.lambda_reads(),
+                 .lambda_writes = observer_.lambda_writes(),
+                 .shifter_words = observer_.shifter_words()});
+}
 
-  auto& stats = result.stats;
-  stats.cycles = observer_.cycles();
-  result.functional.datapath_cycles = stats.cycles;
-  stats.l_mem_reads = observer_.l_reads();
-  stats.l_mem_writes = observer_.l_writes();
-  stats.lambda_reads = observer_.lambda_reads();
-  stats.lambda_writes = observer_.lambda_writes();
-  stats.shifter_words = observer_.shifter_words();
+ChipDecodeResult DecoderChip::finish(core::FixedDecodeResult functional,
+                                     ChipDecodeStats stats) const {
   stats.active_sisos = code_->z();
   stats.idle_sisos = dims_.z_max - code_->z();
   stats.stalls_per_iteration = timing_.total_stalls;
-  return result;
+  functional.datapath_cycles = stats.cycles;
+  return {std::move(functional), stats};
 }
 
 }  // namespace ldpc::arch

@@ -14,9 +14,15 @@ using codes::QCCode;
 /// Accumulates the rotated block `src` into `dst`:
 /// dst[t] ^= src[(t + shift) mod z]. This matches the expansion convention
 /// of QCCode (check row t of a block touches variable (t + shift) mod z).
+/// Runs as two contiguous spans: dst[0, z-s) takes src[s, z) and the
+/// wrapped tail dst[z-s, z) takes src[0, s).
 void xor_rotated(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src,
                  int shift, int z) {
-  for (int t = 0; t < z; ++t) dst[t] ^= src[(t + shift) % z];
+  const int s = shift % z;
+  std::uint8_t* d = dst.data();
+  const std::uint8_t* a = src.data();
+  for (int t = 0; t < z - s; ++t) d[t] ^= a[t + s];
+  for (int t = z - s; t < z; ++t) d[t] ^= a[t + s - z];
 }
 
 /// Collects the non-zero rows of block column c as (row, shift) pairs.

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <numeric>
+#include <random>
 #include <set>
+#include <string>
 
 #include "ldpc/arch/circular_shifter.hpp"
 #include "ldpc/arch/decoder_chip.hpp"
 #include "ldpc/arch/frame_pipeline.hpp"
 #include "ldpc/arch/memory.hpp"
 #include "ldpc/arch/pipeline.hpp"
+#include "ldpc/arch/schedule_lock.hpp"
 #include "ldpc/arch/throughput.hpp"
 #include "ldpc/channel/channel.hpp"
 #include "ldpc/codes/registry.hpp"
@@ -279,6 +283,110 @@ TEST(Pipeline, OptimizeOrderIsPermutation) {
     std::sort(order.begin(), order.end());
     for (int l = 0; l < code.block_rows(); ++l) EXPECT_EQ(order[l], l);
   }
+}
+
+TEST(Pipeline, StallBetweenMatchesNestedLoopReference) {
+  // Reference: the direct definition over processing orders. For every
+  // block column both layers touch, `next` reads it in slot rpos and
+  // `prev` writes it in slot wpos; the stall is the largest
+  // write-cycle - read-cycle + margin over those pairs, floored at 0.
+  auto reference = [](const codes::QCCode& code, const PipelineConfig& pc,
+                      int prev, int next, const std::vector<int>& prev_order,
+                      const std::vector<int>& next_order) {
+    auto cycle = [&](std::size_t slot) {
+      return static_cast<int>(pc.radix == core::Radix::kR2 ? slot
+                                                           : slot / 2);
+    };
+    const int margin = pc.read_after_write_margin +
+                       (pc.include_shifter_latency ? pc.shifter_stages : 0);
+    const auto& lp = code.layers()[static_cast<std::size_t>(prev)];
+    const auto& ln = code.layers()[static_cast<std::size_t>(next)];
+    int stall = 0;
+    for (std::size_t rpos = 0; rpos < next_order.size(); ++rpos)
+      for (std::size_t wpos = 0; wpos < prev_order.size(); ++wpos)
+        if (lp[static_cast<std::size_t>(prev_order[wpos])].block_col ==
+            ln[static_cast<std::size_t>(next_order[rpos])].block_col)
+          stall = std::max(stall, cycle(wpos) - cycle(rpos) + margin);
+    return stall;
+  };
+  auto slots_of = [](const std::vector<int>& order) {
+    std::vector<int> slots(order.size());
+    for (std::size_t s = 0; s < order.size(); ++s)
+      slots[static_cast<std::size_t>(order[s])] = static_cast<int>(s);
+    return slots;
+  };
+
+  std::mt19937 rng(2024);
+  for (const auto& id : {codes::CodeId{Standard::kWimax80216e, Rate::kR56, 96},
+                         codes::CodeId{Standard::kWlan80211n, Rate::kR34, 81},
+                         codes::CodeId{Standard::kDmbT, Rate::kR35, 127},
+                         codes::CodeId{Standard::kNr5g, Rate::kR13, 384}}) {
+    const auto code = codes::make_code(id);
+    for (const auto radix : {core::Radix::kR2, core::Radix::kR4})
+      for (const bool shifter : {false, true}) {
+        const PipelineConfig pc{.radix = radix,
+                                .include_shifter_latency = shifter};
+        const PipelineModel model(code, pc);
+        for (int prev = 0; prev < code.block_rows(); ++prev)
+          for (int next = 0; next < code.block_rows(); ++next) {
+            std::vector<int> po(
+                code.layers()[static_cast<std::size_t>(prev)].size());
+            std::vector<int> no(
+                code.layers()[static_cast<std::size_t>(next)].size());
+            std::iota(po.begin(), po.end(), 0);
+            std::iota(no.begin(), no.end(), 0);
+            for (int trial = 0; trial < 3; ++trial) {
+              if (trial > 0) {  // trial 0 is the canonical order
+                std::shuffle(po.begin(), po.end(), rng);
+                std::shuffle(no.begin(), no.end(), rng);
+              }
+              ASSERT_EQ(model.stall_between(prev, next, slots_of(po),
+                                            slots_of(no)),
+                        reference(code, pc, prev, next, po, no))
+                  << code.name() << " " << prev << "->" << next;
+            }
+          }
+      }
+  }
+  const auto code = codes::make_code({Standard::kWimax80216e, Rate::kR12, 24});
+  const PipelineModel model(code, {});
+  const std::vector<int> short_slots{0, 1};
+  EXPECT_THROW(model.stall_between(0, 1, short_slots, short_slots),
+               std::invalid_argument);
+}
+
+TEST(Pipeline, CompiledSchedulesMatchLockedDigests) {
+  // tests/data/chip_schedules.txt (alist_tool schedules) locks the layer
+  // order, entry orders, per-layer stalls, cycles per iteration and drain
+  // of every registered mode under 8 pipeline configs. The schedule feeds
+  // layered arithmetic, so it must not move when the compiler changes.
+  const std::string path =
+      std::string(LDPC_GOLDEN_DIR) + "/chip_schedules.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot open " << path;
+  std::vector<std::string> locked;
+  for (std::string line; std::getline(in, line);)
+    if (!line.empty() && line[0] != '#') locked.push_back(line);
+
+  std::vector<std::string> compiled;
+  for (const auto& id : arch::schedule_lock::modes()) {
+    const auto code = codes::make_code(id);
+    for (const auto& pc : arch::schedule_lock::configs())
+      compiled.push_back(arch::schedule_lock::digest_line(code, pc));
+  }
+  ASSERT_EQ(compiled.size(), locked.size());
+  for (std::size_t i = 0; i < compiled.size(); ++i)
+    ASSERT_EQ(compiled[i], locked[i]) << "line " << i;
+  for (const auto rate : {Rate::kR13, Rate::kR15})
+    for (const int z : {96, 384}) {
+      const auto name = codes::make_code({Standard::kNr5g, rate, z}).name();
+      EXPECT_EQ(std::count_if(locked.begin(), locked.end(),
+                              [&](const std::string& l) {
+                                return l.ends_with(" mode=" + name);
+                              }),
+                8)
+          << name;
+    }
 }
 
 // ---- throughput -------------------------------------------------------------
@@ -828,6 +936,19 @@ TEST(FramePipeline, WideMixedIterationBurstAccountingMatchesPerFrame) {
     EXPECT_EQ(b.functional.iterations, s.functional.iterations)
         << "frame " << f;
     EXPECT_EQ(b.stats.cycles, s.stats.cycles) << "frame " << f;
+    EXPECT_EQ(b.stats.l_mem_reads, s.stats.l_mem_reads) << "frame " << f;
+    EXPECT_EQ(b.stats.l_mem_writes, s.stats.l_mem_writes) << "frame " << f;
+    EXPECT_EQ(b.stats.lambda_reads, s.stats.lambda_reads) << "frame " << f;
+    EXPECT_EQ(b.stats.lambda_writes, s.stats.lambda_writes)
+        << "frame " << f;
+    EXPECT_EQ(b.stats.shifter_words, s.stats.shifter_words)
+        << "frame " << f;
+    EXPECT_EQ(b.stats.active_sisos, s.stats.active_sisos) << "frame " << f;
+    EXPECT_EQ(b.stats.idle_sisos, s.stats.idle_sisos) << "frame " << f;
+    EXPECT_EQ(b.stats.stalls_per_iteration, s.stats.stalls_per_iteration)
+        << "frame " << f;
+    EXPECT_EQ(b.functional.datapath_cycles, s.functional.datapath_cycles)
+        << "frame " << f;
     iteration_mix.insert(b.functional.iterations);
   }
   // The workload must actually be mixed-iteration, or this test would
