@@ -3,7 +3,7 @@
 
 Usage:
     compare_bench.py CURRENT.json [--baseline BASELINE.json]
-                     [--threshold 0.15] [--min-refill-ratio 1.5]
+                     [--threshold 0.15]
                      [--min-int16-ratio 1.6]
                      [--min-int16-engine-ratio 1.55]
                      [--min-int8-engine-ratio 1.9]
@@ -13,20 +13,11 @@ Usage:
                      [--min-storage-uber-exp 3.0]
                      [--min-storage-ledger 1.0]
 
-Three independent checks:
+Two independent checks:
 
-1.  Refill-ratio floor (machine-independent, always enforced when the
-    benchmarks are present): the continuous lane-refill engine must hold
-    its frames/sec advantage over the lockstep engine on the
-    mixed-iteration workload —
-        BM_MinSumStreamRefillMixed / BM_MinSumLockstepMixed
-    must be >= --min-refill-ratio (default 1.5, the PR 5 acceptance bar).
-    Both benchmarks decode the same frames with the same arithmetic, so
-    the items/sec ratio IS the frames/sec ratio and cancels the host's
-    absolute speed.
-
-2.  Narrow-lane ratio floors (machine-independent, same enforcement
-    rules), the PR 6 acceptance bars:
+1.  Ratio and absolute floors (machine-independent, always enforced when
+    the benchmarks are present), starting with the narrow-lane
+    acceptance bars:
 
     a.  Kernel lane density: the int16 row kernel must deliver its
         lanes-per-vector-op advantage —
@@ -107,13 +98,16 @@ Three independent checks:
     produced one benchmark family — e.g. the service sweep without the
     kernel microbench — can still be gated on what it did measure).
 
-3.  Baseline comparison (only when --baseline exists): every benchmark
+2.  Baseline comparison (only when --baseline exists): every benchmark
     reporting items_per_second may not regress by more than --threshold
     (default 15%) against the committed baseline. Absolute rates vary
     across runner generations, so CI regenerates the baseline on the same
     job before gating when the runners are heterogeneous; the committed
     BENCH_PR5.json documents the reference machine's numbers and gates
-    like-for-like reruns.
+    like-for-like reruns. A baseline name missing from the current run
+    fails (renamed or dropped cell), except the deliberately deleted
+    cells listed in RETIRED: those print as retired and --write-best
+    drops them, so a warm baseline cache cannot resurrect them.
 
 Exit status: 0 = pass (or baseline absent), 1 = regression / ratio floor
 violated, 2 = malformed input.
@@ -122,8 +116,9 @@ import argparse
 import json
 import sys
 
-RATIO_NUM = "BM_MinSumStreamRefillMixed"
-RATIO_DEN = "BM_MinSumLockstepMixed"
+# Cells deleted on purpose (the lockstep engine they measured is gone).
+RETIRED = ("BM_MinSumLockstepMixed", "BM_MinSumBatchedDecode")
+
 INT16_KERNEL_NUM = "BM_MinSumRowKernelInt16"
 INT16_KERNEL_DEN = "BM_MinSumRowKernelInt32"
 INT16_ENGINE_NUM = "BM_MinSumStreamRefillMixedInt16"
@@ -224,9 +219,6 @@ def main():
                     help="committed baseline JSON (skipped when absent)")
     ap.add_argument("--threshold", type=float, default=0.15,
                     help="max fractional items/sec regression vs baseline")
-    ap.add_argument("--min-refill-ratio", type=float, default=1.5,
-                    help="floor for stream-refill / lockstep frames per "
-                         "second")
     ap.add_argument("--min-int16-ratio", type=float, default=1.6,
                     help="floor for int16 / int32 row-kernel items per "
                          "second (the lane-density bar)")
@@ -281,12 +273,10 @@ def main():
 
     failed = False
 
-    # 1+2. Machine-independent ratio floors. A missing benchmark is a
-    # hard failure, not a warning: renaming or dropping either side
-    # silently disarms the acceptance gate otherwise (a cold baseline
-    # cache means check 3 would not catch the rename either).
-    failed |= ratio_floor(current, RATIO_NUM, RATIO_DEN,
-                          args.min_refill_ratio, "refill")
+    # 1. Machine-independent floors. A missing benchmark is a hard
+    # failure, not a warning: renaming or dropping either side silently
+    # disarms the acceptance gate otherwise (a cold baseline cache means
+    # check 2 would not catch the rename either).
     failed |= ratio_floor(current, INT16_KERNEL_NUM, INT16_KERNEL_DEN,
                           args.min_int16_ratio, "int16-kernel")
     failed |= ratio_floor(current, INT16_ENGINE_NUM, INT16_ENGINE_DEN,
@@ -312,7 +302,7 @@ def main():
     failed |= absolute_floor(current, STORAGE_LEDGER,
                              args.min_storage_ledger, "storage-ledger")
 
-    # 3. Per-benchmark regression vs the committed baseline, when present.
+    # 2. Per-benchmark regression vs the committed baseline, when present.
     baseline = {}
     if args.baseline:
         try:
@@ -324,6 +314,9 @@ def main():
             print(f"compare_bench: malformed baseline {args.baseline}: {e}")
             return 2
     for name in sorted(baseline):
+        if name in RETIRED:
+            print(f"  {name}: retired (deleted on purpose), not compared")
+            continue
         if name not in current:
             print(f"  {name}: MISSING from current run "
                   f"(renamed or dropped?) FAIL")
@@ -338,7 +331,7 @@ def main():
 
     if args.write_best:
         best = {name: max(current.get(name, 0.0), baseline.get(name, 0.0))
-                for name in set(current) | set(baseline)}
+                for name in (set(current) | set(baseline)) - set(RETIRED)}
         with open(args.write_best, "w") as f:
             json.dump({"benchmarks": [
                 {"name": n, "items_per_second": r}

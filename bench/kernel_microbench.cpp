@@ -7,7 +7,6 @@
 #include "ldpc/baseline/layered_bp.hpp"
 #include "ldpc/channel/channel.hpp"
 #include "ldpc/codes/registry.hpp"
-#include "ldpc/core/batch_engine.hpp"
 #include "ldpc/core/decoder.hpp"
 #include "ldpc/core/kernels/minsum_kernels.hpp"
 #include "ldpc/core/siso.hpp"
@@ -108,18 +107,20 @@ void BM_ChipDecode2304(benchmark::State& state) {
 }
 BENCHMARK(BM_ChipDecode2304);
 
-// ---- scalar vs SIMD-batched min-sum (the tentpole speedup) ------------------
-// Both decode the same BatchEngine::kLanes frames with identical min-sum
-// arithmetic on one thread; items processed = decoded information bits, so
-// the reported items/sec ratio IS the frames/sec ratio. The acceptance bar
-// is >= 2x for the batched kernel.
+// Frames per batch in the fixed-size batch fixtures (one 512-bit
+// register of int32 lanes).
+constexpr int kBatchFrames = 16;
+
+// ---- scalar min-sum baseline -------------------------------------------------
+// kBatchFrames frames through the scalar engine on one thread; items
+// processed = decoded information bits.
 
 struct MinSumBatchFixture {
   codes::QCCode code = codes::make_code(
       {codes::Standard::kWimax80216e, codes::Rate::kR12, 96});
   core::DecoderConfig cfg{.max_iterations = 10,
                           .kernel = core::CnuKernel::kMinSum};
-  std::vector<double> llrs;  // kLanes frames back to back, ~2.5 dB
+  std::vector<double> llrs;  // kBatchFrames frames back to back, ~2.5 dB
 
   MinSumBatchFixture() {
     auto encoder = enc::make_encoder(code);
@@ -127,7 +128,7 @@ struct MinSumBatchFixture {
     const double sigma = channel::ebn0_to_sigma(2.5, code.rate(),
                                                 channel::Modulation::kBpsk);
     std::vector<std::uint8_t> info(static_cast<std::size_t>(code.k_info()));
-    for (int f = 0; f < core::BatchEngine::kLanes; ++f) {
+    for (int f = 0; f < kBatchFrames; ++f) {
       enc::random_bits(rng, info);
       const auto cw = encoder->encode(info);
       auto mod = channel::modulate(cw, channel::Modulation::kBpsk);
@@ -145,7 +146,7 @@ void BM_MinSumScalarDecode(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(fx.code.n());
   std::vector<std::int32_t> raw(n);
   for (auto _ : state) {
-    for (int f = 0; f < core::BatchEngine::kLanes; ++f) {
+    for (int f = 0; f < kBatchFrames; ++f) {
       engine.quantize(
           std::span<const double>(fx.llrs).subspan(
               static_cast<std::size_t>(f) * n, n),
@@ -153,39 +154,21 @@ void BM_MinSumScalarDecode(benchmark::State& state) {
       benchmark::DoNotOptimize(engine.run(raw));
     }
   }
-  state.SetItemsProcessed(state.iterations() * core::BatchEngine::kLanes *
+  state.SetItemsProcessed(state.iterations() * kBatchFrames *
                           fx.code.k_info());
 }
 BENCHMARK(BM_MinSumScalarDecode);
 
-void BM_MinSumBatchedDecode(benchmark::State& state) {
-  MinSumBatchFixture fx;
-  core::BatchEngine engine(fx.cfg);
-  engine.reconfigure(fx.code);
-  std::vector<core::FixedDecodeResult> results(
-      static_cast<std::size_t>(core::BatchEngine::kLanes));
-  for (auto _ : state) {
-    engine.decode(fx.llrs, {}, results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(state.iterations() * core::BatchEngine::kLanes *
-                          fx.code.k_info());
-}
-BENCHMARK(BM_MinSumBatchedDecode);
-
-// ---- lockstep vs continuous lane-refill (the PR 5 tentpole) -----------------
+// ---- continuous lane-refill on a mixed-iteration queue ----------------------
 // A mixed-iteration workload with high early-termination variance: a
-// 128-frame queue of 802.16e 2304 r1/2 where every 8th frame is a
+// 512-frame queue of 802.16e 2304 r1/2 where every 8th frame is a
 // deep-fade straggler (1.0 dB — decodes run to the 10-iteration cap) and
 // the rest sit at operating SNR (4.5 dB — ET / codeword-stop after ~2
-// iterations), the Fig. 9(a) shape. The lockstep BatchEngine pays the
-// slowest-lane tax on every 16-frame chunk (each chunk carries two
-// stragglers, so EVERY chunk runs to the cap while its 14 finished lanes
-// spin); the StreamBatchEngine refills a retired lane from the pending
-// queue mid-flight. Same thread (one), same arithmetic, same frames —
-// items/sec IS frames/sec, and the acceptance bar is >= 1.5x for the
-// refill engine. bench/compare_bench.py asserts that ratio from this
-// pair's JSON output, so renaming either benchmark breaks the CI gate.
+// iterations), the Fig. 9(a) shape. The StreamBatchEngine refills a
+// retired lane from the pending queue mid-flight, so no lane waits on a
+// straggler. One thread; items/sec IS frames/sec. bench/compare_bench.py
+// gates the narrow-lane ratios against this int32 cell, so renaming it
+// breaks the CI gate.
 
 struct MixedIterationFixture {
   codes::QCCode code = codes::make_code(
@@ -215,37 +198,9 @@ struct MixedIterationFixture {
   }
 };
 
-void BM_MinSumLockstepMixed(benchmark::State& state) {
-  MixedIterationFixture fx;
-  core::BatchEngine engine(fx.cfg);
-  engine.reconfigure(fx.code);
-  const auto tx = static_cast<std::size_t>(fx.code.transmitted_bits());
-  std::vector<core::FixedDecodeResult> results(
-      static_cast<std::size_t>(MixedIterationFixture::kFrames));
-  for (auto _ : state) {
-    std::size_t f = 0;
-    while (f < MixedIterationFixture::kFrames) {
-      const std::size_t chunk = std::min<std::size_t>(
-          MixedIterationFixture::kFrames - f, core::BatchEngine::kLanes);
-      engine.decode(std::span<const double>(fx.llrs).subspan(f * tx,
-                                                             chunk * tx),
-                    {},
-                    std::span<core::FixedDecodeResult>(results)
-                        .subspan(f, chunk));
-      f += chunk;
-    }
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          MixedIterationFixture::kFrames *
-                          fx.code.k_info());
-}
-BENCHMARK(BM_MinSumLockstepMixed)->MinWarmUpTime(0.5)->MinTime(2.0);
-
-// Pinned to int32 lanes: this is the PR 5 gate case (refill-vs-lockstep
-// ratio at the same element width) and the denominator of the narrow-lane
-// gate below — auto lane-type selection would silently turn it into an
-// int16 engine and wreck both comparisons.
+// Pinned to int32 lanes: this is the denominator of the narrow-lane gates
+// below — auto lane-type selection would silently turn it into an int16
+// engine and wreck the comparison.
 void BM_MinSumStreamRefillMixed(benchmark::State& state) {
   MixedIterationFixture fx;
   core::StreamBatchEngine engine(fx.cfg, 0, core::kernels::LaneType::kInt32);
@@ -495,8 +450,7 @@ BENCHMARK(BM_RetireFoldedScan)->MinWarmUpTime(0.2)->MinTime(1.0);
 // LANE WIDTH and element type as the dispatched int32 engine above
 // (forcing scalar would otherwise default to 8 lanes and conflate the
 // lane-width effect with the tier effect): the gap to
-// BM_MinSumStreamRefillMixed is the pure SIMD-dispatch win, the gap from
-// BM_MinSumLockstepMixed to this is the pure refill win.
+// BM_MinSumStreamRefillMixed is the pure SIMD-dispatch win.
 void BM_MinSumStreamRefillMixedScalarTier(benchmark::State& state) {
   MixedIterationFixture fx;
   const int dispatched_lanes = core::StreamBatchEngine::preferred_lanes();
@@ -570,7 +524,7 @@ struct NrDecodeFixture {
   codes::QCCode code = codes::make_code(
       {codes::Standard::kNr5g, codes::Rate::kR13, 96});
   std::vector<double> llr;   // one transmitted frame (E LLRs), ~2.5 dB
-  std::vector<double> llrs;  // kLanes frames back to back
+  std::vector<double> llrs;  // kBatchFrames frames back to back
 
   NrDecodeFixture() {
     auto encoder = enc::make_encoder(code);
@@ -579,7 +533,7 @@ struct NrDecodeFixture {
         2.5, code.effective_rate(), channel::Modulation::kBpsk);
     std::vector<std::uint8_t> info(
         static_cast<std::size_t>(code.payload_bits()));
-    for (int f = 0; f < core::BatchEngine::kLanes; ++f) {
+    for (int f = 0; f < kBatchFrames; ++f) {
       enc::random_bits(rng, info);
       const auto cw = encoder->encode(info);
       const auto one = sim::transmit_llrs(code, cw,
@@ -607,7 +561,7 @@ void BM_NrBatchedDecode(benchmark::State& state) {
                                   {.kernel = core::CnuKernel::kMinSum,
                                    .stop_on_codeword = true});
   for (auto _ : state) benchmark::DoNotOptimize(dec.decode_batch(fx.llrs));
-  state.SetItemsProcessed(state.iterations() * core::BatchEngine::kLanes *
+  state.SetItemsProcessed(state.iterations() * kBatchFrames *
                           fx.code.payload_bits());
 }
 BENCHMARK(BM_NrBatchedDecode);

@@ -12,8 +12,8 @@
 // are bit-identical to core::ReconfigurableDecoder by construction; tests
 // lock this across every registered code mode.
 //
-// decode_batch() on a min-sum configuration streams the whole batch
-// through the continuous SIMD lane-refill kernel (core::StreamBatchEngine)
+// decode_batch_quantised() on a min-sum configuration streams the whole
+// batch through the continuous SIMD lane-refill kernel (core::StreamBatchEngine)
 // under the programmed layer order — a lane whose frame stops early is
 // reloaded with the next pending frame mid-flight instead of idling until
 // the batch drains — and then derives each frame's hardware statistics in
@@ -111,20 +111,16 @@ class DecoderChip {
   /// Decodes one frame through the structural datapath.
   ChipDecodeResult decode(std::span<const double> llr);
 
-  /// Decodes a batch of frames stored back to back (`llrs.size()` must be
-  /// a non-zero multiple of the transmitted length). One reconfiguration
-  /// serves the whole batch; scratch is reused across frames. Min-sum
-  /// configurations stream through the SoA lane-refill kernel (results
-  /// and stats bit-identical to per-frame decode()).
-  std::vector<ChipDecodeResult> decode_batch(std::span<const double> llrs);
-
-  /// Quantised-ingest batch: frames arrive as size-n pre-deposited raw
-  /// codes (core::QuantisedFrame — one-shot quantise_llrs output or
-  /// cross-round HARQ combined state from quantise_combined) instead of
-  /// channel doubles. Same streaming kernel, layer order and per-frame
-  /// stats as decode_batch; results are bit-identical to decoding
-  /// the doubles the frames were quantised from. Every frame must be
-  /// non-empty, sized n, and carry a lane type no wider than the config's.
+  /// Decodes a batch of pre-deposited size-n raw-code frames
+  /// (core::QuantisedFrame — one-shot quantise_llrs output or cross-round
+  /// HARQ combined state from quantise_combined). One reconfiguration
+  /// serves the whole batch; min-sum configurations stream through the
+  /// SoA lane-refill kernel under the programmed layer order, others run
+  /// the structural datapath per frame. Results and stats are
+  /// bit-identical to per-frame decode() of the doubles the frames were
+  /// quantised from. Every frame must pass
+  /// QuantisedFrame::valid_for(n) (throws std::invalid_argument
+  /// otherwise) and carry a lane type no wider than the config's.
   std::vector<ChipDecodeResult> decode_batch_quantised(
       std::span<const core::QuantisedFrame* const> frames);
 

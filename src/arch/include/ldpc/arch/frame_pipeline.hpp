@@ -101,24 +101,17 @@ class FramePipeline {
   ChipDecodeResult decode_frame(const codes::QCCode& code,
                                 std::span<const double> llr);
 
-  /// Decodes a same-mode burst (`llrs.size()` a non-zero multiple of
-  /// transmitted_bits()) through DecoderChip::decode_batch: one
-  /// reconfiguration amortised over the burst, and the continuous SIMD
-  /// lane-refill kernel when the decoder config allows it — the burst is
-  /// one refill queue, so draining it never pays the lockstep
-  /// slowest-lane tax on the host. Per-frame results and the modeled
-  /// cycle accounting stay bit-identical to calling decode_frame in a
-  /// loop (the chip model is a serial device; host-side lane parallelism
-  /// never leaks into the modeled cycles) — test-locked.
-  BurstDecodeResult decode_burst(const codes::QCCode& code,
-                                 std::span<const double> llrs);
-
-  /// Quantised-ingest burst (DecoderChip::decode_batch_quantised): the
-  /// frames carry pre-deposited size-n raw codes — one-shot quantised
-  /// frames or HARQ combined soft state. Cycle accounting is identical to
-  /// decode_burst: the modeled chip interface still receives
-  /// transmitted_bits() soft words per frame (the host-side
-  /// representation is not the modeled wire format).
+  /// Decodes a same-mode burst of pre-deposited size-n raw codes (one-
+  /// shot sim::quantise_llrs frames or HARQ combined soft state) through
+  /// DecoderChip::decode_batch_quantised: one reconfiguration amortised
+  /// over the burst, and the continuous SIMD lane-refill kernel when the
+  /// decoder config allows it — the burst is one refill queue. Per-frame
+  /// results and the modeled cycle accounting stay bit-identical to
+  /// calling decode_frame in a loop on the frames' source LLRs (the chip
+  /// model is a serial device; host-side lane parallelism never leaks
+  /// into the modeled cycles) — test-locked. The modeled chip interface
+  /// still receives transmitted_bits() soft words per frame: the host-
+  /// side representation is not the modeled wire format.
   BurstDecodeResult decode_burst_quantised(
       const codes::QCCode& code,
       std::span<const core::QuantisedFrame* const> frames);

@@ -46,7 +46,7 @@ DecoderChip::DecoderChip(ChipDimensions dims, core::DecoderConfig config)
         "DecoderChip: the chip is the fixed-point datapath instantiation "
         "(use core::ReconfigurableDecoder for the float reference)");
   // The SoA stream engine for min-sum configs is built lazily on the
-  // first decode_batch(); see ReconfigurableDecoder.
+  // first decode_batch_quantised(); see ReconfigurableDecoder.
 }
 
 void DecoderChip::configure(const codes::QCCode& code) {
@@ -99,50 +99,17 @@ ChipDecodeResult DecoderChip::decode(std::span<const double> llr) {
   return decode_quantized();
 }
 
-std::vector<ChipDecodeResult> DecoderChip::decode_batch(
-    std::span<const double> llrs) {
-  if (!code_) throw std::logic_error("DecoderChip: not configured");
-  // Frames arrive at the transmitted length (= n for the classic
-  // standards); each decode path runs the shared LLR deposit.
-  const auto tx = static_cast<std::size_t>(code_->transmitted_bits());
-  if (llrs.empty() || llrs.size() % tx != 0)
-    throw std::invalid_argument("DecoderChip::decode_batch: llrs size");
-  const std::size_t frames = llrs.size() / tx;
-  std::vector<ChipDecodeResult> results;
-  results.reserve(frames);
-  if (core::is_min_sum(engine_.config().kernel) && !stream_engine_) {
-    stream_engine_.emplace(engine_.config());
-    stream_engine_->reconfigure(*code_);
-  }
-  if (stream_engine_) {
-    // Continuous SoA lane-refill kernel under the programmed layer order:
-    // the whole burst is one refill queue, so no frame waits on a
-    // slower neighbour's iterations. Per-frame hardware stats follow in
-    // closed form from each frame's iteration count.
-    std::vector<core::FixedDecodeResult> functional(frames);
-    stream_engine_->decode(llrs, order_, functional);
-    for (std::size_t i = 0; i < frames; ++i)
-      results.push_back(finish_batched(std::move(functional[i])));
-    return results;
-  }
-  for (std::size_t f = 0; f < frames; ++f) {
-    engine_.deposit(llrs.subspan(f * tx, tx), raw_);
-    results.push_back(decode_quantized());
-  }
-  return results;
-}
-
 std::vector<ChipDecodeResult> DecoderChip::decode_batch_quantised(
     std::span<const core::QuantisedFrame* const> frames) {
   if (!code_) throw std::logic_error("DecoderChip: not configured");
   if (frames.empty())
     throw std::invalid_argument(
         "DecoderChip::decode_batch_quantised: empty batch");
-  for (const core::QuantisedFrame* f : frames) {
-    if (!f || f->empty() || f->n != code_->n())
+  for (const core::QuantisedFrame* f : frames)
+    if (!f || !f->valid_for(code_->n()))
       throw std::invalid_argument(
-          "DecoderChip::decode_batch_quantised: frame size");
-  }
+          "DecoderChip::decode_batch_quantised: frame does not match the "
+          "configured code");
   std::vector<ChipDecodeResult> results;
   results.reserve(frames.size());
   if (core::is_min_sum(engine_.config().kernel) && !stream_engine_) {
@@ -150,6 +117,10 @@ std::vector<ChipDecodeResult> DecoderChip::decode_batch_quantised(
     stream_engine_->reconfigure(*code_);
   }
   if (stream_engine_) {
+    // Continuous SoA lane-refill kernel under the programmed layer order:
+    // the whole batch is one refill queue, so no frame waits on a slower
+    // neighbour's iterations. Per-frame hardware stats follow in closed
+    // form from each frame's iteration count.
     std::vector<core::FixedDecodeResult> functional(frames.size());
     stream_engine_->decode_quantised(frames, order_, functional);
     for (auto& f : functional)

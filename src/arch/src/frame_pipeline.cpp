@@ -56,29 +56,6 @@ ChipDecodeResult FramePipeline::decode_frame(const codes::QCCode& code,
   return result;
 }
 
-BurstDecodeResult FramePipeline::decode_burst(const codes::QCCode& code,
-                                              std::span<const double> llrs) {
-  const bool needs_config = !chip_.configured() || &chip_.code() != &code;
-  if (needs_config) {
-    chip_.configure(code);
-    ++stats_.reconfigurations;
-  }
-
-  BurstDecodeResult burst;
-  burst.frames = chip_.decode_batch(llrs);
-  burst.frame_elapsed_cycles.reserve(burst.frames.size());
-  const long long io = io_cycles_per_frame(code);
-  for (std::size_t f = 0; f < burst.frames.size(); ++f) {
-    const long long overhead =
-        (f == 0 && needs_config) ? config_.reconfigure_cycles : 0;
-    const long long cycles = burst.frames[f].stats.cycles;
-    account_frame(code, cycles, io, overhead);
-    burst.frame_elapsed_cycles.push_back(overhead + cycles +
-                                         std::max(0LL, io - cycles));
-  }
-  return burst;
-}
-
 BurstDecodeResult FramePipeline::decode_burst_quantised(
     const codes::QCCode& code,
     std::span<const core::QuantisedFrame* const> frames) {

@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD kernels for the SoA batched min-sum datapath.
 //
-// The batched engines (core::BatchEngine, core::StreamBatchEngine) store
-// every architectural word lane-major: the value of lane w for variable v
+// The batched engine (core::StreamBatchEngine) stores every
+// architectural word lane-major: the value of lane w for variable v
 // lives at soa[v * W + w]. One check row's work — read L, subtract Lambda,
 // saturate to the APP word, clip to the message bus, run the two-minima /
 // sign-product min-sum scan, emit and write back — is a dense pass over W

@@ -40,6 +40,20 @@ struct QuantisedFrame {
            (4u / static_cast<unsigned>(kernels::lane_scale(type)));
   }
 
+  /// The one ingest check every consumer runs before staging a frame: a
+  /// known lane tag, `code_n` codes, and exactly that many stored
+  /// elements. A frame failing it is rejected at the door (submit, engine,
+  /// chip) instead of throwing from as<T>() mid-decode.
+  bool valid_for(std::int32_t code_n) const noexcept {
+    switch (type) {
+      case kernels::LaneType::kInt32:
+      case kernels::LaneType::kInt16:
+      case kernels::LaneType::kInt8:
+        return n == code_n && bytes.size() == expected_bytes();
+    }
+    return false;
+  }
+
   /// Typed view of the stored codes; T must match `type`.
   template <class T>
   std::span<const T> as() const {

@@ -1,17 +1,14 @@
-// Shared helpers of the batched SoA engines (core::BatchEngine,
-// core::StreamBatchEngine): lane-parallel stop-rule scans, the common
-// config validation, lane-type selection, and the stop/convergence
-// verdicts. The two engines' bit-identical-results contract hangs on these
-// staying single-sourced — a stop rule fixed in one engine but not the
-// other would silently break the refill-equivalence guarantee.
+// Helpers of the batched SoA engine (core::StreamBatchEngine): lane-
+// parallel stop-rule scans, config validation, lane-type selection, and
+// the stop/convergence verdicts.
 //
 // The batched datapath made the min-sum arithmetic cheap; what remained
 // expensive was the per-lane bookkeeping between iterations — gathering a
 // lane's APP column to feed the scalar EarlyTermination monitor, and
 // gathering its hard decisions to run QCCode::is_codeword, per LIVE LANE
 // per iteration. Those scalar gathers cost as much as the lane's share of
-// the vectorised datapath and, being proportional to live lanes in both
-// engines, they diluted the refill engine's advantage into the noise.
+// the vectorised datapath and, being proportional to live lanes, they
+// diluted the batched datapath's advantage into the noise.
 // These scans evaluate the SAME rules for ALL lanes in one dense pass over
 // the lane-major memory, dispatched into the per-tier kernel TUs so the
 // lane loops run at the active tier's full vector width (see
@@ -49,7 +46,7 @@ namespace ldpc::core {
 /// AVX-512 register of int8).
 inline constexpr int kMaxSoaLanes = kernels::kMaxScanLanes;
 
-/// Cache-line-aligned allocator for the engines' lane-major state. The SoA
+/// Cache-line-aligned allocator for the engine's lane-major state. The SoA
 /// row stride at the preferred lane width is exactly one cache line (64
 /// bytes: 16 int32 / 32 int16 / 64 int8), so with a 64-byte-aligned base
 /// every row access is one line; from a plain std::vector base every
@@ -79,7 +76,7 @@ struct SoaAllocator {
 template <class T>
 using SoaVector = std::vector<T, SoaAllocator<T>>;
 
-/// Config rules common to both batched engines: the SoA kernels implement
+/// Config rules of the batched engine: the SoA kernels implement
 /// the min-sum family on the quantized datapath only, under the same
 /// numeric bounds as LayerEngineT. `engine` names the thrower in the
 /// message.
@@ -169,8 +166,8 @@ inline kernels::RowBounds make_row_bounds(
 
 /// Clamps an int32 raw code to lane type T on load (symmetric, matching
 /// the kernels' saturation). The deposit/quantiser never produces
-/// out-of-range codes for an eligible config; this only guards
-/// decode_raw() callers handing in wilder values.
+/// out-of-range codes for an eligible config; this only guards frames
+/// stored at a wider lane type by a foreign producer.
 template <class T>
 constexpr T clamp_to_lane(std::int32_t v) noexcept {
   constexpr std::int32_t hi =
@@ -196,7 +193,7 @@ struct SoaStopVerdict {
 
 /// The scalar engine's post-iteration stop sequence, evaluated from the
 /// lane scans: early termination first (when enabled), then codeword
-/// stopping. Both engines consume the scans through this one function.
+/// stopping. The engine consumes the scans through this one function.
 inline SoaStopVerdict soa_stop_verdict(const DecoderConfig& config,
                                        std::uint8_t et_fire,
                                        std::uint8_t cw_ok) {

@@ -1,31 +1,33 @@
-// Continuous (lane-refill) batched min-sum engine: the streaming successor
-// to the lockstep core::BatchEngine.
+// Continuous (lane-refill) batched min-sum engine: the one SoA datapath
+// behind every batched consumer (sim workers, chip bursts, the modeled
+// farm and the live DecodeService).
 //
-// The lockstep engine decodes W frames to completion before touching the
-// next W: once a lane's frame hits early termination or codeword-stop it
-// keeps iterating "harmlessly" until the slowest lane in the batch drains,
-// so on a mixed-iteration workload most of the early-termination win is
-// spent spinning dead lanes (the software analogue of the idle SISO lanes
-// the paper's Fig. 9 power-gates). This engine instead treats the batch as
-// a pending-frame QUEUE: every lane carries its own frame with its OWN
-// iteration counter, and the moment a lane's frame stops — early
-// termination, codeword-stop or the iteration cap — its results are
-// captured, the lane is retired and immediately REFILLED mid-flight from
-// the queue (per-lane LLR deposit into the lane's L column, per-lane
-// Lambda clear, per-lane ET reset). Only the final drain, when the queue
-// is empty, leaves lanes idle.
+// The engine treats a batch as a pending-frame QUEUE: every lane carries
+// its own frame with its OWN iteration counter, and the moment a lane's
+// frame stops — early termination, codeword-stop or the iteration cap —
+// its results are captured, the lane is retired and immediately REFILLED
+// mid-flight from the queue (per-lane L column deposit, per-lane Lambda
+// clear, per-lane ET reset). No lane spins waiting for the slowest frame
+// of a fixed chunk (the software analogue of the idle SISO lanes the
+// paper's Fig. 9 power-gates); only the final drain, when the queue is
+// empty, leaves lanes idle.
 //
 // This is sound because every operation of the SoA min-sum datapath is
 // lane-elementwise: the two-minima scan runs within one check row of one
 // lane, so neighbouring lanes never exchange values and a freshly
 // deposited frame at iteration 1 can share a vector with a frame at
 // iteration 9. Retired-but-unrefilled lanes keep evolving harmlessly
-// (bounded by saturation, never read again) exactly like the lockstep
-// engine's finished lanes — write-masking them would break the dense
-// branch-free row kernels. Per-frame hard decisions, iteration counts and
-// datapath cycles are bit-identical to decoding each frame alone on the
-// scalar engine, for any queue length, lane width, lane element type and
-// SIMD dispatch tier (locked by the refill-equivalence suite).
+// (bounded by saturation, never read again) — write-masking them would
+// break the dense branch-free row kernels. Per-frame hard decisions,
+// iteration counts and datapath cycles are bit-identical to decoding each
+// frame alone on the scalar engine, for any queue length, lane width,
+// lane element type and SIMD dispatch tier (locked by the
+// refill-equivalence suite).
+//
+// Frames enter through one queue with two front doors: decode_quantised
+// (pre-quantised core::QuantisedFrame codes, the serving path) and
+// decode (transmitted-length double LLRs, deposited per lane on refill —
+// the adapter the simulator's decode_batch runs).
 //
 // The row arithmetic itself runs on the runtime-dispatched kernel layer
 // (ldpc/core/kernels/minsum_kernels.hpp), over a runtime-selected SoA
@@ -71,9 +73,10 @@ class StreamBatchEngineT {
       16 * kernels::lane_scale(kernels::lane_type_of<T>);
 
   /// `lanes` must be a valid width for T (8/16 int32-equivalents, see
-  /// kernels::valid_lane_width) or 0 (= kernels::preferred_lanes). Same
-  /// config rules as BatchEngineT: min-sum family, quantized datapath,
-  /// rails that fit T; throws std::invalid_argument otherwise.
+  /// kernels::valid_lane_width) or 0 (= kernels::preferred_lanes). The
+  /// config must be min-sum family on the quantized datapath with rails
+  /// that fit T (validated_batch_config); throws std::invalid_argument
+  /// otherwise.
   explicit StreamBatchEngineT(DecoderConfig config, int lanes = 0);
 
   /// Resizes the SoA memories for `code` (references, not copies).
@@ -89,49 +92,33 @@ class StreamBatchEngineT {
     return kernels::lane_type_of<T>;
   }
 
-  /// Decodes `results.size()` frames (any count >= 1) of channel LLRs
-  /// stored frame-major at the code's transmitted length, streaming them
-  /// through the lane-refill loop; results land in input order. Each
-  /// frame runs the shared LLR deposit (puncturing / fillers /
-  /// rate-matched repetition) when its lane is (re)filled. `order` (empty
-  /// = natural) is the layer permutation, as in LayerEngineT::run.
-  void decode(std::span<const double> llrs, std::span<const int> order,
-              std::span<FixedDecodeResult> results);
-
-  /// As decode(), but each frame's transmitted-length LLR buffer is named
-  /// by a pointer instead of living in one contiguous frame-major block
-  /// (`frames.size()` must equal `results.size()`). This is the serving
-  /// handoff: stream::DecodeService workers bin jobs whose LLR payloads
-  /// are scattered across queue entries, and gathering them into a
-  /// contiguous staging buffer would copy every frame once per dispatch
-  /// for no benefit — load_lane reads each frame exactly once, on refill.
-  void decode_frames(std::span<const double* const> frames,
-                     std::span<const int> order,
-                     std::span<FixedDecodeResult> results);
-
-  /// Same, over already-quantised frame-major raw codes (n per frame).
-  /// Codes outside T's range are clamped on load (see BatchEngineT).
-  void decode_raw(std::span<const std::int32_t> raw,
-                  std::span<const int> order,
-                  std::span<FixedDecodeResult> results);
-
-  /// As decode_frames(), over pre-quantised frames (core::QuantisedFrame,
-  /// produced under this engine's config — e.g. sim::quantise_llrs): the
-  /// quantised-domain serving path, no double-LLR work per frame. A frame
-  /// stored at this engine's own lane type stages by POINTER (zero copy);
-  /// a narrower stored type widens on staging (value-preserving); a wider
-  /// stored type clamps like decode_raw. Bit-identical to submitting the
-  /// frame's source LLRs through decode_frames().
+  /// The serving path: decodes `results.size()` pre-quantised frames
+  /// (core::QuantisedFrame, produced under this engine's config — e.g.
+  /// sim::quantise_llrs; each must pass valid_for(code.n())), streaming
+  /// them through the lane-refill loop; results land in input order. A
+  /// frame stored at this engine's own lane type stages by POINTER (zero
+  /// copy); a narrower stored type widens on staging (value-preserving);
+  /// a wider stored type clamps to the lane rails. `order` (empty =
+  /// natural) is the layer permutation, as in LayerEngineT::run.
   void decode_quantised(std::span<const QuantisedFrame* const> frames,
                         std::span<const int> order,
                         std::span<FixedDecodeResult> results);
 
+  /// Double-LLR adapter over the same queue: `results.size()` frames of
+  /// channel LLRs stored frame-major at the code's transmitted length.
+  /// Each frame runs the shared LLR deposit (puncturing / fillers /
+  /// rate-matched repetition) straight into its lane's staging slot when
+  /// the lane is (re)filled — no up-front pass over the batch.
+  /// Bit-identical to decode_quantised over sim::quantise_llrs frames.
+  void decode(std::span<const double> llrs, std::span<const int> order,
+              std::span<FixedDecodeResult> results);
+
  private:
   void run_queue(std::span<const int> order,
                  std::span<FixedDecodeResult> results);
-  /// Stages frame `f` into lane `w`: resolves the frame's raw codes (the
-  /// scheme-aware deposit for decode(), a narrowing copy — or, for int32,
-  /// a pointer into the input — for decode_raw()), resets the lane's ET
+  /// Stages frame `f` into lane `w`: resolves the frame's raw codes (a
+  /// pointer into the stored frame, a widening/clamping copy, or the
+  /// scheme-aware deposit for decode()), resets the lane's ET
   /// monitor and iteration counter, and marks the lane FRESH. Nothing
   /// touches the SoA memories here: per-lane column writes are one word
   /// per cache line, so a refill burst of k lanes would stream the big
@@ -192,11 +179,11 @@ class StreamBatchEngineT {
   // lane retires from.
   std::vector<std::uint64_t> hard_mask_;
 
-  // Frame source of the current decode call (exactly one is set).
-  std::span<const double> tx_llrs_;       // decode(): transmitted LLRs
-  std::span<const double* const> tx_frame_ptrs_;  // decode_frames()
-  std::span<const std::int32_t> raw_in_;  // decode_raw(): raw codes
-  std::span<const QuantisedFrame* const> q_frames_;  // decode_quantised()
+  // Frame source of the current decode call: the stored frames of
+  // decode_quantised(), or the frame-major transmitted LLRs of decode().
+  std::variant<std::span<const QuantisedFrame* const>,
+               std::span<const double>>
+      source_;
 
   std::vector<T> raw_scratch_;  // per-lane staging, lane slots
   std::vector<double> acc_;     // LLR-deposit combining scratch
@@ -245,17 +232,11 @@ class StreamBatchEngine {
   /// The lane element type the engine was constructed over.
   kernels::LaneType lane_type() const noexcept;
 
-  void decode(std::span<const double> llrs, std::span<const int> order,
-              std::span<FixedDecodeResult> results);
-  void decode_frames(std::span<const double* const> frames,
-                     std::span<const int> order,
-                     std::span<FixedDecodeResult> results);
-  void decode_raw(std::span<const std::int32_t> raw,
-                  std::span<const int> order,
-                  std::span<FixedDecodeResult> results);
   void decode_quantised(std::span<const QuantisedFrame* const> frames,
                         std::span<const int> order,
                         std::span<FixedDecodeResult> results);
+  void decode(std::span<const double> llrs, std::span<const int> order,
+              std::span<FixedDecodeResult> results);
 
  private:
   using Impl = std::variant<StreamBatchEngineT<std::int32_t>,

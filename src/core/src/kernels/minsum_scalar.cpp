@@ -1,8 +1,7 @@
 // Portable scalar row kernel: the reference arithmetic every SIMD tier
 // must match bit for bit, and the fallback on hosts (or builds) without
-// SSE4.2. The inner loops are the autovectorisable form the lockstep
-// BatchEngine used before the explicit kernel layer existed (`#pragma omp
-// simd` + __restrict, branch-free selects), so "scalar" still vectorises
+// SSE4.2. The inner loops are written in autovectorisable form (`#pragma
+// omp simd` + __restrict, branch-free selects), so "scalar" still vectorises
 // when the compiler feels like it — the tier ladder is about *guaranteed*
 // SIMD, not about pessimising the baseline.
 //

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
+#include <string>
 #include <utility>
 
 #include "ldpc/core/soa_scan.hpp"
@@ -46,6 +46,24 @@ void StreamBatchEngineT<T>::reconfigure(const codes::QCCode& code) {
 }
 
 template <class T>
+void StreamBatchEngineT<T>::decode_quantised(
+    std::span<const QuantisedFrame* const> frames, std::span<const int> order,
+    std::span<FixedDecodeResult> results) {
+  if (!code_) throw std::logic_error("StreamBatchEngine: not configured");
+  if (results.empty() || frames.size() != results.size())
+    throw std::invalid_argument(
+        "StreamBatchEngine::decode_quantised: sizes");
+  for (const QuantisedFrame* frame : frames)
+    if (frame == nullptr || !frame->valid_for(code_->n()))
+      throw std::invalid_argument(
+          "StreamBatchEngine::decode_quantised: frame does not match the "
+          "configured code (expected " +
+          std::to_string(code_->n()) + " raw codes of a known lane type)");
+  source_ = frames;
+  run_queue(order, results);
+}
+
+template <class T>
 void StreamBatchEngineT<T>::decode(std::span<const double> llrs,
                                    std::span<const int> order,
                                    std::span<FixedDecodeResult> results) {
@@ -53,75 +71,8 @@ void StreamBatchEngineT<T>::decode(std::span<const double> llrs,
   const auto tx = static_cast<std::size_t>(code_->transmitted_bits());
   if (results.empty() || llrs.size() != tx * results.size())
     throw std::invalid_argument("StreamBatchEngine::decode: sizes");
-  tx_llrs_ = llrs;
-  tx_frame_ptrs_ = {};
-  raw_in_ = {};
-  q_frames_ = {};
+  source_ = llrs;
   run_queue(order, results);
-  tx_llrs_ = {};
-}
-
-template <class T>
-void StreamBatchEngineT<T>::decode_frames(
-    std::span<const double* const> frames, std::span<const int> order,
-    std::span<FixedDecodeResult> results) {
-  if (!code_) throw std::logic_error("StreamBatchEngine: not configured");
-  if (results.empty() || frames.size() != results.size())
-    throw std::invalid_argument("StreamBatchEngine::decode_frames: sizes");
-  for (const double* frame : frames)
-    if (frame == nullptr)
-      throw std::invalid_argument(
-          "StreamBatchEngine::decode_frames: null frame");
-  tx_frame_ptrs_ = frames;
-  tx_llrs_ = {};
-  raw_in_ = {};
-  q_frames_ = {};
-  run_queue(order, results);
-  tx_frame_ptrs_ = {};
-}
-
-template <class T>
-void StreamBatchEngineT<T>::decode_raw(std::span<const std::int32_t> raw,
-                                       std::span<const int> order,
-                                       std::span<FixedDecodeResult> results) {
-  if (!code_) throw std::logic_error("StreamBatchEngine: not configured");
-  const auto n = static_cast<std::size_t>(code_->n());
-  if (results.empty() || raw.size() != n * results.size())
-    throw std::invalid_argument("StreamBatchEngine::decode_raw: sizes");
-  raw_in_ = raw;
-  tx_llrs_ = {};
-  tx_frame_ptrs_ = {};
-  q_frames_ = {};
-  run_queue(order, results);
-  raw_in_ = {};
-}
-
-template <class T>
-void StreamBatchEngineT<T>::decode_quantised(
-    std::span<const QuantisedFrame* const> frames, std::span<const int> order,
-    std::span<FixedDecodeResult> results) {
-  if (!code_) throw std::logic_error("StreamBatchEngine: not configured");
-  const auto n = static_cast<std::size_t>(code_->n());
-  if (results.empty() || frames.size() != results.size())
-    throw std::invalid_argument(
-        "StreamBatchEngine::decode_quantised: sizes");
-  for (const QuantisedFrame* frame : frames) {
-    if (frame == nullptr)
-      throw std::invalid_argument(
-          "StreamBatchEngine::decode_quantised: null frame");
-    if (frame->n != code_->n() ||
-        frame->bytes.size() != frame->expected_bytes())
-      throw std::invalid_argument(
-          "StreamBatchEngine::decode_quantised: frame does not match the "
-          "configured code (expected " +
-          std::to_string(n) + " raw codes)");
-  }
-  q_frames_ = frames;
-  tx_llrs_ = {};
-  tx_frame_ptrs_ = {};
-  raw_in_ = {};
-  run_queue(order, results);
-  q_frames_ = {};
 }
 
 template <class T>
@@ -129,29 +80,17 @@ void StreamBatchEngineT<T>::load_lane(int w, std::size_t f,
                                       std::span<FixedDecodeResult> results) {
   const auto n = static_cast<std::size_t>(code_->n());
   const auto lw = static_cast<std::size_t>(w);
-  if (!raw_in_.empty()) {
-    if constexpr (std::is_same_v<T, std::int32_t>) {
-      staged_src_[lw] = raw_in_.data() + f * n;
-    } else {
-      // Narrowing copy into the lane's staging slot; out-of-range caller
-      // values clamp to the lane rails like BatchEngineT::decode_raw.
-      const std::int32_t* src = raw_in_.data() + f * n;
-      T* slot = raw_scratch_.data() + lw * n;
-#pragma omp simd
-      for (std::size_t v = 0; v < n; ++v) slot[v] = clamp_to_lane<T>(src[v]);
-      staged_src_[lw] = slot;
-    }
-  } else if (!q_frames_.empty()) {
+  T* slot = raw_scratch_.data() + lw * n;
+  if (const auto* frames =
+          std::get_if<std::span<const QuantisedFrame* const>>(&source_)) {
     // Pre-quantised ingest: a frame stored at this engine's own lane type
-    // stages by pointer; any other stored type stages via a clamped
-    // widening/narrowing copy (a producer under an eligible config never
-    // stores wider than T, so the clamp is the decode_raw guard, not a
-    // value change).
-    const QuantisedFrame& qf = *q_frames_[f];
+    // stages by pointer; any other stored type stages via a widening or
+    // clamping copy (a producer under an eligible config never stores
+    // wider than T, so the clamp only guards foreign producers).
+    const QuantisedFrame& qf = *(*frames)[f];
     if (qf.type == lane_type()) {
       staged_src_[lw] = qf.as<T>().data();
     } else {
-      T* slot = raw_scratch_.data() + lw * n;
       switch (qf.type) {
         case kernels::LaneType::kInt8: {
           const std::int8_t* src = qf.as<std::int8_t>().data();
@@ -167,8 +106,7 @@ void StreamBatchEngineT<T>::load_lane(int w, std::size_t f,
             slot[v] = clamp_to_lane<T>(src[v]);
           break;
         }
-        case kernels::LaneType::kInt32:
-        default: {
+        case kernels::LaneType::kInt32: {
           const std::int32_t* src = qf.as<std::int32_t>().data();
 #pragma omp simd
           for (std::size_t v = 0; v < n; ++v)
@@ -186,13 +124,10 @@ void StreamBatchEngineT<T>::load_lane(int w, std::size_t f,
     // slot (deposit_transmitted_quant), so no int32 intermediate buffer
     // or second narrowing pass exists on this path.
     const auto tx = static_cast<std::size_t>(code_->transmitted_bits());
-    const std::span<const double> llrs =
-        tx_frame_ptrs_.empty()
-            ? tx_llrs_.subspan(f * tx, tx)
-            : std::span<const double>(tx_frame_ptrs_[f], tx);
-    T* slot = raw_scratch_.data() + lw * n;
-    deposit_transmitted_quant<T>(*code_, traits_, llrs,
-                                 std::span<T>(slot, n), acc_);
+    deposit_transmitted_quant<T>(
+        *code_, traits_,
+        std::get<std::span<const double>>(source_).subspan(f * tx, tx),
+        std::span<T>(slot, n), acc_);
     staged_src_[lw] = slot;
   }
   fresh_[nfresh_++] = w;
@@ -460,30 +395,17 @@ kernels::LaneType StreamBatchEngine::lane_type() const noexcept {
   return std::visit([](const auto& e) { return e.lane_type(); }, impl_);
 }
 
-void StreamBatchEngine::decode(std::span<const double> llrs,
-                               std::span<const int> order,
-                               std::span<FixedDecodeResult> results) {
-  std::visit([&](auto& e) { e.decode(llrs, order, results); }, impl_);
-}
-
-void StreamBatchEngine::decode_frames(
-    std::span<const double* const> frames, std::span<const int> order,
-    std::span<FixedDecodeResult> results) {
-  std::visit([&](auto& e) { e.decode_frames(frames, order, results); },
-             impl_);
-}
-
-void StreamBatchEngine::decode_raw(std::span<const std::int32_t> raw,
-                                   std::span<const int> order,
-                                   std::span<FixedDecodeResult> results) {
-  std::visit([&](auto& e) { e.decode_raw(raw, order, results); }, impl_);
-}
-
 void StreamBatchEngine::decode_quantised(
     std::span<const QuantisedFrame* const> frames, std::span<const int> order,
     std::span<FixedDecodeResult> results) {
   std::visit([&](auto& e) { e.decode_quantised(frames, order, results); },
              impl_);
+}
+
+void StreamBatchEngine::decode(std::span<const double> llrs,
+                               std::span<const int> order,
+                               std::span<FixedDecodeResult> results) {
+  std::visit([&](auto& e) { e.decode(llrs, order, results); }, impl_);
 }
 
 }  // namespace ldpc::core

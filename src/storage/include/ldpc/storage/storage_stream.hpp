@@ -1,15 +1,12 @@
 // Storage read-path serving: the NAND read-retry ladder routed through
-// BOTH serving paths of `src/stream`, mirroring the closed-loop HARQ
-// drivers (stream/harq_stream.hpp) with the loop feedback re-purposed:
-//
-//   run_storage_modeled  rung-by-rung over StreamScheduler — every frame
-//                        whose decode was NOT delivered (CRC veto, or no
-//                        codeword and no repair) escalates to the next
-//                        read rung, arriving decode-finish + escalation-
-//                        delay cycles later;
-//   run_storage_live     the same loop against the wall-clock
-//                        DecodeService, requests tagged
-//                        stream::TrafficClass::kStorage.
+// BOTH serving paths of `src/stream` as one more policy of the shared
+// closed-loop drivers (stream::run_closed_loop_{modeled,live}, see
+// stream/harq_stream.hpp): one round per read rung, ACK = delivered,
+// feedback delay = the modeled escalation delay, requests tagged
+// stream::TrafficClass::kStorage. Every frame whose decode was NOT
+// delivered (CRC veto, or no codeword and no repair) escalates to the
+// next read rung. This file adds only the storage preconditions (an outer
+// CRC on every mode) and the RetryLadderLedger fill.
 //
 // Delivery rule (the ACK of the storage loop): crc_ok && (converged ||
 // crc_repaired). A round-r job is read rung r; its frame carries the

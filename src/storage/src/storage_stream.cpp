@@ -1,20 +1,16 @@
 #include "ldpc/storage/storage_stream.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
+
+#include "ldpc/stream/harq_stream.hpp"
 
 namespace ldpc::storage {
 
 namespace {
 
-using stream::Job;
 using stream::StreamJob;
-using stream::StreamReport;
 using stream::TrafficSource;
 
 /// The storage ACK rule: CRC-clean, either as a codeword or through the
@@ -23,15 +19,10 @@ bool delivered(const StreamJob& rec) {
   return rec.crc_ok && (rec.converged || rec.crc_repaired);
 }
 
-void validate(const TrafficSource& source, long long frames,
-              const StorageStreamConfig& storage) {
-  if (frames < 0) throw std::invalid_argument("run_storage: frames");
-  if (storage.escalation_delay_cycles < 0)
-    throw std::invalid_argument("run_storage: escalation_delay_cycles");
-  if (!source.emits_quantised())
-    throw std::logic_error(
-        "run_storage: rung escalation carries combined soft state; switch "
-        "the source to quantised emission first (emit_quantised)");
+/// Storage-only preconditions (the closed-loop driver checks the rest)
+/// and the ladder they admit.
+NandReadLadder validated_ladder(const TrafficSource& source,
+                                const StorageStreamConfig& storage) {
   if (source.mode_count() == 0)
     throw std::logic_error("run_storage: source has no modes");
   for (int m = 0; m < source.mode_count(); ++m)
@@ -39,55 +30,45 @@ void validate(const TrafficSource& source, long long frames,
       throw std::logic_error(
           "run_storage: every mode needs an outer CRC (add_custom_mode "
           "with a non-kNone FrameCrc)");
+  return NandReadLadder(storage.ladder);
 }
 
-/// Fills report.harq (re-used as the per-rung serving tally, ACK ==
-/// delivered) and the retry-ladder ledger from the completed records.
-void fill_storage_stats(const TrafficSource& source,
-                        const NandReadLadder& ladder, long long frames,
-                        bool modeled, StreamReport& report,
-                        RetryLadderLedger& ledger) {
-  const auto nrungs = static_cast<std::size_t>(ladder.rungs());
-  stream::HarqStreamStats& h = report.harq;
-  h.enabled = true;
-  h.sessions = frames;
-  h.rounds.assign(nrungs, stream::HarqRoundServing{});
-  ledger.rungs.assign(nrungs, RungLedger{});
+/// The read-retry ladder as a closed loop: one round per read rung, a
+/// non-delivered frame escalates after the modeled escalation delay.
+stream::ClosedLoopPolicy ladder_policy(const NandReadLadder& ladder,
+                                       const StorageStreamConfig& storage) {
+  return {.ack = delivered,
+          .max_rounds = ladder.rungs(),
+          .feedback_delay_cycles = storage.escalation_delay_cycles,
+          .cls = stream::TrafficClass::kStorage};
+}
+
+/// Fills the retry-ladder ledger from the completed records.
+void fill_ledger(const TrafficSource& source, const NandReadLadder& ladder,
+                 bool modeled, StorageRunResult& out) {
+  RetryLadderLedger& ledger = out.ledger;
+  ledger.rungs.assign(static_cast<std::size_t>(ladder.rungs()),
+                      RungLedger{});
 
   // Records are id-ordered and a session's rung index grows with id, so
   // the last record seen per session is its final state.
   std::unordered_map<long long, const StreamJob*> final_rec;
-  for (const StreamJob& rec : report.jobs) {
-    const codes::QCCode& code = source.code(rec.mode);
-    const auto rung = static_cast<std::size_t>(rec.round);
-    stream::HarqRoundServing& round = h.rounds.at(rung);
-    ++round.attempts;
-    round.latency.add(modeled ? rec.latency_cycles()
-                              : rec.wall_latency_ns());
-    h.tx_bits_sent += code.transmitted_bits();
-
-    RungLedger& rl = ledger.rungs.at(rung);
+  for (const StreamJob& rec : out.report.jobs) {
+    RungLedger& rl = ledger.rungs.at(static_cast<std::size_t>(rec.round));
     ++rl.reads;
-    const long long read_cost =
-        ladder.rung_latency_cycles(static_cast<int>(rung));
+    const long long read_cost = ladder.rung_latency_cycles(rec.round);
     rl.read_latency_cycles += read_cost;
     ledger.read_latency_cycles += read_cost;
     rl.decode_iterations += rec.iterations;
     if (modeled) rl.decode_cycles += rec.finish_cycle - rec.start_cycle;
     if (rec.converged && !rec.crc_ok) ++rl.crc_rejects;
-    if (delivered(rec)) {
-      ++round.acks;
-      ++h.delivered;
-      h.payload_bits_delivered += code.payload_bits();
-      ++rl.delivered;
-    }
+    if (delivered(rec)) ++rl.delivered;
     final_rec[rec.session] = &rec;
   }
 
   for (const auto& [session, rec] : final_rec) {
-    const codes::QCCode& code = source.code(rec->mode);
     ++ledger.frames;
-    ledger.payload_bits += code.payload_bits();
+    ledger.payload_bits += source.code(rec->mode).payload_bits();
     if (rec->payload_bit_errors > 0)
       ledger.bit_errors += rec->payload_bit_errors;
     if (delivered(*rec)) {
@@ -103,50 +84,11 @@ StorageRunResult run_storage_modeled(TrafficSource& source,
                                      stream::SchedulerConfig config,
                                      long long frames,
                                      StorageStreamConfig storage) {
-  validate(source, frames, storage);
-  const NandReadLadder ladder(storage.ladder);
-  stream::StreamScheduler scheduler(source, config);
-
+  const NandReadLadder ladder = validated_ladder(source, storage);
   StorageRunResult out;
-  StreamReport& merged = out.report;
-  merged.worker_ledgers.assign(static_cast<std::size_t>(config.workers),
-                               arch::FramePipelineStats{});
-
-  // Rung-by-rung generations, exactly the HARQ driver's discrete-event
-  // shape: every non-delivered frame with ladder budget left re-enters
-  // the source as its session's next rung.
-  long long generation_jobs = frames;
-  while (generation_jobs > 0) {
-    const StreamReport gen = scheduler.run(generation_jobs);
-
-    generation_jobs = 0;
-    for (const StreamJob& rec : gen.jobs) {
-      if (!delivered(rec) && rec.round + 1 < ladder.rungs()) {
-        Job failed;
-        failed.mode = rec.mode;
-        failed.session = rec.session;
-        failed.round = rec.round;
-        source.push_retransmission(
-            failed, rec.finish_cycle + storage.escalation_delay_cycles);
-        ++generation_jobs;
-      }
-    }
-
-    for (const StreamJob& rec : gen.jobs) merged.jobs.push_back(rec);
-    for (std::size_t w = 0; w < gen.worker_ledgers.size(); ++w)
-      merged.worker_ledgers[w].merge(gen.worker_ledgers[w]);
-    merged.totals.merge(gen.totals);
-    merged.total_payload_bits += gen.total_payload_bits;
-    merged.makespan_cycles =
-        std::max(merged.makespan_cycles, gen.makespan_cycles);
-  }
-
-  std::sort(merged.jobs.begin(), merged.jobs.end(),
-            [](const StreamJob& a, const StreamJob& b) {
-              return a.id < b.id;
-            });
-  fill_storage_stats(source, ladder, frames, /*modeled=*/true, merged,
-                     out.ledger);
+  out.report = stream::run_closed_loop_modeled(
+      source, std::move(config), frames, ladder_policy(ladder, storage));
+  fill_ledger(source, ladder, /*modeled=*/true, out);
   return out;
 }
 
@@ -154,76 +96,12 @@ StorageRunResult run_storage_live(TrafficSource& source,
                                   stream::ServiceConfig service_config,
                                   long long frames,
                                   StorageStreamConfig storage) {
-  validate(source, frames, storage);
-  const NandReadLadder ladder(storage.ladder);
-  if (service_config.on_complete)
-    throw std::invalid_argument(
-        "run_storage_live: the driver owns the completion hook");
-
-  // Same driver-thread feedback shape as run_harq_live: workers only
-  // decode, the driver alone synthesises frames and submits escalations.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<StreamJob> completions;
-  service_config.on_complete = [&](const StreamJob& rec) {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      completions.push_back(rec);
-    }
-    cv.notify_one();
-  };
-
-  stream::DecodeService service(source, service_config);
-
-  auto submit_rung = [&](const Job& job) {
-    const stream::JobFrame frame = source.make_frame(job);
-    stream::ServiceRequest req;
-    req.id = job.id;
-    req.mode = job.mode;
-    req.session = job.session;
-    req.round = job.round;
-    req.rv = source.rv_for_round(job.mode, job.round);
-    req.cls = stream::TrafficClass::kStorage;
-    req.quantised = frame.quantised;
-    req.expected_payload = frame.codeword;
-    return service.submit(std::move(req));
-  };
-
-  long long outstanding = 0;
-  for (long long s = 0; s < frames; ++s) {
-    const Job job = source.next();
-    if (submit_rung(job)) ++outstanding;
-  }
-
-  long long next_id = frames;
-  while (outstanding > 0) {
-    StreamJob rec;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      if (!cv.wait_for(lock, std::chrono::seconds(30),
-                       [&] { return !completions.empty(); }))
-        throw std::runtime_error(
-            "run_storage_live: no completion within 30s (worker "
-            "stalled?)");
-      rec = completions.front();
-      completions.pop_front();
-    }
-    if (delivered(rec) || rec.round + 1 >= ladder.rungs()) {
-      --outstanding;
-      continue;
-    }
-    Job escalate;
-    escalate.id = next_id++;
-    escalate.mode = rec.mode;
-    escalate.session = rec.session;
-    escalate.round = rec.round + 1;
-    if (!submit_rung(escalate)) --outstanding;  // admission closed
-  }
-
+  const NandReadLadder ladder = validated_ladder(source, storage);
   StorageRunResult out;
-  out.report = service.finish();
-  fill_storage_stats(source, ladder, frames, /*modeled=*/false, out.report,
-                     out.ledger);
+  out.report = stream::run_closed_loop_live(
+      source, std::move(service_config), frames,
+      ladder_policy(ladder, storage));
+  fill_ledger(source, ladder, /*modeled=*/false, out);
   return out;
 }
 

@@ -106,10 +106,11 @@ struct ServiceConfig {
   int lanes = 0;
   /// Completion hook: invoked from the decoding worker's thread with each
   /// finished job record, before finish() composes the report. This is
-  /// the live ACK/NACK feedback path — a closed-loop HARQ driver watches
-  /// `converged` and submits the session's next round (submit() is safe
+  /// the live ACK/NACK feedback path — a closed-loop driver applies its
+  /// ACK rule and submits the session's next round (submit() is safe
   /// from the callback's consumer side as long as the caller routes the
-  /// resubmission through a non-worker thread; see stream::run_harq_live).
+  /// resubmission through a non-worker thread; see
+  /// stream::run_closed_loop_live).
   /// The callback must be thread-safe; it runs concurrently from every
   /// worker. Leave empty for no hook.
   std::function<void(const StreamJob&)> on_complete;
@@ -117,11 +118,12 @@ struct ServiceConfig {
 
 /// One decode request. The submitter owns frame synthesis (the service
 /// never touches TrafficSource::make_frame, which is not thread-safe):
-/// either `llrs` holds the mode's transmitted_bits() channel LLRs, or
-/// `quantised` holds the mode's n pre-quantised raw codes
+/// either `quantised` holds the mode's n pre-quantised raw codes
 /// (sim::quantise_llrs under the service's decoder config) and `llrs`
-/// stays empty — the quantised-domain ingest path, bit-identical to
-/// submitting the doubles at a 4-8x smaller payload.
+/// stays empty — the serving path — or `llrs` holds the mode's
+/// transmitted_bits() channel LLRs, which submit() quantises once with
+/// sim::quantise_llrs before queueing (bit-identical, and the queue then
+/// carries the 4-8x smaller payload either way).
 struct ServiceRequest {
   long long id = 0;
   int mode = 0;
@@ -161,7 +163,10 @@ class DecodeService {
   /// after finish() closed the queue); kReject returns false immediately
   /// when the queue is full — either way a false return is tallied as a
   /// rejected job in the report. Throws std::invalid_argument for an
-  /// unknown mode or an LLR buffer that is not transmitted_bits() long.
+  /// unknown mode, an LLR buffer that is not transmitted_bits() long, both
+  /// payloads at once, or a quantised frame failing
+  /// QuantisedFrame::valid_for(code.n()) — a malformed request never
+  /// reaches a worker.
   bool submit(ServiceRequest request);
 
   /// Closes admission, drains every pending job, joins the workers and

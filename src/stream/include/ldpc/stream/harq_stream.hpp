@@ -1,19 +1,22 @@
-// Closed-loop HARQ serving: ACK/NACK feedback driven through BOTH serving
-// paths of `src/stream`.
+// Closed-loop serving: per-session feedback driven through BOTH serving
+// paths of `src/stream`, shared by HARQ (this header) and the storage
+// read-retry ladder (storage/storage_stream.hpp). A workload is a small
+// ClosedLoopPolicy — ACK rule, round budget, modeled feedback delay,
+// traffic class — over one pair of drivers:
 //
-//   run_harq_modeled  generation-by-generation over StreamScheduler: draw
-//                     one generation of transport blocks, decode it on the
-//                     modeled farm, feed every NACK back into the
-//                     TrafficSource as a retransmission job (same session,
-//                     next redundancy version, arriving decode-finish +
-//                     feedback-delay cycles later), and run the next
-//                     generation — until every session ACKs or exhausts
-//                     its round budget. Generations serialise on the
-//                     modeled clock (a round-r retransmission never
-//                     competes with round-(r-1) work), which keeps the
-//                     discrete-event model deterministic.
+//   run_closed_loop_modeled  generation-by-generation over StreamScheduler:
+//                     draw one generation of sessions, decode it on the
+//                     modeled farm, feed every NACK with budget left back
+//                     into the TrafficSource as the session's next round
+//                     (TrafficSource::push_retransmission, arriving
+//                     decode-finish + feedback-delay cycles later), and run
+//                     the next generation — until every session ACKs or
+//                     exhausts its budget. Generations serialise on the
+//                     modeled clock (a round-r attempt never competes with
+//                     round-(r-1) work), which keeps the discrete-event
+//                     model deterministic.
 //
-//   run_harq_live     the same closed loop against the wall-clock
+//   run_closed_loop_live     the same loop against the wall-clock
 //                     DecodeService: the driver thread synthesises and
 //                     submits round-0 frames, collects completions through
 //                     the service's on_complete hook, and submits each
@@ -27,12 +30,13 @@
 // (seed, session, round)) under the SAME chip layer order, so per-
 // (session, round) decode results — decision hash, iterations,
 // convergence — are bit-identical between the modeled and live paths and
-// across worker counts; only timelines differ. The report's
-// StreamReport::harq block carries sessions/delivered/goodput and
-// per-round attempt/ACK/latency tallies.
+// across worker counts; only timelines differ. Both fill the report's
+// StreamReport::harq block: sessions/delivered/goodput and per-round
+// attempt/ACK/latency tallies under the policy's ACK rule.
+//
+// HARQ is the policy {ACK = converged, max_rounds, feedback delay,
+// best-effort class}: each round retransmits the next redundancy version.
 #pragma once
-
-#include <array>
 
 #include "ldpc/stream/decode_service.hpp"
 #include "ldpc/stream/scheduler.hpp"
@@ -40,6 +44,46 @@
 #include "ldpc/stream/traffic.hpp"
 
 namespace ldpc::stream {
+
+/// What distinguishes one closed-loop workload from another.
+struct ClosedLoopPolicy {
+  /// ACK rule: true when a decode ends its session. A NACK with round
+  /// budget left re-enters the source as the session's next round.
+  bool (*ack)(const StreamJob&) = nullptr;
+  /// Rounds per session, >= 1.
+  int max_rounds = 1;
+  /// Modeled feedback delay: a NACKed session's next round arrives this
+  /// many cycles after the failed decode finished (modeled path only; the
+  /// live path's turnaround is the real wall clock).
+  long long feedback_delay_cycles = 0;
+  /// Traffic class of every live request.
+  TrafficClass cls = TrafficClass::kBestEffort;
+};
+
+/// Runs `sessions` sessions through the modeled farm under `policy`. The
+/// source must emit quantised frames (rounds > 0 carry combined soft
+/// state — TrafficSource::emit_quantised with the scheduler's decoder
+/// config) and should be freshly reset: the driver owns the draw order.
+/// Returns the merged report: job records of every round (ordered by id),
+/// summed ledgers, the makespan of the last generation, and the filled
+/// StreamReport::harq. Throws std::invalid_argument for a negative
+/// session count, a null ACK rule, max_rounds < 1 or a negative delay,
+/// and std::logic_error for a source without quantised emission.
+StreamReport run_closed_loop_modeled(TrafficSource& source,
+                                     SchedulerConfig config,
+                                     long long sessions,
+                                     const ClosedLoopPolicy& policy);
+
+/// The live counterpart over DecodeService. `service_config.on_complete`
+/// must be empty (the driver installs its own feedback hook); the decoder
+/// config must match the source's quantised-emission config for the
+/// served frames to be the modeled path's bit-identical twins. Round
+/// latencies land in StreamReport::harq in wall nanoseconds. Throws
+/// std::runtime_error when no completion arrives within 30 s.
+StreamReport run_closed_loop_live(TrafficSource& source,
+                                  ServiceConfig service_config,
+                                  long long sessions,
+                                  const ClosedLoopPolicy& policy);
 
 struct HarqStreamConfig {
   /// HARQ rounds per session, >= 1 (1 = one-shot, no feedback).
@@ -50,21 +94,13 @@ struct HarqStreamConfig {
   long long feedback_delay_cycles = 0;
 };
 
-/// Runs `sessions` transport blocks through the modeled farm with closed-
-/// loop retransmission. The source must emit quantised frames (HARQ
-/// rounds carry combined soft state — TrafficSource::emit_quantised with
-/// the scheduler's decoder config) and should be freshly reset: the
-/// driver owns the draw order. Returns the merged report: job records of
-/// every round (ordered by id), summed ledgers, the makespan of the last
-/// generation, and the filled HarqStreamStats.
+/// Closed-loop HARQ over the modeled farm: run_closed_loop_modeled with
+/// ACK = converged.
 StreamReport run_harq_modeled(TrafficSource& source, SchedulerConfig config,
                               long long sessions, HarqStreamConfig harq);
 
-/// The live counterpart over DecodeService. `service_config.on_complete`
-/// must be empty (the driver installs its own feedback hook); the decoder
-/// config must match the source's quantised-emission config for the
-/// served frames to be the modeled path's bit-identical twins. Round
-/// latencies land in StreamReport::harq in wall nanoseconds.
+/// Closed-loop HARQ over DecodeService: run_closed_loop_live with
+/// ACK = converged.
 StreamReport run_harq_live(TrafficSource& source,
                            ServiceConfig service_config, long long sessions,
                            HarqStreamConfig harq);

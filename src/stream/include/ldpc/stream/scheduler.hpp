@@ -22,10 +22,11 @@
 //            that job is served regardless, bounding queue delay.
 //
 // With max_burst > 1 a worker drains up to that many same-mode jobs per
-// dispatch through FramePipeline::decode_burst (one reconfiguration, and
-// the continuous SIMD lane-refill kernel when the decoder config selects
-// min-sum) — the "StreamBatchEngine-backed software lane" serving
-// same-mode bins without the lockstep slowest-lane tax.
+// dispatch through FramePipeline::decode_burst_quantised (one
+// reconfiguration, and the continuous SIMD lane-refill kernel when the
+// decoder config selects min-sum). Frames of a double-emitting source are
+// quantised once per frame (sim::quantise_llrs under `decoder`) when the
+// burst is built, so the farm has a single ingest domain.
 #pragma once
 
 #include <string>

@@ -142,7 +142,8 @@ struct HarqRoundServing {
 };
 
 /// Closed-loop HARQ accounting over a served stream (filled by the
-/// run_harq_* drivers; `enabled` stays false for plain one-shot streams).
+/// closed-loop drivers run_closed_loop_{modeled,live} under each policy's
+/// ACK rule; `enabled` stays false for plain one-shot streams).
 struct HarqStreamStats {
   bool enabled = false;
   long long sessions = 0;   // transport blocks entered
@@ -189,7 +190,7 @@ struct StreamReport {
   /// First submit -> last completion on the service's wall clock.
   long long wall_elapsed_ns = 0;
 
-  /// Closed-loop HARQ accounting (run_harq_modeled / run_harq_live).
+  /// Closed-loop accounting (run_closed_loop_modeled / _live).
   HarqStreamStats harq;
 
   /// Aggregate delivered payload throughput at `f_clk_hz` over the

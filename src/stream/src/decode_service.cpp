@@ -8,6 +8,7 @@
 
 #include "ldpc/arch/decoder_chip.hpp"
 #include "ldpc/core/stream_batch_engine.hpp"
+#include "ldpc/sim/simulator.hpp"
 
 namespace ldpc::stream {
 
@@ -83,25 +84,27 @@ bool DecodeService::submit(ServiceRequest request) {
   if (request.mode < 0 || request.mode >= source_.mode_count())
     throw std::invalid_argument("DecodeService::submit: unknown mode");
   const codes::QCCode& code = source_.code(request.mode);
-  if (!request.quantised.empty()) {
-    // Quantised-domain submission: the payload is the mode's n raw codes;
-    // the double llrs must be absent (exactly one ingest domain per job).
-    if (!request.llrs.empty())
-      throw std::invalid_argument(
-          "DecodeService::submit: both llrs and quantised payloads");
-    if (request.quantised.n != code.n() ||
-        request.quantised.bytes.size() != request.quantised.expected_bytes())
-      throw std::invalid_argument(
-          "DecodeService::submit: quantised frame size");
-  } else if (request.llrs.size() !=
-             static_cast<std::size_t>(code.transmitted_bits())) {
-    throw std::invalid_argument("DecodeService::submit: llr size");
-  }
   const long long payload = code.payload_bits();
   if (!request.expected_payload.empty() &&
       request.expected_payload.size() < static_cast<std::size_t>(payload))
     throw std::invalid_argument(
         "DecodeService::submit: expected_payload size");
+  if (request.quantised.empty()) {
+    // The double-LLR adapter: quantise once, here on the submitter's
+    // thread, so the queue and the workers see one ingest domain.
+    if (request.llrs.size() !=
+        static_cast<std::size_t>(code.transmitted_bits()))
+      throw std::invalid_argument("DecodeService::submit: llr size");
+    request.quantised =
+        sim::quantise_llrs(code, config_.decoder, request.llrs);
+    std::vector<double>().swap(request.llrs);
+  } else if (!request.llrs.empty()) {
+    throw std::invalid_argument(
+        "DecodeService::submit: both llrs and quantised payloads");
+  } else if (!request.quantised.valid_for(code.n())) {
+    throw std::invalid_argument(
+        "DecodeService::submit: quantised frame does not match the mode");
+  }
 
   QueuedJob job;
   job.submit_ns = now_ns();
@@ -231,38 +234,15 @@ void DecodeService::decode_bin(int index, std::vector<QueuedJob>& bin) {
     w.ledger.reconfigurations += 1;
   }
 
-  // A bin is same-mode but may mix ingest domains (double-LLR jobs next
-  // to pre-quantised ones): dispatch each group through its own engine
-  // entry and scatter the results back to bin order. Outcomes are
-  // bit-identical across the two domains, so the split cannot change any
-  // job's decisions — only which ingest path staged it.
-  std::vector<std::size_t> llr_idx, quant_idx;
-  llr_idx.reserve(bin.size());
-  for (std::size_t f = 0; f < bin.size(); ++f)
-    (bin[f].req.quantised.empty() ? llr_idx : quant_idx).push_back(f);
+  // submit() quantised every job, so a bin is one engine call.
+  std::vector<const core::QuantisedFrame*> frames;
+  frames.reserve(bin.size());
+  for (const QueuedJob& job : bin) frames.push_back(&job.req.quantised);
   std::vector<core::FixedDecodeResult> results(bin.size());
-  const auto& order = orders_[static_cast<std::size_t>(mode)];
 
   const long long start = now_ns();
-  if (!llr_idx.empty()) {
-    std::vector<const double*> frames;
-    frames.reserve(llr_idx.size());
-    for (std::size_t f : llr_idx) frames.push_back(bin[f].req.llrs.data());
-    std::vector<core::FixedDecodeResult> group(llr_idx.size());
-    w.engine.decode_frames(frames, order, group);
-    for (std::size_t k = 0; k < llr_idx.size(); ++k)
-      results[llr_idx[k]] = std::move(group[k]);
-  }
-  if (!quant_idx.empty()) {
-    std::vector<const core::QuantisedFrame*> frames;
-    frames.reserve(quant_idx.size());
-    for (std::size_t f : quant_idx)
-      frames.push_back(&bin[f].req.quantised);
-    std::vector<core::FixedDecodeResult> group(quant_idx.size());
-    w.engine.decode_quantised(frames, order, group);
-    for (std::size_t k = 0; k < quant_idx.size(); ++k)
-      results[quant_idx[k]] = std::move(group[k]);
-  }
+  w.engine.decode_quantised(frames, orders_[static_cast<std::size_t>(mode)],
+                            results);
   const long long finish = now_ns();
 
   const auto payload = static_cast<std::size_t>(code.payload_bits());

@@ -6,34 +6,37 @@
 #include <deque>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 namespace ldpc::stream {
 
 namespace {
 
 void validate(const TrafficSource& source, long long sessions,
-              const HarqStreamConfig& harq) {
-  if (sessions < 0) throw std::invalid_argument("run_harq: sessions");
-  if (harq.max_rounds < 1)
-    throw std::invalid_argument("run_harq: max_rounds");
-  if (harq.feedback_delay_cycles < 0)
-    throw std::invalid_argument("run_harq: feedback_delay_cycles");
+              const ClosedLoopPolicy& policy) {
+  if (sessions < 0) throw std::invalid_argument("closed loop: sessions");
+  if (!policy.ack) throw std::invalid_argument("closed loop: ack rule");
+  if (policy.max_rounds < 1)
+    throw std::invalid_argument("closed loop: max_rounds");
+  if (policy.feedback_delay_cycles < 0)
+    throw std::invalid_argument("closed loop: feedback_delay_cycles");
   if (!source.emits_quantised())
     throw std::logic_error(
-        "run_harq: HARQ rounds carry combined soft state; switch the "
+        "closed loop: rounds > 0 carry combined soft state; switch the "
         "source to quantised emission first (emit_quantised)");
 }
 
-/// Fills report.harq from the completed job records. ACK = the decoder
-/// converged (the undetected-error case a CRC would veto stays visible
-/// through StreamJob::payload_ok). Latency unit: modeled cycles or wall
-/// nanoseconds depending on which path produced the records.
-void fill_harq_stats(const TrafficSource& source, long long sessions,
-                     int max_rounds, bool modeled, StreamReport& report) {
+/// Fills report.harq from the completed job records under the policy's
+/// ACK rule. Latency unit: modeled cycles or wall nanoseconds depending
+/// on which path produced the records.
+void fill_loop_stats(const TrafficSource& source, long long sessions,
+                     const ClosedLoopPolicy& policy, bool modeled,
+                     StreamReport& report) {
   HarqStreamStats& h = report.harq;
   h.enabled = true;
   h.sessions = sessions;
-  h.rounds.assign(static_cast<std::size_t>(max_rounds), HarqRoundServing{});
+  h.rounds.assign(static_cast<std::size_t>(policy.max_rounds),
+                  HarqRoundServing{});
   for (const StreamJob& rec : report.jobs) {
     const codes::QCCode& code = source.code(rec.mode);
     HarqRoundServing& round = h.rounds.at(static_cast<std::size_t>(rec.round));
@@ -41,7 +44,7 @@ void fill_harq_stats(const TrafficSource& source, long long sessions,
     round.latency.add(modeled ? rec.latency_cycles()
                               : rec.wall_latency_ns());
     h.tx_bits_sent += code.transmitted_bits();
-    if (rec.converged) {
+    if (policy.ack(rec)) {
       ++round.acks;
       ++h.delivered;
       h.payload_bits_delivered += code.payload_bits();
@@ -49,11 +52,26 @@ void fill_harq_stats(const TrafficSource& source, long long sessions,
   }
 }
 
+/// A NACKed record with round budget left: its session goes again.
+bool retries(const StreamJob& rec, const ClosedLoopPolicy& policy) {
+  return !policy.ack(rec) && rec.round + 1 < policy.max_rounds;
+}
+
+bool acked(const StreamJob& rec) { return rec.converged; }
+
+ClosedLoopPolicy harq_policy(const HarqStreamConfig& harq) {
+  return {.ack = acked,
+          .max_rounds = harq.max_rounds,
+          .feedback_delay_cycles = harq.feedback_delay_cycles};
+}
+
 }  // namespace
 
-StreamReport run_harq_modeled(TrafficSource& source, SchedulerConfig config,
-                              long long sessions, HarqStreamConfig harq) {
-  validate(source, sessions, harq);
+StreamReport run_closed_loop_modeled(TrafficSource& source,
+                                     SchedulerConfig config,
+                                     long long sessions,
+                                     const ClosedLoopPolicy& policy) {
+  validate(source, sessions, policy);
   StreamScheduler scheduler(source, config);
 
   StreamReport merged;
@@ -70,15 +88,14 @@ StreamReport run_harq_modeled(TrafficSource& source, SchedulerConfig config,
     // the retransmission draw order — is deterministic.
     generation_jobs = 0;
     for (const StreamJob& rec : gen.jobs) {
-      if (!rec.converged && rec.round + 1 < harq.max_rounds) {
-        Job failed;
-        failed.mode = rec.mode;
-        failed.session = rec.session;
-        failed.round = rec.round;
-        source.push_retransmission(
-            failed, rec.finish_cycle + harq.feedback_delay_cycles);
-        ++generation_jobs;
-      }
+      if (!retries(rec, policy)) continue;
+      Job failed;
+      failed.mode = rec.mode;
+      failed.session = rec.session;
+      failed.round = rec.round;
+      source.push_retransmission(
+          failed, rec.finish_cycle + policy.feedback_delay_cycles);
+      ++generation_jobs;
     }
 
     for (const StreamJob& rec : gen.jobs) merged.jobs.push_back(rec);
@@ -94,18 +111,18 @@ StreamReport run_harq_modeled(TrafficSource& source, SchedulerConfig config,
             [](const StreamJob& a, const StreamJob& b) {
               return a.id < b.id;
             });
-  fill_harq_stats(source, sessions, harq.max_rounds, /*modeled=*/true,
-                  merged);
+  fill_loop_stats(source, sessions, policy, /*modeled=*/true, merged);
   return merged;
 }
 
-StreamReport run_harq_live(TrafficSource& source,
-                           ServiceConfig service_config, long long sessions,
-                           HarqStreamConfig harq) {
-  validate(source, sessions, harq);
+StreamReport run_closed_loop_live(TrafficSource& source,
+                                  ServiceConfig service_config,
+                                  long long sessions,
+                                  const ClosedLoopPolicy& policy) {
+  validate(source, sessions, policy);
   if (service_config.on_complete)
     throw std::invalid_argument(
-        "run_harq_live: the driver owns the completion hook");
+        "closed loop: the driver owns the completion hook");
 
   // Completions flow worker threads -> this queue -> the driver thread.
   // The driver alone calls make_frame (not thread-safe) and submit, so
@@ -124,23 +141,22 @@ StreamReport run_harq_live(TrafficSource& source,
   DecodeService service(source, service_config);
 
   auto submit_round = [&](const Job& job) {
-    const JobFrame frame = source.make_frame(job);
+    JobFrame frame = source.make_frame(job);
     ServiceRequest req;
     req.id = job.id;
     req.mode = job.mode;
     req.session = job.session;
     req.round = job.round;
     req.rv = source.rv_for_round(job.mode, job.round);
-    req.quantised = frame.quantised;
-    req.expected_payload = frame.codeword;
+    req.cls = policy.cls;
+    req.quantised = std::move(frame.quantised);
+    req.expected_payload = std::move(frame.codeword);
     return service.submit(std::move(req));
   };
 
   long long outstanding = 0;
-  for (long long s = 0; s < sessions; ++s) {
-    const Job job = source.next();
-    if (submit_round(job)) ++outstanding;
-  }
+  for (long long s = 0; s < sessions; ++s)
+    if (submit_round(source.next())) ++outstanding;
 
   long long next_id = sessions;
   while (outstanding > 0) {
@@ -150,26 +166,38 @@ StreamReport run_harq_live(TrafficSource& source,
       if (!cv.wait_for(lock, std::chrono::seconds(30),
                        [&] { return !completions.empty(); }))
         throw std::runtime_error(
-            "run_harq_live: no completion within 30s (worker stalled?)");
+            "closed loop: no completion within 30s (worker stalled?)");
       rec = completions.front();
       completions.pop_front();
     }
-    if (rec.converged || rec.round + 1 >= harq.max_rounds) {
+    if (!retries(rec, policy)) {
       --outstanding;
       continue;
     }
-    Job retx;
-    retx.id = next_id++;
-    retx.mode = rec.mode;
-    retx.session = rec.session;
-    retx.round = rec.round + 1;
-    if (!submit_round(retx)) --outstanding;  // admission closed/refused
+    Job next;
+    next.id = next_id++;
+    next.mode = rec.mode;
+    next.session = rec.session;
+    next.round = rec.round + 1;
+    if (!submit_round(next)) --outstanding;  // admission closed/refused
   }
 
   StreamReport report = service.finish();
-  fill_harq_stats(source, sessions, harq.max_rounds, /*modeled=*/false,
-                  report);
+  fill_loop_stats(source, sessions, policy, /*modeled=*/false, report);
   return report;
+}
+
+StreamReport run_harq_modeled(TrafficSource& source, SchedulerConfig config,
+                              long long sessions, HarqStreamConfig harq) {
+  return run_closed_loop_modeled(source, std::move(config), sessions,
+                                 harq_policy(harq));
+}
+
+StreamReport run_harq_live(TrafficSource& source,
+                           ServiceConfig service_config, long long sessions,
+                           HarqStreamConfig harq) {
+  return run_closed_loop_live(source, std::move(service_config), sessions,
+                              harq_policy(harq));
 }
 
 }  // namespace ldpc::stream

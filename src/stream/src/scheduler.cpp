@@ -7,6 +7,8 @@
 #include <span>
 #include <stdexcept>
 
+#include "ldpc/sim/simulator.hpp"
+
 namespace ldpc::stream {
 
 std::string to_string(Policy policy) {
@@ -68,7 +70,6 @@ StreamReport StreamScheduler::run(long long njobs) {
       static_cast<std::size_t>(nmodes));
   long long admitted = 0, served = 0, ready_count = 0;
   std::vector<long long> burst_ids;
-  std::vector<double> burst_llrs;
 
   while (served < njobs) {
     // Earliest-free worker, ties to the lowest index.
@@ -120,34 +121,27 @@ StreamReport StreamScheduler::run(long long njobs) {
     }
     ready_count -= static_cast<long long>(burst_ids.size());
 
+    // One ingest domain: every frame reaches the chip as deposited size-n
+    // raw codes. A quantised source already carries them (for HARQ rounds
+    // > 0 the *combined* soft state, which only exists in this domain); a
+    // double source is quantised here, once per frame, under the farm's
+    // decoder config — bit-identical to depositing the doubles on the
+    // chip (test-locked at the engine layer).
     const codes::QCCode& code = source_.code(mode);
-    const auto tx = static_cast<std::size_t>(code.transmitted_bits());
     std::vector<JobFrame> frames;
+    std::vector<const core::QuantisedFrame*> burst_frames;
     frames.reserve(burst_ids.size());
-    arch::BurstDecodeResult burst;
-    if (source_.emits_quantised()) {
-      // Quantised ingest: the frames already carry deposited size-n raw
-      // codes — for HARQ rounds > 0 the *combined* soft state, which only
-      // exists in this domain. Bit-identical to the double path for
-      // one-shot frames (test-locked at the engine layer).
-      std::vector<const core::QuantisedFrame*> burst_frames;
-      burst_frames.reserve(burst_ids.size());
-      for (std::size_t f = 0; f < burst_ids.size(); ++f) {
-        frames.push_back(source_.make_frame(
-            jobs[static_cast<std::size_t>(burst_ids[f])]));
-        burst_frames.push_back(&frames[f].quantised);
-      }
-      burst = w.pipe->decode_burst_quantised(code, burst_frames);
-    } else {
-      burst_llrs.resize(tx * burst_ids.size());
-      for (std::size_t f = 0; f < burst_ids.size(); ++f) {
-        frames.push_back(source_.make_frame(
-            jobs[static_cast<std::size_t>(burst_ids[f])]));
-        std::copy(frames[f].llrs.begin(), frames[f].llrs.end(),
-                  burst_llrs.begin() + static_cast<std::ptrdiff_t>(f * tx));
-      }
-      burst = w.pipe->decode_burst(code, burst_llrs);
+    burst_frames.reserve(burst_ids.size());
+    for (std::size_t f = 0; f < burst_ids.size(); ++f) {
+      frames.push_back(
+          source_.make_frame(jobs[static_cast<std::size_t>(burst_ids[f])]));
+      if (!source_.emits_quantised())
+        frames[f].quantised =
+            sim::quantise_llrs(code, config_.decoder, frames[f].llrs);
+      burst_frames.push_back(&frames[f].quantised);
     }
+    const arch::BurstDecodeResult burst =
+        w.pipe->decode_burst_quantised(code, burst_frames);
     w.mode = mode;
 
     long long t = now;

@@ -17,6 +17,7 @@
 #include "ldpc/channel/channel.hpp"
 #include "ldpc/codes/registry.hpp"
 #include "ldpc/enc/encoder.hpp"
+#include "ldpc/sim/simulator.hpp"
 
 namespace {
 
@@ -847,9 +848,25 @@ TEST(FramePipelineStats, MergeAccumulatesEveryField) {
   EXPECT_EQ(a.elapsed_cycles(), 183);
 }
 
+// The burst ingest domain: each transmitted frame quantised once
+// (sim::quantise_llrs), as the stream scheduler builds its bursts.
+struct QuantisedBurst {
+  std::vector<core::QuantisedFrame> frames;
+  std::vector<const core::QuantisedFrame*> ptrs;
+
+  QuantisedBurst(const codes::QCCode& code, const core::DecoderConfig& cfg,
+                 std::span<const double> llrs) {
+    const auto tx = static_cast<std::size_t>(code.transmitted_bits());
+    for (std::size_t off = 0; off < llrs.size(); off += tx)
+      frames.push_back(sim::quantise_llrs(code, cfg, llrs.subspan(off, tx)));
+    for (const auto& f : frames) ptrs.push_back(&f);
+  }
+};
+
 TEST(FramePipeline, BurstMatchesPerFrameAccounting) {
-  // decode_burst = one reconfiguration + the batch datapath; results and
-  // the stats ledger must equal a decode_frame loop over the same frames.
+  // decode_burst_quantised = one reconfiguration + the batch datapath;
+  // results and the stats ledger must equal a decode_frame loop over the
+  // frames' source LLRs.
   ChipChain chain({Standard::kWimax80216e, Rate::kR12, 24}, 91);
   const core::DecoderConfig cfg{.max_iterations = 3};
   arch::DecoderChip chip_a({}, cfg), chip_b({}, cfg);
@@ -864,20 +881,23 @@ TEST(FramePipeline, BurstMatchesPerFrameAccounting) {
               llrs.begin() + static_cast<std::ptrdiff_t>(f * tx));
   }
 
-  std::vector<std::vector<std::uint8_t>> single_bits;
+  std::vector<arch::ChipDecodeResult> single;
   for (int f = 0; f < frames; ++f)
-    single_bits.push_back(
-        one_by_one
-            .decode_frame(chain.code,
-                          std::span<const double>(llrs).subspan(f * tx, tx))
-            .functional.bits);
-  const auto burst = burst_pipe.decode_burst(chain.code, llrs);
+    single.push_back(one_by_one.decode_frame(
+        chain.code, std::span<const double>(llrs).subspan(f * tx, tx)));
+  const auto burst = burst_pipe.decode_burst_quantised(
+      chain.code, QuantisedBurst(chain.code, cfg, llrs).ptrs);
 
+  // Full-BP bursts run the structural datapath per frame: per-frame stats
+  // are reset between burst elements.
   ASSERT_EQ(burst.frames.size(), static_cast<std::size_t>(frames));
-  for (int f = 0; f < frames; ++f)
-    EXPECT_EQ(burst.frames[static_cast<std::size_t>(f)].functional.bits,
-              single_bits[static_cast<std::size_t>(f)])
-        << "frame " << f;
+  for (int f = 0; f < frames; ++f) {
+    const auto& b = burst.frames[static_cast<std::size_t>(f)];
+    const auto& s = single[static_cast<std::size_t>(f)];
+    EXPECT_EQ(b.functional.bits, s.functional.bits) << "frame " << f;
+    EXPECT_EQ(b.stats.l_mem_reads, s.stats.l_mem_reads) << "frame " << f;
+    EXPECT_EQ(b.stats.cycles, s.stats.cycles) << "frame " << f;
+  }
   // Same code throughout: both paths reconfigure once, so every ledger
   // field matches and the per-frame elapsed shares sum to the total.
   EXPECT_EQ(burst_pipe.stats().frames, one_by_one.stats().frames);
@@ -925,7 +945,8 @@ TEST(FramePipeline, WideMixedIterationBurstAccountingMatchesPerFrame) {
   for (int f = 0; f < frames; ++f)
     single.push_back(one_by_one.decode_frame(
         chain.code, std::span<const double>(llrs).subspan(f * tx, tx)));
-  const auto burst = burst_pipe.decode_burst(chain.code, llrs);
+  const auto burst = burst_pipe.decode_burst_quantised(
+      chain.code, QuantisedBurst(chain.code, cfg, llrs).ptrs);
 
   ASSERT_EQ(burst.frames.size(), static_cast<std::size_t>(frames));
   std::set<int> iteration_mix;

@@ -187,30 +187,43 @@ TEST(DecodeServiceDeterminism, QuantisedSubmissionMatchesModeledScheduler) {
 TEST(DecodeService, SubmitValidatesQuantisedPayloads) {
   auto src = make_mixed_source(0xD15C2);
   src.emit_quantised(service_decoder());
-  const auto jobs = synthesize(src, 1);
+  const auto jobs = synthesize(src, 2);
   ServiceConfig cfg;
   cfg.decoder = service_decoder();
   DecodeService service(src, cfg);
+  auto quantised_request = [&](const SynthJob& s) {
+    ServiceRequest req = request_for(src, s);
+    req.llrs.clear();
+    req.quantised = s.frame.quantised;
+    return req;
+  };
+
+  // A valid job ahead of the malformed ones.
+  EXPECT_TRUE(service.submit(quantised_request(jobs[0])));
 
   // Both payloads present: ambiguous ingest domain.
-  ServiceRequest both = request_for(src, jobs[0]);
-  both.quantised = jobs[0].frame.quantised;
+  ServiceRequest both = request_for(src, jobs[1]);
+  both.quantised = jobs[1].frame.quantised;
   EXPECT_THROW(service.submit(std::move(both)), std::invalid_argument);
 
   // Truncated quantised payload.
-  ServiceRequest bad = request_for(src, jobs[0]);
-  bad.llrs.clear();
-  bad.quantised = jobs[0].frame.quantised;
+  ServiceRequest bad = quantised_request(jobs[1]);
   bad.quantised.bytes.pop_back();
   EXPECT_THROW(service.submit(std::move(bad)), std::invalid_argument);
 
-  // A valid quantised job still decodes.
-  ServiceRequest good = request_for(src, jobs[0]);
-  good.llrs.clear();
-  good.quantised = jobs[0].frame.quantised;
-  EXPECT_TRUE(service.submit(std::move(good)));
+  // Unknown lane tag with a payload sized for it: rejected at the door,
+  // where admitting it would fail a worker and lose every other job.
+  ServiceRequest bad_tag = quantised_request(jobs[1]);
+  bad_tag.quantised.type = static_cast<core::kernels::LaneType>(3);
+  bad_tag.quantised.bytes.resize(bad_tag.quantised.expected_bytes());
+  EXPECT_THROW(service.submit(std::move(bad_tag)), std::invalid_argument);
+
+  // A valid job after them; both valid jobs come back.
+  EXPECT_TRUE(service.submit(quantised_request(jobs[1])));
   const auto report = service.finish();
-  ASSERT_EQ(report.jobs.size(), 1u);
+  ASSERT_EQ(report.jobs.size(), 2u);
+  EXPECT_EQ(report.jobs[0].id, jobs[0].job.id);
+  EXPECT_EQ(report.jobs[1].id, jobs[1].job.id);
   EXPECT_TRUE(report.jobs[0].payload_ok);
 }
 
@@ -630,6 +643,51 @@ TEST(DecodeService, FinishIsSingleShot) {
   DecodeService service(src, cfg);
   (void)service.finish();
   EXPECT_THROW(service.finish(), std::logic_error);
+}
+
+TEST(DecodeService, ThrowingHookFailsFinishAndUnblocksProducers) {
+  // A completion hook that throws on the k-th job takes its worker down;
+  // the worker closes the queue, so a producer blocked in submit() under
+  // kBlock admission wakes with false instead of hanging, and finish()
+  // rethrows the hook's exception.
+  auto src = make_mixed_source(4);
+  const auto jobs = synthesize(src, 16);
+  constexpr int kFailAt = 2;
+  std::atomic<int> completions{0};
+  std::atomic<int> entered{0};  // submit() calls the producer has begun
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 1;
+  cfg.max_bin_delay_ns = 0;  // one job per dispatch
+  cfg.admission = Admission::kBlock;
+  cfg.decoder = service_decoder();
+  cfg.on_complete = [&](const stream::StreamJob&) {
+    if (++completions < kFailAt) return;
+    // Jobs 1..k are taken and the one-slot queue holds job k+1, so the
+    // producer's submit of job k+2 blocks. Wait for it to get there.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (entered.load() < kFailAt + 2 &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    throw std::runtime_error("completion hook failure");
+  };
+  DecodeService service(src, cfg);
+
+  int refused_at = -1;
+  std::thread producer([&] {
+    for (int i = 0; i < static_cast<int>(jobs.size()); ++i) {
+      entered.store(i + 1);
+      if (!service.submit(request_for(src, jobs[static_cast<std::size_t>(i)]))) {
+        refused_at = i;
+        return;
+      }
+    }
+  });
+  producer.join();
+  EXPECT_EQ(refused_at, kFailAt + 1);  // the blocked submit of job k+2
+  EXPECT_THROW(service.finish(), std::runtime_error);
 }
 
 TEST(DecodeService, InvalidConfigOrRequestThrows) {

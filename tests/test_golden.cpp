@@ -11,7 +11,8 @@
 // Q5.2 messages). This suite decodes each frame through
 //
 //   - the scalar fixed-point engine        (LayerEngineT<std::int32_t>)
-//   - the SoA batched fixed-point kernel   (BatchEngine, several lanes)
+//   - the SoA batched fixed-point engine   (StreamBatchEngine, quantised
+//                                           ingest, a 3-frame queue)
 //   - the chip model                       (arch::DecoderChip, natural order)
 //   - the float reference engine           (LayerEngineT<double>)
 //
@@ -28,9 +29,9 @@
 
 #include "ldpc/arch/decoder_chip.hpp"
 #include "ldpc/codes/registry.hpp"
-#include "ldpc/core/batch_engine.hpp"
 #include "ldpc/core/golden.hpp"
 #include "ldpc/core/layer_engine.hpp"
+#include "ldpc/core/stream_batch_engine.hpp"
 
 namespace {
 
@@ -101,17 +102,21 @@ void check_all_datapaths(const codes::QCCode& code,
       << code.name() << " (scalar fixed)";
   EXPECT_EQ(fixed_result.iterations, cfg.max_iterations);
 
-  // Batched fixed-point path: three lanes carrying the same frame (a
-  // ragged, partially masked batch) must each reproduce the golden bits.
-  core::BatchEngine batch(cfg);
+  // Batched fixed-point path: the serving entry over a 3-frame queue of
+  // int32 QuantisedFrames holding the stored codes (a ragged, partially
+  // filled lane set at the auto-selected lane type, so the forced
+  // LDPC_LANE_TYPE lanes narrow the same frames) must reproduce the
+  // golden bits in every lane.
+  core::StreamBatchEngine batch(cfg);
   batch.reconfigure(code);
   constexpr int kFrames = 3;
-  std::vector<std::int32_t> raw3;
-  raw3.reserve(entry.raw.size() * kFrames);
-  for (int f = 0; f < kFrames; ++f)
-    raw3.insert(raw3.end(), entry.raw.begin(), entry.raw.end());
+  core::QuantisedFrame frame;
+  const auto codes = frame.emplace<std::int32_t>(
+      core::kernels::LaneType::kInt32, code.n());
+  std::copy(entry.raw.begin(), entry.raw.end(), codes.begin());
+  const std::vector<const core::QuantisedFrame*> queue(kFrames, &frame);
   std::vector<core::FixedDecodeResult> results(kFrames);
-  batch.decode_raw(raw3, {}, results);
+  batch.decode_quantised(queue, {}, results);
   for (int f = 0; f < kFrames; ++f)
     EXPECT_EQ(bits_to_hex(results[static_cast<std::size_t>(f)].bits),
               entry.fixed_hex)

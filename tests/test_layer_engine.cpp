@@ -9,7 +9,6 @@
 
 #include "ldpc/arch/decoder_chip.hpp"
 #include "ldpc/codes/registry.hpp"
-#include "ldpc/core/batch_engine.hpp"
 #include "ldpc/core/layer_engine.hpp"
 #include "ldpc/fixed/qformat.hpp"
 #include "ldpc/util/rng.hpp"
@@ -171,42 +170,6 @@ TEST(BatchDecode, FunctionalBatchMatchesPerFrame) {
   }
 }
 
-TEST(BatchDecode, ChipBatchMatchesPerFrame) {
-  const auto code = codes::make_code(
-      {codes::Standard::kWlan80211n, codes::Rate::kR34, 54});
-  const core::DecoderConfig cfg{.max_iterations = 4};
-  arch::DecoderChip batch_chip({}, cfg);
-  arch::DecoderChip frame_chip({}, cfg);
-  batch_chip.configure(code);
-  frame_chip.configure(code);
-
-  const auto n = static_cast<std::size_t>(code.n());
-  const int frames = 3;
-  std::vector<double> llrs(n * frames);
-  for (int f = 0; f < frames; ++f) {
-    const auto one = random_llrs(code, 200 + static_cast<std::uint64_t>(f));
-    std::copy(one.begin(), one.end(),
-              llrs.begin() + static_cast<std::ptrdiff_t>(f * n));
-  }
-
-  const auto results = batch_chip.decode_batch(llrs);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(frames));
-  for (int f = 0; f < frames; ++f) {
-    const auto single = frame_chip.decode(
-        std::span<const double>(llrs).subspan(f * n, n));
-    EXPECT_EQ(results[static_cast<std::size_t>(f)].functional.bits,
-              single.functional.bits)
-        << f;
-    // Stats are per-frame (reset between batch elements).
-    EXPECT_EQ(results[static_cast<std::size_t>(f)].stats.l_mem_reads,
-              single.stats.l_mem_reads)
-        << f;
-    EXPECT_EQ(results[static_cast<std::size_t>(f)].stats.cycles,
-              single.stats.cycles)
-        << f;
-  }
-}
-
 // ---- templated datapaths ----------------------------------------------------
 
 // The compile-time Sat<8,2> instantiation must be bit-exact against the
@@ -287,219 +250,10 @@ TEST(TemplatedDatapath, ChipRejectsFloatConfig) {
       std::invalid_argument);
 }
 
-// ---- the SoA batched min-sum kernel -----------------------------------------
-
-TEST(BatchEngine, RejectsUnsupportedConfigs) {
-  EXPECT_THROW(core::BatchEngine({.kernel = core::CnuKernel::kFullBp}),
-               std::invalid_argument);
-  EXPECT_THROW(core::BatchEngine({.kernel = core::CnuKernel::kMinSum,
-                                  .datapath = core::Datapath::kFloat}),
-               std::invalid_argument);
-  EXPECT_THROW(core::BatchEngine({.max_iterations = 0,
-                                  .kernel = core::CnuKernel::kMinSum}),
-               std::invalid_argument);
-}
-
-// Lockstep equivalence across every lane-occupancy shape, including the
-// ragged tails: the batched kernel must be bit-identical to scalar
-// per-frame decoding for ANY frame count, not just full lanes.
-TEST(BatchEngine, RaggedBatchesMatchScalarBitExactly) {
-  const auto code = codes::make_code(
-      {codes::Standard::kWimax80216e, codes::Rate::kR12, 48});
-  const core::DecoderConfig cfg{.max_iterations = 6,
-                                .kernel = core::CnuKernel::kMinSum,
-                                .early_termination = {.enabled = true},
-                                .stop_on_codeword = true};
-  core::BatchEngine batch(cfg);
-  batch.reconfigure(code);
-  core::LayerEngine scalar(cfg);
-  scalar.reconfigure(code);
-
-  const auto n = static_cast<std::size_t>(code.n());
-  for (const int frames : {1, 2, core::BatchEngine::kLanes - 1,
-                           core::BatchEngine::kLanes}) {
-    std::vector<double> llrs(n * static_cast<std::size_t>(frames));
-    for (int f = 0; f < frames; ++f) {
-      const auto one =
-          random_llrs(code, 7000 + static_cast<std::uint64_t>(frames) * 100 +
-                                static_cast<std::uint64_t>(f));
-      std::copy(one.begin(), one.end(),
-                llrs.begin() + static_cast<std::ptrdiff_t>(f) *
-                                   static_cast<std::ptrdiff_t>(n));
-    }
-    std::vector<core::FixedDecodeResult> results(
-        static_cast<std::size_t>(frames));
-    batch.decode(llrs, {}, results);
-    std::vector<std::int32_t> raw(n);
-    for (int f = 0; f < frames; ++f) {
-      scalar.quantize(
-          std::span<const double>(llrs).subspan(
-              static_cast<std::size_t>(f) * n, n),
-          raw);
-      const auto single = scalar.run(raw);
-      const auto& b = results[static_cast<std::size_t>(f)];
-      ASSERT_EQ(b.bits, single.bits) << frames << ":" << f;
-      EXPECT_EQ(b.iterations, single.iterations) << frames << ":" << f;
-      EXPECT_EQ(b.converged, single.converged) << frames << ":" << f;
-      EXPECT_EQ(b.early_terminated, single.early_terminated)
-          << frames << ":" << f;
-      EXPECT_EQ(b.datapath_cycles, single.datapath_cycles)
-          << frames << ":" << f;
-    }
-  }
-}
-
-// Narrow-lane lockstep equivalence: the int16 instantiation (32 lanes)
-// must be bit-identical to scalar per-frame decoding for the standard
-// config — the containment argument (saturate-then-clamp == wide-then-
-// clamp when the rails fit the lane type) made executable.
-TEST(BatchEngine, Int16LanesMatchScalarBitExactly) {
-  const auto code = codes::make_code(
-      {codes::Standard::kWlan80211n, codes::Rate::kR34, 81});
-  const core::DecoderConfig cfg{.max_iterations = 6,
-                                .kernel = core::CnuKernel::kMinSum,
-                                .early_termination = {.enabled = true},
-                                .stop_on_codeword = true};
-  core::BatchEngineT<std::int16_t> batch(cfg);
-  static_assert(core::BatchEngineT<std::int16_t>::kLanes == 32);
-  batch.reconfigure(code);
-  core::LayerEngine scalar(cfg);
-  scalar.reconfigure(code);
-
-  const auto n = static_cast<std::size_t>(code.n());
-  const int frames = 32;
-  std::vector<double> llrs(n * static_cast<std::size_t>(frames));
-  for (int f = 0; f < frames; ++f) {
-    const auto one = random_llrs(code, 5100 + static_cast<std::uint64_t>(f));
-    std::copy(one.begin(), one.end(),
-              llrs.begin() + static_cast<std::ptrdiff_t>(f) *
-                                 static_cast<std::ptrdiff_t>(n));
-  }
-  std::vector<core::FixedDecodeResult> results(
-      static_cast<std::size_t>(frames));
-  batch.decode(llrs, {}, results);
-  std::vector<std::int32_t> raw(n);
-  for (int f = 0; f < frames; ++f) {
-    scalar.quantize(std::span<const double>(llrs).subspan(
-                        static_cast<std::size_t>(f) * n, n),
-                    raw);
-    const auto single = scalar.run(raw);
-    EXPECT_EQ(results[static_cast<std::size_t>(f)].bits, single.bits) << f;
-    EXPECT_EQ(results[static_cast<std::size_t>(f)].iterations,
-              single.iterations)
-        << f;
-  }
-}
-
-// int8 lanes (64 in lockstep) under the strict 8-bit-APP config, against a
-// scalar golden re-derived under the same config.
-TEST(BatchEngine, Int8LanesMatchStrictAppScalarBitExactly) {
-  const auto code = codes::make_code(
-      {codes::Standard::kWimax80216e, codes::Rate::kR23A, 36});
-  const core::DecoderConfig cfg{.app_extra_bits = 0,
-                                .max_iterations = 6,
-                                .kernel = core::CnuKernel::kMinSum,
-                                .stop_on_codeword = true};
-  core::BatchEngineT<std::int8_t> batch(cfg);
-  static_assert(core::BatchEngineT<std::int8_t>::kLanes == 64);
-  batch.reconfigure(code);
-  core::LayerEngine scalar(cfg);
-  scalar.reconfigure(code);
-
-  const auto n = static_cast<std::size_t>(code.n());
-  const int frames = 64;
-  std::vector<double> llrs(n * static_cast<std::size_t>(frames));
-  for (int f = 0; f < frames; ++f) {
-    const auto one = random_llrs(code, 6200 + static_cast<std::uint64_t>(f));
-    std::copy(one.begin(), one.end(),
-              llrs.begin() + static_cast<std::ptrdiff_t>(f) *
-                                 static_cast<std::ptrdiff_t>(n));
-  }
-  std::vector<core::FixedDecodeResult> results(
-      static_cast<std::size_t>(frames));
-  batch.decode(llrs, {}, results);
-  std::vector<std::int32_t> raw(n);
-  for (int f = 0; f < frames; ++f) {
-    scalar.quantize(std::span<const double>(llrs).subspan(
-                        static_cast<std::size_t>(f) * n, n),
-                    raw);
-    const auto single = scalar.run(raw);
-    EXPECT_EQ(results[static_cast<std::size_t>(f)].bits, single.bits) << f;
-    EXPECT_EQ(results[static_cast<std::size_t>(f)].iterations,
-              single.iterations)
-        << f;
-  }
-}
-
-// An int8 engine cannot hold the standard config's 10-bit APP words, and
-// an out-of-range offset is rejected everywhere.
-TEST(BatchEngine, RejectsIneligibleLaneTypeAndBadOffset) {
-  EXPECT_THROW(core::BatchEngineT<std::int8_t>(
-                   {.kernel = core::CnuKernel::kMinSum}),
-               std::invalid_argument);
-  EXPECT_THROW(core::BatchEngine({.kernel = core::CnuKernel::kOffsetMinSum,
-                                  .minsum_offset_raw = -1}),
-               std::invalid_argument);
-  EXPECT_THROW(core::BatchEngine({.kernel = core::CnuKernel::kOffsetMinSum,
-                                  .minsum_offset_raw = 10000}),
-               std::invalid_argument);
-  EXPECT_THROW(core::LayerEngine({.kernel = core::CnuKernel::kOffsetMinSum,
-                                  .minsum_offset_raw = -1}),
-               std::invalid_argument);
-}
-
-// Offset / normalized min-sum: the SoA kernels (at the auto-selected lane
-// type) must track the scalar engine bit for bit, and the correction must
-// actually bite (a variant that silently decodes as plain min-sum would
-// pass every equivalence test).
-TEST(BatchEngine, MinSumVariantsMatchScalarAndDifferFromPlain) {
-  const auto code = codes::make_code(
-      {codes::Standard::kWimax80216e, codes::Rate::kR12, 48});
-  const auto n = static_cast<std::size_t>(code.n());
-  const int frames = 8;
-  std::vector<double> llrs(n * static_cast<std::size_t>(frames));
-  for (int f = 0; f < frames; ++f) {
-    const auto one = random_llrs(code, 7300 + static_cast<std::uint64_t>(f));
-    std::copy(one.begin(), one.end(),
-              llrs.begin() + static_cast<std::ptrdiff_t>(f) *
-                                 static_cast<std::ptrdiff_t>(n));
-  }
-
-  std::vector<std::vector<std::uint8_t>> per_kernel_bits;
-  for (const core::CnuKernel kernel :
-       {core::CnuKernel::kMinSum, core::CnuKernel::kOffsetMinSum,
-        core::CnuKernel::kNormalizedMinSum}) {
-    const core::DecoderConfig cfg{.max_iterations = 4, .kernel = kernel};
-    core::BatchEngineT<std::int16_t> batch(cfg);
-    batch.reconfigure(code);
-    core::LayerEngine scalar(cfg);
-    scalar.reconfigure(code);
-    std::vector<core::FixedDecodeResult> results(
-        static_cast<std::size_t>(frames));
-    batch.decode(llrs, {}, results);
-    std::vector<std::int32_t> raw(n);
-    std::vector<std::uint8_t> all_bits;
-    for (int f = 0; f < frames; ++f) {
-      scalar.quantize(std::span<const double>(llrs).subspan(
-                          static_cast<std::size_t>(f) * n, n),
-                      raw);
-      const auto single = scalar.run(raw);
-      EXPECT_EQ(results[static_cast<std::size_t>(f)].bits, single.bits)
-          << "kernel " << static_cast<int>(kernel) << " frame " << f;
-      all_bits.insert(all_bits.end(), single.bits.begin(),
-                      single.bits.end());
-    }
-    per_kernel_bits.push_back(std::move(all_bits));
-  }
-  // On random (non-codeword) inputs the three kernels should disagree
-  // somewhere — if they never do, the correction is not being applied.
-  EXPECT_NE(per_kernel_bits[0], per_kernel_bits[1]);
-  EXPECT_NE(per_kernel_bits[0], per_kernel_bits[2]);
-}
-
 // decode_batch() on a min-sum decoder routes through the SoA kernel; a
-// batch larger than kLanes with a ragged tail (N not divisible by the SIMD
-// width) must still be bit-identical to per-frame decoding.
+// batch larger than one 512-bit register of int32 lanes with a ragged tail
+// (N not divisible by the SIMD width) must still be bit-identical to
+// per-frame decoding.
 TEST(BatchDecode, RaggedTailBatchMatchesPerFrameMinSum) {
   const auto code = codes::make_code(
       {codes::Standard::kWlan80211n, codes::Rate::kR23, 54});
@@ -510,7 +264,7 @@ TEST(BatchDecode, RaggedTailBatchMatchesPerFrameMinSum) {
   core::ReconfigurableDecoder frame_dec(code, cfg);
 
   const auto n = static_cast<std::size_t>(code.n());
-  const int frames = core::BatchEngine::kLanes + 5;  // full chunk + tail
+  const int frames = 16 + 5;  // full chunk + tail
   std::vector<double> llrs(n * static_cast<std::size_t>(frames));
   for (int f = 0; f < frames; ++f) {
     const auto one = random_llrs(code, 300 + static_cast<std::uint64_t>(f));
@@ -531,45 +285,6 @@ TEST(BatchDecode, RaggedTailBatchMatchesPerFrameMinSum) {
   }
 }
 
-// Chip batched min-sum path: functional results AND per-frame hardware
-// stats (from the observer replay) must match per-frame decoding.
-TEST(BatchDecode, ChipMinSumBatchMatchesPerFrameWithStats) {
-  const auto code = codes::make_code(
-      {codes::Standard::kWimax80216e, codes::Rate::kR56, 96});
-  const core::DecoderConfig cfg{.max_iterations = 4,
-                                .kernel = core::CnuKernel::kMinSum,
-                                .early_termination = {.enabled = true}};
-  arch::DecoderChip batch_chip({}, cfg);
-  arch::DecoderChip frame_chip({}, cfg);
-  batch_chip.configure(code);
-  frame_chip.configure(code);
-
-  const auto n = static_cast<std::size_t>(code.n());
-  const int frames = core::BatchEngine::kLanes + 3;
-  std::vector<double> llrs(n * static_cast<std::size_t>(frames));
-  for (int f = 0; f < frames; ++f) {
-    const auto one = random_llrs(code, 900 + static_cast<std::uint64_t>(f));
-    std::copy(one.begin(), one.end(),
-              llrs.begin() + static_cast<std::ptrdiff_t>(f) *
-                                 static_cast<std::ptrdiff_t>(n));
-  }
-  const auto results = batch_chip.decode_batch(llrs);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(frames));
-  for (int f = 0; f < frames; ++f) {
-    const auto single = frame_chip.decode(
-        std::span<const double>(llrs).subspan(
-            static_cast<std::size_t>(f) * n, n));
-    const auto& b = results[static_cast<std::size_t>(f)];
-    EXPECT_EQ(b.functional.bits, single.functional.bits) << f;
-    EXPECT_EQ(b.functional.iterations, single.functional.iterations) << f;
-    EXPECT_EQ(b.stats.cycles, single.stats.cycles) << f;
-    EXPECT_EQ(b.stats.l_mem_reads, single.stats.l_mem_reads) << f;
-    EXPECT_EQ(b.stats.l_mem_writes, single.stats.l_mem_writes) << f;
-    EXPECT_EQ(b.stats.lambda_reads, single.stats.lambda_reads) << f;
-    EXPECT_EQ(b.stats.shifter_words, single.stats.shifter_words) << f;
-  }
-}
-
 TEST(BatchDecode, RejectsBadSizes) {
   const auto code = codes::make_code(
       {codes::Standard::kWimax80216e, codes::Rate::kR12, 24});
@@ -579,7 +294,7 @@ TEST(BatchDecode, RejectsBadSizes) {
   EXPECT_THROW(dec.decode_batch(off), std::invalid_argument);
   arch::DecoderChip chip({}, {});
   chip.configure(code);
-  EXPECT_THROW(chip.decode_batch(off), std::invalid_argument);
+  EXPECT_THROW(chip.decode_batch_quantised({}), std::invalid_argument);
 }
 
 // ---- NR: transmitted-LLR frames through every datapath ----------------------

@@ -13,15 +13,16 @@
 //      submitting the double LLRs, for every eligible lane type (both the
 //      zero-copy alias at the stored type and the widening copy into a
 //      wider engine) at every tier.
-//   3. The QuantisedFrame container and the engine entry reject
-//      mismatched payloads loudly (wrong type view, wrong length, wrong
-//      code).
+//   3. The QuantisedFrame container, the engine entry and the chip's
+//      batched entry reject mismatched payloads loudly (wrong type view,
+//      unknown lane tag, wrong length, wrong code).
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 #include <vector>
 
+#include "ldpc/arch/decoder_chip.hpp"
 #include "ldpc/channel/channel.hpp"
 #include "ldpc/codes/registry.hpp"
 #include "ldpc/core/decoder.hpp"
@@ -301,6 +302,17 @@ TEST(QuantisedFrame, EngineRejectsMismatchedFrames) {
   ptrs[0] = nullptr;
   EXPECT_THROW(engine.decode_quantised(ptrs, {}, results),
                std::invalid_argument);
+
+  // Unknown lane tag with a payload whose size matches it.
+  core::QuantisedFrame bad_tag = good;
+  bad_tag.type = static_cast<kernels::LaneType>(3);
+  bad_tag.bytes.resize(bad_tag.expected_bytes());
+  ptrs[0] = &bad_tag;
+  EXPECT_THROW(engine.decode_quantised(ptrs, {}, results),
+               std::invalid_argument);
+  arch::DecoderChip chip(arch::ChipDimensions::universal(), cfg);
+  chip.configure(code);
+  EXPECT_THROW(chip.decode_batch_quantised(ptrs), std::invalid_argument);
 
   // The good frame decodes.
   ptrs[0] = &good;

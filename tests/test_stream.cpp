@@ -172,8 +172,9 @@ TEST(StreamScheduler, DecodeResultsInvariantUnderPolicyAndWorkers) {
 }
 
 TEST(StreamScheduler, BatchedBurstLaneMatchesFrameAtATime) {
-  // max_burst engages FramePipeline::decode_burst (the BatchEngine-backed
-  // lane under a min-sum config): same decisions, same iteration counts.
+  // max_burst engages FramePipeline::decode_burst_quantised (the
+  // StreamBatchEngine-backed lane under a min-sum config): same
+  // decisions, same iteration counts.
   const std::uint64_t seed = 0xB00;
   auto config_for = [](int max_burst) {
     auto cfg = fast_config(Policy::kBinned, 2, max_burst);

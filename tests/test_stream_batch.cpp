@@ -370,6 +370,11 @@ TEST(StreamBatchEngine, ValidatesConfigAndLaneWidth) {
   offs.kernel = core::CnuKernel::kOffsetMinSum;
   offs.minsum_offset_raw = -1;
   EXPECT_THROW(core::StreamBatchEngine{offs}, std::invalid_argument);
+  // An out-of-range offset is rejected by the scalar engine too, and at
+  // either end of the message range.
+  EXPECT_THROW(core::LayerEngine{offs}, std::invalid_argument);
+  offs.minsum_offset_raw = 10000;
+  EXPECT_THROW(core::StreamBatchEngine{offs}, std::invalid_argument);
 
   core::StreamBatchEngine unconfigured(cfg);
   std::vector<core::FixedDecodeResult> one(1);
@@ -458,21 +463,24 @@ TEST(StreamBatchEngine, DecodeBatchEntryPointsUseRefillEngine) {
   // (well past any lane width) must equal per-frame decode — the
   // integration contract every consumer (sim workers, chip bursts,
   // stream scheduler) leans on.
+  // A one-frame queue (a single lane live, the rest idle from the start)
+  // is the other edge.
   const auto code = codes::make_code(
       {codes::Standard::kWimax80216e, codes::Rate::kR12, 96});
   const core::DecoderConfig cfg = stream_config();
-  const int frames = 40;
   const auto tx = static_cast<std::size_t>(code.transmitted_bits());
-  const auto llrs = make_queue(code, frames, 55);
-
-  core::ReconfigurableDecoder batched(code, cfg), scalar(code, cfg);
-  const auto results = batched.decode_batch(llrs);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(frames));
-  for (int f = 0; f < frames; ++f)
-    expect_result_eq(scalar.decode(std::span<const double>(llrs).subspan(
-                         static_cast<std::size_t>(f) * tx, tx)),
-                     results[static_cast<std::size_t>(f)],
-                     "decode_batch frame " + std::to_string(f));
+  for (const int frames : {40, 1}) {
+    const auto llrs = make_queue(code, frames, 55);
+    core::ReconfigurableDecoder batched(code, cfg), scalar(code, cfg);
+    const auto results = batched.decode_batch(llrs);
+    ASSERT_EQ(results.size(), static_cast<std::size_t>(frames));
+    for (int f = 0; f < frames; ++f)
+      expect_result_eq(scalar.decode(std::span<const double>(llrs).subspan(
+                           static_cast<std::size_t>(f) * tx, tx)),
+                       results[static_cast<std::size_t>(f)],
+                       "decode_batch of " + std::to_string(frames) +
+                           " frame " + std::to_string(f));
+  }
 }
 
 TEST(StreamBatchEngine, MinSumVariantsStreamBitExactly) {
@@ -491,6 +499,29 @@ TEST(StreamBatchEngine, MinSumVariantsStreamBitExactly) {
     strict.kernel = kernel;
     check_refill_equivalence(code, strict, {kernels::LaneType::kInt8});
   }
+
+  // The correction must actually bite: a variant that silently decoded
+  // as plain min-sum in BOTH engines would pass every check above. On the
+  // queue's hard frames the three kernels disagree somewhere.
+  const int frames = 8;
+  const auto llrs = make_queue(code, frames, 0x0FF5E7);
+  std::vector<std::vector<std::uint8_t>> per_kernel_bits;
+  for (const core::CnuKernel kernel :
+       {core::CnuKernel::kMinSum, core::CnuKernel::kOffsetMinSum,
+        core::CnuKernel::kNormalizedMinSum}) {
+    core::DecoderConfig cfg = stream_config();
+    cfg.kernel = kernel;
+    core::StreamBatchEngine engine(cfg);
+    engine.reconfigure(code);
+    std::vector<core::FixedDecodeResult> got(frames);
+    engine.decode(llrs, {}, got);
+    std::vector<std::uint8_t> all_bits;
+    for (const auto& g : got)
+      all_bits.insert(all_bits.end(), g.bits.begin(), g.bits.end());
+    per_kernel_bits.push_back(std::move(all_bits));
+  }
+  EXPECT_NE(per_kernel_bits[0], per_kernel_bits[1]);
+  EXPECT_NE(per_kernel_bits[0], per_kernel_bits[2]);
 }
 
 }  // namespace
