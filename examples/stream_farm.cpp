@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
 
   // ---- the live service: same jobs, real threads, wall clock ------------
   // Pre-synthesize the identical counter-seeded frames (the submitter
-  // owns synthesis; TrafficSource::make_frame is not thread-safe), run
+  // owns synthesis; the service only sees buffers), run
   // them through N live worker threads, and check every hard-decision
   // hash against the modeled farm's.
   auto live_source = make_source(seed, gap, snr);

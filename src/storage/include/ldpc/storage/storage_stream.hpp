@@ -57,8 +57,12 @@ StorageRunResult run_storage_modeled(stream::TrafficSource& source,
                                      StorageStreamConfig storage);
 
 /// The live counterpart over stream::DecodeService; requests are tagged
-/// TrafficClass::kStorage. `service_config.on_complete` must be empty
-/// (the driver owns the escalation hook).
+/// TrafficClass::kStorage, so same-mode reads share engine bins.
+/// `service_config.on_complete` must be empty (the driver owns the
+/// escalation hook). The worker that completes a non-delivered read
+/// synthesises the next rung's frame, so the source's RungSynth runs
+/// concurrently on several threads; an exception it throws is rethrown
+/// here.
 StorageRunResult run_storage_live(stream::TrafficSource& source,
                                   stream::ServiceConfig service_config,
                                   long long frames,

@@ -25,7 +25,9 @@
 //                 so payload-bit conservation is auditable end to end.
 //   Dispatch      workers claim same-mode BINS from the central queue
 //                 (one engine reconfiguration per bin, exactly like the
-//                 modeled binned policy) under a selector that runs under
+//                 modeled binned policy; a bin holds one non-deadline
+//                 class — best-effort or storage — and deadline-class
+//                 jobs go one per dispatch) under a selector that runs under
 //                 the queue lock: earliest-deadline-first over
 //                 deadline-class jobs when the SLO policy is enabled,
 //                 then the oldest job when it has waited past
@@ -107,17 +109,18 @@ struct ServiceConfig {
   /// Completion hook: invoked from the decoding worker's thread with each
   /// finished job record, before finish() composes the report. This is
   /// the live ACK/NACK feedback path — a closed-loop driver applies its
-  /// ACK rule and submits the session's next round (submit() is safe
-  /// from the callback's consumer side as long as the caller routes the
-  /// resubmission through a non-worker thread; see
-  /// stream::run_closed_loop_live).
+  /// ACK rule there and may synthesise the session's next round on the
+  /// worker, but must hand the request to a non-worker thread to submit:
+  /// a hook that calls submit() under kBlock admission can block the very
+  /// worker that would free the queue (see stream::run_closed_loop_live).
   /// The callback must be thread-safe; it runs concurrently from every
-  /// worker. Leave empty for no hook.
+  /// worker. An exception it throws fails that worker (finish() rethrows
+  /// it). Leave empty for no hook.
   std::function<void(const StreamJob&)> on_complete;
 };
 
 /// One decode request. The submitter owns frame synthesis (the service
-/// never touches TrafficSource::make_frame, which is not thread-safe):
+/// never calls TrafficSource::make_frame; it only reads the mode table):
 /// either `quantised` holds the mode's n pre-quantised raw codes
 /// (sim::quantise_llrs under the service's decoder config) and `llrs`
 /// stays empty — the serving path — or `llrs` holds the mode's

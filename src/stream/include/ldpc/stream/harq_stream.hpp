@@ -17,13 +17,16 @@
 //                     model deterministic.
 //
 //   run_closed_loop_live     the same loop against the wall-clock
-//                     DecodeService: the driver thread synthesises and
-//                     submits round-0 frames, collects completions through
-//                     the service's on_complete hook, and submits each
-//                     NACKed session's next round (combined soft state,
-//                     quantised ingest) from the driver thread — workers
-//                     never submit, so admission backpressure cannot
-//                     deadlock the farm.
+//                     DecodeService, split over two kinds of thread. The
+//                     completing worker applies the ACK rule in the
+//                     service's on_complete hook and, on a NACK with
+//                     budget left, synthesises the session's next round
+//                     (combined soft state, quantised ingest) itself and
+//                     hands the ready request to the driver. The driver
+//                     thread synthesises and submits round-0 frames and,
+//                     between its own submits, submits the ready
+//                     escalations. Workers never submit, so admission
+//                     backpressure cannot deadlock the farm.
 //
 // Both paths decode a round-r attempt from the SAME combined
 // core::QuantisedFrame (TrafficSource::make_frame is pure in
@@ -78,8 +81,14 @@ StreamReport run_closed_loop_modeled(TrafficSource& source,
 /// must be empty (the driver installs its own feedback hook); the decoder
 /// config must match the source's quantised-emission config for the
 /// served frames to be the modeled path's bit-identical twins. Round
-/// latencies land in StreamReport::harq in wall nanoseconds. Throws
-/// std::runtime_error when no completion arrives within 30 s.
+/// latencies land in StreamReport::harq in wall nanoseconds. Escalation
+/// frames are synthesised on the decoding workers, so the source's
+/// make_frame (and any RungSynth behind it) runs concurrently with
+/// itself and with the driver's next(). Throws std::runtime_error when
+/// no completion arrives within 30 s (naming the sessions outstanding,
+/// the submitted and completed counts and the ready-queue depth); an
+/// exception thrown while synthesising an escalation is rethrown here as
+/// soon as the driver sees it.
 StreamReport run_closed_loop_live(TrafficSource& source,
                                   ServiceConfig service_config,
                                   long long sessions,

@@ -39,12 +39,13 @@ inline std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
 }
 
 /// Service traffic classes for SLO-aware dispatch: kDeadline jobs carry a
-/// completion deadline and are served earliest-deadline-first ahead of
-/// best-effort traffic (which falls back to reconfiguration-aware
-/// binning). kStorage marks SSD read-path jobs (CRC-checked, rung-
-/// escalated by storage::run_storage_*); they dispatch like best-effort
-/// but are tallied separately. The modeled scheduler treats everything as
-/// best-effort.
+/// completion deadline and are served earliest-deadline-first, one job
+/// per dispatch, ahead of everything else. kBestEffort jobs fall back to
+/// reconfiguration-aware binning. kStorage marks SSD read-path jobs
+/// (CRC-checked, rung-escalated by storage::run_storage_*); they are
+/// binned exactly like best-effort, but a bin never mixes the two
+/// classes, and they are tallied separately. The modeled scheduler treats
+/// everything as best-effort.
 enum class TrafficClass { kBestEffort, kDeadline, kStorage };
 
 std::string to_string(TrafficClass cls);

@@ -76,7 +76,10 @@ struct JobFrame {
 /// the mode's code, the transmitted codeword, the session's content key
 /// and a 0-based round (read rung), returns that round's transmitted-
 /// length LLRs. Must be pure in its arguments — the determinism contracts
-/// (modeled == live, worker-count invariance) hang on it.
+/// (modeled == live, worker-count invariance) hang on it — and callable
+/// concurrently from several threads: the live closed loop
+/// (stream::run_closed_loop_live) synthesises escalations on the decoding
+/// workers while its driver thread synthesises fresh frames.
 using RungSynth = std::function<std::vector<double>(
     const codes::QCCode&, std::span<const std::uint8_t>, std::uint64_t,
     int)>;
@@ -145,8 +148,12 @@ class TrafficSource {
   /// Synthesises the frame behind `job`: payload bits, systematic
   /// codeword (fillers inserted by the encoder), and transmitted-length
   /// channel LLRs under the mode's Eb/N0. Pure in (seed, job.session,
-  /// job.round); thread-compatible for distinct jobs only through
-  /// distinct sources.
+  /// job.round), and thread-safe: concurrent make_frame calls may run
+  /// alongside each other and alongside one thread's next() /
+  /// push_retransmission / reset() (those touch only the cursor and the
+  /// retransmission heap, which make_frame never reads). Registering
+  /// modes or switching emission (add_mode, add_custom_mode,
+  /// emit_quantised) must not overlap any make_frame call.
   ///
   /// HARQ rounds: a round-r job re-derives its session's payload and
   /// every earlier round's channel LLRs (round q's noise comes from

@@ -191,11 +191,12 @@ std::size_t DecodeService::claim_central(Worker& w,
       config_.max_bin_delay_ns > 0
           ? static_cast<std::size_t>(batch_) * 2
           : 1;
-  // Deadline-class jobs are never chunked: EDF order is per-job.
+  // A bin holds one mode and one non-deadline class (best-effort with
+  // best-effort, storage with storage). Deadline-class jobs are never
+  // chunked: EDF order is per-job.
   auto same_bin = [](const QueuedJob& seed, const QueuedJob& cand) {
-    return seed.req.cls == TrafficClass::kBestEffort &&
-           cand.req.cls == TrafficClass::kBestEffort &&
-           cand.req.mode == seed.req.mode;
+    return seed.req.cls != TrafficClass::kDeadline &&
+           cand.req.cls == seed.req.cls && cand.req.mode == seed.req.mode;
   };
   const std::size_t taken = queue_.claim(selector, same_bin, max_total, bin);
   if (taken > static_cast<std::size_t>(batch_)) {

@@ -1,12 +1,16 @@
 #include "ldpc/stream/harq_stream.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
+#include <exception>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace ldpc::stream {
 
@@ -124,23 +128,9 @@ StreamReport run_closed_loop_live(TrafficSource& source,
     throw std::invalid_argument(
         "closed loop: the driver owns the completion hook");
 
-  // Completions flow worker threads -> this queue -> the driver thread.
-  // The driver alone calls make_frame (not thread-safe) and submit, so
-  // admission backpressure can never block a decoding worker.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<StreamJob> completions;
-  service_config.on_complete = [&](const StreamJob& rec) {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      completions.push_back(rec);
-    }
-    cv.notify_one();
-  };
-
-  DecodeService service(source, service_config);
-
-  auto submit_round = [&](const Job& job) {
+  // make_frame is const and pure in (seed, session, round), so any thread
+  // may build a request while the driver draws jobs with next().
+  auto request_for = [&source, &policy](const Job& job) {
     JobFrame frame = source.make_frame(job);
     ServiceRequest req;
     req.id = job.id;
@@ -151,35 +141,96 @@ StreamReport run_closed_loop_live(TrafficSource& source,
     req.cls = policy.cls;
     req.quantised = std::move(frame.quantised);
     req.expected_payload = std::move(frame.codeword);
-    return service.submit(std::move(req));
+    return req;
   };
 
-  long long outstanding = 0;
-  for (long long s = 0; s < sessions; ++s)
-    if (submit_round(source.next())) ++outstanding;
+  // Feedback from the completion hook (worker threads) to the driver. A
+  // worker decides ACK or retry and, on a retry, synthesises the next
+  // round's request itself; only the driver submits, so kBlock admission
+  // can never block a decoding worker. Each session has at most one
+  // request in flight, so `ready` never holds more than the sessions
+  // still open.
+  struct Feedback {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<ServiceRequest> ready;  // synthesised escalations
+    long long resolved = 0;   // sessions ended by a completion, not yet seen
+    long long completed = 0;  // completions so far
+    std::exception_ptr error;  // first escalation-synthesis failure
+  } fb;
+  std::atomic<long long> next_id{sessions};  // round 0 takes ids < sessions
 
-  long long next_id = sessions;
-  while (outstanding > 0) {
-    StreamJob rec;
+  service_config.on_complete = [&](const StreamJob& rec) {
+    std::optional<ServiceRequest> next;
+    std::exception_ptr error;
+    if (retries(rec, policy)) {
+      try {
+        Job job;
+        job.id = next_id++;
+        job.mode = rec.mode;
+        job.session = rec.session;
+        job.round = rec.round + 1;
+        next = request_for(job);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
     {
-      std::unique_lock<std::mutex> lock(mu);
-      if (!cv.wait_for(lock, std::chrono::seconds(30),
-                       [&] { return !completions.empty(); }))
+      const std::lock_guard<std::mutex> lock(fb.mu);
+      ++fb.completed;
+      if (next) {
+        fb.ready.push_back(std::move(*next));
+      } else if (error) {
+        if (!fb.error) fb.error = error;
+      } else {
+        ++fb.resolved;
+      }
+    }
+    fb.cv.notify_one();
+  };
+
+  // Declared after the feedback state: its destructor joins the workers
+  // (whose hooks touch that state) before the state goes away.
+  DecodeService service(source, service_config);
+
+  long long started = 0;    // sessions whose round 0 was drawn
+  long long open = 0;       // sessions not yet ended, as the driver knows
+  long long submitted = 0;  // requests handed to submit()
+  auto submit = [&](ServiceRequest req) {
+    ++submitted;
+    if (!service.submit(std::move(req))) --open;  // admission refused
+  };
+
+  // The driver synthesises round-0 frames and, between its own submits,
+  // drains the escalations the workers have made ready.
+  std::vector<ServiceRequest> escalations;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(fb.mu);
+      if (started == sessions && open > 0 &&
+          !fb.cv.wait_for(lock, std::chrono::seconds(30), [&] {
+            return fb.error || fb.resolved > 0 || !fb.ready.empty();
+          }))
         throw std::runtime_error(
-            "closed loop: no completion within 30s (worker stalled?)");
-      rec = completions.front();
-      completions.pop_front();
+            "closed loop: no completion within 30s (worker stalled?): " +
+            std::to_string(open) + " sessions outstanding, " +
+            std::to_string(submitted) + " submitted, " +
+            std::to_string(fb.completed) + " completed, " +
+            std::to_string(fb.ready.size()) + " ready");
+      if (fb.error) std::rethrow_exception(fb.error);
+      open -= fb.resolved;
+      fb.resolved = 0;
+      escalations.swap(fb.ready);
     }
-    if (!retries(rec, policy)) {
-      --outstanding;
-      continue;
+    for (ServiceRequest& req : escalations) submit(std::move(req));
+    escalations.clear();
+    if (started < sessions) {
+      ++started;
+      ++open;
+      submit(request_for(source.next()));
+    } else if (open == 0) {
+      break;
     }
-    Job next;
-    next.id = next_id++;
-    next.mode = rec.mode;
-    next.session = rec.session;
-    next.round = rec.round + 1;
-    if (!submit_round(next)) --outstanding;  // admission closed/refused
   }
 
   StreamReport report = service.finish();

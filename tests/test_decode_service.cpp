@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <map>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "ldpc/codes/registry.hpp"
@@ -53,9 +56,9 @@ core::DecoderConfig service_decoder() {
   return cfg;
 }
 
-// A job with its frame pre-synthesized: TrafficSource::make_frame is not
-// thread-safe, so the submitter owns synthesis (as a real device driver
-// owns its sampled LLRs) and the service only ever sees buffers.
+// A job with its frame pre-synthesized: the submitter owns synthesis (as
+// a real device driver owns its sampled LLRs) and the service only ever
+// sees buffers.
 struct SynthJob {
   stream::Job job;
   stream::JobFrame frame;
@@ -586,6 +589,55 @@ TEST(DecodeServiceSlo, DeadlineClassBeatsBestEffortP99) {
   const long long p99_best_effort =
       report.wall_latency_percentile_ns(99.0, TrafficClass::kBestEffort);
   EXPECT_LT(p99_deadline, p99_best_effort);
+}
+
+// Most jobs one engine dispatch carried: the records of one bin share
+// their worker and their start and finish stamps.
+std::size_t largest_bin(const stream::StreamReport& report) {
+  std::map<std::tuple<int, long long, long long>, std::size_t> bins;
+  std::size_t most = 0;
+  for (const auto& rec : report.jobs)
+    most = std::max(
+        most, ++bins[{rec.worker, rec.wall_start_ns, rec.wall_finish_ns}]);
+  return most;
+}
+
+TEST(DecodeServiceSlo, StorageJobsShareBinsDeadlineJobsDoNot) {
+  // The only worker is held in its first completion hook until every job
+  // is queued, so the rest wait together in the central queue. Same-mode
+  // storage reads must then leave it as multi-job bins; deadline-class
+  // jobs must still go one per dispatch (EDF order is per job).
+  constexpr int kJobs = 12;
+  TrafficSource src({.seed = 0xB1});
+  src.add_mode(codes::make_code({Standard::kWimax80216e, Rate::kR12, 24}),
+               3.0);
+  const auto jobs = synthesize(src, kJobs);
+  for (const TrafficClass cls :
+       {TrafficClass::kStorage, TrafficClass::kDeadline}) {
+    SCOPED_TRACE(stream::to_string(cls));
+    std::latch queued(kJobs);
+    std::atomic<bool> first{true};
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.queue_capacity = kJobs;
+    cfg.max_local_batch = 4;  // bins of up to 4, whatever the lane width
+    cfg.decoder = service_decoder();
+    cfg.on_complete = [&](const stream::StreamJob&) {
+      if (first.exchange(false)) queued.wait();
+    };
+    DecodeService service(src, cfg);
+    for (const auto& s : jobs) {
+      EXPECT_TRUE(service.submit(request_for(src, s, cls)));
+      queued.count_down();
+    }
+    const auto report = service.finish();
+    ASSERT_EQ(report.jobs.size(), static_cast<std::size_t>(kJobs));
+    for (const auto& rec : report.jobs) EXPECT_EQ(rec.cls, cls);
+    if (cls == TrafficClass::kStorage)
+      EXPECT_GE(largest_bin(report), 2u);
+    else
+      EXPECT_EQ(largest_bin(report), 1u);
+  }
 }
 
 TEST(DecodeServiceSlo, ZeroDelayOneWorkerDegeneratesToFifoExactly) {

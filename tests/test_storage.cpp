@@ -17,11 +17,14 @@
 //      worker counts and across the int16 and int8 fused lane types; the
 //      path-independent ledger fields agree exactly; and the streaming
 //      drivers agree with the single-frame reference controller.
+//      A synthesis failure on a worker reaches the live caller promptly.
 //   5. Driver/controller validation errors.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <tuple>
 
 #include "ldpc/codes/registry.hpp"
@@ -421,6 +424,37 @@ TEST(StorageStream, AgreesWithTheReferenceController) {
                          run.ledger.rungs[r].decode_cycles),
               reconfig)
         << "rung " << r;
+}
+
+TEST(StorageStream, LiveRethrowsAnEscalationSynthesisFailurePromptly) {
+  // Escalation frames are synthesised on the decoding workers. A RungSynth
+  // failing at rung >= 1 must come out of run_storage_live as that very
+  // exception, right away rather than as the driver's 30 s no-completion
+  // stall, and with every worker joined.
+  const storage::NandLadderConfig ladder = test_ladder();
+  const stream::RungSynth good = storage::NandReadLadder(ladder).synth();
+  stream::RungSynth failing = [good](const codes::QCCode& code,
+                                     std::span<const std::uint8_t> codeword,
+                                     std::uint64_t key, int rung) {
+    if (rung >= 1) throw std::domain_error("rung synth failure");
+    return good(code, codeword, key, rung);
+  };
+  stream::TrafficSource source({.seed = 31});
+  source.add_custom_mode(storage_code(), 1.0, std::move(failing),
+                         FrameCrc::kCrc16);
+  source.emit_quantised(storage_decoder());
+  storage::StorageStreamConfig storage_cfg;
+  storage_cfg.ladder = ladder;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    (void)storage::run_storage_live(source, live_config(2, storage_decoder()),
+                                    40, storage_cfg);
+    ADD_FAILURE() << "no frame escalated, or the failure was swallowed";
+  } catch (const std::domain_error& e) {
+    EXPECT_STREQ(e.what(), "rung synth failure");
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
 }
 
 // ---------------------------------------------------------------------------
