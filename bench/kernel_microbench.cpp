@@ -3,6 +3,9 @@
 // fast the *model* runs on a host CPU, not the modelled chip throughput).
 #include <benchmark/benchmark.h>
 
+#include <set>
+#include <string>
+
 #include "ldpc/arch/decoder_chip.hpp"
 #include "ldpc/baseline/layered_bp.hpp"
 #include "ldpc/channel/channel.hpp"
@@ -476,11 +479,10 @@ BENCHMARK(BM_MinSumStreamRefillMixedScalarTier);
 // The int16/int8 cases should land near 2x/4x the int32 edge-lane rate
 // (same vector count per call, more lanes per vector).
 template <class T>
-void run_row_kernel_bench(benchmark::State& state) {
-  const int lanes =
-      core::kernels::preferred_lanes(core::kernels::lane_type_of<T>);
+void run_row_kernel_bench(benchmark::State& state, core::kernels::Tier tier,
+                          int lanes) {
   const int deg = 20;
-  const auto fn = core::kernels::row_kernel<T>(lanes);
+  const auto fn = core::kernels::row_kernel<T>(tier, lanes);
   const std::int32_t app_hi = std::min<std::int32_t>(
       511, core::kernels::lane_raw_max(core::kernels::lane_type_of<T>));
   const core::kernels::RowBounds bounds{-app_hi, app_hi, -127, 127, 0, 0};
@@ -503,6 +505,12 @@ void run_row_kernel_bench(benchmark::State& state) {
   state.SetLabel("lanes=" + std::to_string(lanes));
   state.SetItemsProcessed(state.iterations() * deg * lanes);
 }
+template <class T>
+void run_row_kernel_bench(benchmark::State& state) {
+  run_row_kernel_bench<T>(
+      state, core::kernels::active_tier(),
+      core::kernels::preferred_lanes(core::kernels::lane_type_of<T>));
+}
 void BM_MinSumRowKernelInt32(benchmark::State& state) {
   run_row_kernel_bench<std::int32_t>(state);
 }
@@ -515,6 +523,40 @@ void BM_MinSumRowKernelInt8(benchmark::State& state) {
   run_row_kernel_bench<std::int8_t>(state);
 }
 BENCHMARK(BM_MinSumRowKernelInt8)->MinWarmUpTime(0.2)->MinTime(1.0);
+
+// The same row at every tier this host runs, at that tier's full width
+// (one 512-bit register on AVX-512, one 256-bit register otherwise): the
+// per-tier table in one command, e.g.
+//   kernel_microbench --benchmark_filter=BM_MinSumRowTier
+// Named BM_MinSumRowTier<Type>_<tier> so compare_bench.py, which keys
+// cells on the name before any '/', keeps them apart from the
+// dispatched-tier cells above.
+template <class T>
+bool register_row_tier_cells(const std::string& type_name) {
+  namespace kn = core::kernels;
+  std::set<kn::Tier> tiers;
+  for (const kn::Tier t : {kn::Tier::kScalar, kn::Tier::kSse42,
+                           kn::Tier::kAvx2, kn::Tier::kAvx512})
+    tiers.insert(kn::force_tier(t));
+  kn::clear_forced_tier();
+  for (const kn::Tier tier : tiers) {
+    const int lanes = (tier == kn::Tier::kAvx512 ? 16 : 8) *
+                      kn::lane_scale(kn::lane_type_of<T>);
+    const std::string name =
+        "BM_MinSumRowTier" + type_name + "_" + kn::to_string(tier);
+    benchmark::RegisterBenchmark(name.c_str(),
+                                 [tier, lanes](benchmark::State& state) {
+                                   run_row_kernel_bench<T>(state, tier,
+                                                           lanes);
+                                 })
+        ->MinWarmUpTime(0.2)
+        ->MinTime(1.0);
+  }
+  return true;
+}
+const bool kRowTierCells = register_row_tier_cells<std::int32_t>("Int32") &&
+                           register_row_tier_cells<std::int16_t>("Int16") &&
+                           register_row_tier_cells<std::int8_t>("Int8");
 
 // ---- 5G NR workload (punctured + rate-matched transmission) -----------------
 // BG1 at z = 96: transmitted frames are E = n - 2z LLRs; the decode path

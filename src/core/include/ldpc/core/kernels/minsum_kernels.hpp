@@ -5,15 +5,18 @@
 // lives at soa[v * W + w]. One check row's work — read L, subtract Lambda,
 // saturate to the APP word, clip to the message bus, run the two-minima /
 // sign-product min-sum scan, emit and write back — is a dense pass over W
-// contiguous lanes. Until PR 5 that pass relied on `#pragma omp simd`
-// autovectorisation; the explicit kernel variants are
+// contiguous lanes. The dispatch tiers are
 //
-//   kScalar   portable C++ (the reference; also the autovectorised path)
-//   kSse42    SSE4.1/4.2 intrinsics, 128-bit vectors
-//   kAvx2     AVX2 intrinsics, 256-bit vectors
-//   kAvx512   AVX-512F (+BW for narrow lanes) intrinsics, 512-bit vectors
+//   kScalar   portable C++ loops (the independent reference)
+//   kSse42    128-bit vectors (SSE4.2 host)
+//   kAvx2     256-bit vectors (AVX2 host)
+//   kAvx512   512-bit vectors (AVX-512F + AVX-512BW host)
 //
-// selected ONCE at startup via CPUID (__builtin_cpu_supports) and exposed
+// The three vector tiers compile ONE vector-extension source per kernel,
+// each in its own TU at that tier's -m flags; the only per-tier code is
+// the native saturating add/subtract and the sign-pack movemask ladder
+// (plus the AVX-512 int16 transpose merge). The tier is selected ONCE at
+// startup via CPUID (__builtin_cpu_supports) and its kernels are exposed
 // as plain function pointers.
 //
 // Every kernel is additionally generalised over the LANE ELEMENT TYPE
@@ -28,10 +31,10 @@
 // scalar engine at every tier). Valid lane widths scale with the type:
 // {8, 16} for int32, {16, 32} for int16, {32, 64} for int8.
 //
-// All variants compute IDENTICAL arithmetic — same saturation points, same
-// strict `<` two-minima tie-breaking (first minimum wins argmin), same
-// sign bookkeeping — so hard decisions and iteration counts are
-// bit-identical across tiers and lane types.
+// All variants produce IDENTICAL words — same saturation points, same
+// two-minima outputs (ties included), same sign bookkeeping — so hard
+// decisions and iteration counts are bit-identical across tiers and lane
+// types.
 //
 // Dispatch overrides, in precedence order:
 //   1. force_tier(t)        test hook; clamped to what the CPU supports
@@ -148,12 +151,6 @@ std::optional<LaneType> try_parse_lane_type(const std::string& name);
 /// CPUID. Evaluated once (the result is cached).
 Tier detected_tier();
 
-/// True when the host executes AVX-512BW (and the binary compiled it in):
-/// the 512-bit epi16/epi8 min/max/saturating ops the narrow-lane AVX-512
-/// kernels need beyond AVX-512F. Without it the kAvx512 tier serves narrow
-/// lanes with the AVX2 bodies.
-bool detected_avx512bw();
-
 /// The tier dispatch actually uses: detected_tier() unless the LDPC_SIMD
 /// environment variable or force_tier() lowers it. Never exceeds
 /// detected_tier() — requesting an unsupported tier clamps down.
@@ -180,9 +177,9 @@ void force_lane_type(LaneType type);
 void clear_forced_lane_type();
 
 /// Lane width the active tier fills exactly with element type `type`:
-/// one 512-bit register on AVX-512 hosts (16/32/64 lanes; narrow types
-/// need AVX-512BW), one 256-bit register otherwise (8/16/32 — also the
-/// narrower drain on scalar/SSE hosts).
+/// one 512-bit register on AVX-512 hosts (16/32/64 lanes), one 256-bit
+/// register otherwise (8/16/32 — also the narrower drain on scalar/SSE
+/// hosts).
 int preferred_lanes(LaneType type);
 
 /// Row kernel of a specific tier (clamped to detected_tier()) for lane
@@ -233,9 +230,7 @@ using QuantFnT = void (*)(const double* llr, T* raw, std::size_t count,
 using QuantFn = QuantFnT<std::int32_t>;
 
 /// Quantiser of a specific tier (clamped to detected_tier()) emitting lane
-/// type T. Narrow outputs under kAvx512 require the HOST to execute
-/// AVX-512BW (the autovectorised narrow stores may use BW instructions);
-/// without it the AVX2 body serves.
+/// type T.
 template <class T>
 QuantFnT<T> quant_kernel(Tier tier);
 /// Quantiser of the active tier emitting lane type T.
@@ -298,8 +293,7 @@ using EtScanFnT = void (*)(int k_info, std::int32_t threshold, const T* l_soa,
 
 /// Stop-scan kernels of a specific tier (clamped to detected_tier()) at
 /// lane width `lanes` (see valid_lane_width; throws std::invalid_argument
-/// otherwise). The bodies are the autovectorisable reference loops
-/// compiled per tier TU; the scalar tier is the reference.
+/// otherwise). Every tier compiles the same bodies at its own -m flags.
 template <class T>
 CwScanFnT<T> cw_scan_kernel(Tier tier, int lanes);
 template <class T>
@@ -341,9 +335,7 @@ using MergeFreshFnT = void (*)(const T* const* staged, const int* fresh,
 
 /// Merge kernel of a specific tier (clamped to detected_tier()) at lane
 /// width `lanes` (see valid_lane_width; throws std::invalid_argument
-/// otherwise). Like the stop scans, the kAvx512 bodies need the host to
-/// execute AVX-512BW (masked epi16 stores) — the AVX2-tier body serves
-/// otherwise.
+/// otherwise).
 template <class T>
 MergeFreshFnT<T> merge_kernel(Tier tier, int lanes);
 

@@ -31,8 +31,6 @@
 #include <cstdint>
 #include <limits>
 #include <new>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "ldpc/codes/qc_code.hpp"
@@ -173,17 +171,6 @@ constexpr T clamp_to_lane(std::int32_t v) noexcept {
   constexpr std::int32_t hi =
       kernels::lane_raw_max(kernels::lane_type_of<T>);
   return static_cast<T>(v > hi ? hi : v < -hi ? -hi : v);
-}
-
-/// Narrow-lane kernels carry the argmin edge index in a T lane: the check
-/// degree must fit (127 for int8; every registered code is far below).
-template <class T>
-inline void check_lane_degree(const codes::QCCode& code, const char* engine) {
-  if (code.max_check_degree() >
-      kernels::lane_raw_max(kernels::lane_type_of<T>))
-    throw std::invalid_argument(
-        std::string(engine) + ": check degree exceeds the " +
-        kernels::to_string(kernels::lane_type_of<T>) + " lane range");
 }
 
 struct SoaStopVerdict {

@@ -1,6 +1,7 @@
-// Kernel dispatch: pick the row-kernel tier once, hand out plain function
-// pointers. Selection = CPUID ceiling, optionally lowered by the LDPC_SIMD
-// environment variable, optionally pinned by the force_tier() test hook.
+// Kernel dispatch: pick the tier once, hand out plain function pointers
+// from that tier's KernelSet. Selection = CPUID ceiling, optionally
+// lowered by the LDPC_SIMD environment variable, optionally pinned by the
+// force_tier() test hook.
 // The lane element type has the parallel LDPC_LANE_TYPE / force_lane_type
 // preference, consumed by the engines (core::select_lane_type).
 #include <cctype>
@@ -78,7 +79,8 @@ namespace {
 Tier detect() {
 #if defined(__x86_64__) || defined(__i386__)
 #ifdef LDPC_KERNELS_HAVE_AVX512
-  if (__builtin_cpu_supports("avx512f")) return Tier::kAvx512;
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw"))
+    return Tier::kAvx512;
 #endif
 #ifdef LDPC_KERNELS_HAVE_AVX2
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
@@ -90,18 +92,8 @@ Tier detect() {
   return Tier::kScalar;
 }
 
-bool detect_avx512bw() {
-#if defined(LDPC_KERNELS_HAVE_AVX512BW) && \
-    (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx512bw");
-#else
-  return false;
-#endif
-}
-
 struct DispatchState {
   Tier detected = detect();
-  bool avx512bw = detect_avx512bw();
   bool forced = false;
   Tier forced_tier = Tier::kScalar;
   bool env_present = false;
@@ -158,8 +150,6 @@ Tier clamp(Tier tier, Tier ceiling) {
 
 Tier detected_tier() { return state().detected; }
 
-bool detected_avx512bw() { return state().avx512bw; }
-
 Tier active_tier() {
   const DispatchState& s = state();
   if (s.forced) return clamp(s.forced_tier, s.detected);
@@ -194,156 +184,76 @@ void force_lane_type(LaneType type) {
 void clear_forced_lane_type() { state().lane_forced = false; }
 
 int preferred_lanes(LaneType type) {
-  // A full 512-bit register of narrow lanes needs the AVX-512BW ops; a
-  // host with only AVX-512F serves narrow lanes from 256-bit AVX2 bodies,
-  // so the 256-bit width is what it fills exactly.
-  const Tier tier = active_tier();
-  const bool full512 =
-      tier == Tier::kAvx512 &&
-      (type == LaneType::kInt32 || detected_avx512bw());
-  return (full512 ? 16 : 8) * lane_scale(type);
+  return (active_tier() == Tier::kAvx512 ? 16 : 8) * lane_scale(type);
 }
-
-template <class T>
-MinSumRowFnT<T> row_kernel(Tier tier, int lanes) {
-  constexpr LaneType type = lane_type_of<T>;
-  if (!valid_lane_width(type, lanes))
-    throw std::invalid_argument(
-        "kernels::row_kernel: lane width must be " +
-        std::to_string(8 * lane_scale(type)) + " or " +
-        std::to_string(16 * lane_scale(type)) + " for " + to_string(type));
-  Tier t = clamp(tier, state().detected);
-#ifdef LDPC_KERNELS_HAVE_AVX512
-  if (t == Tier::kAvx512) {
-    // Narrow lanes under kAvx512 need the host to execute AVX-512BW for
-    // the native 512-bit bodies; fall back to the AVX2 bodies otherwise.
-    if (type == LaneType::kInt32 || state().avx512bw)
-      return avx512_row_kernel<T>(lanes);
-    t = Tier::kAvx2;
-  }
-#endif
-#ifdef LDPC_KERNELS_HAVE_AVX2
-  if (t == Tier::kAvx2) return avx2_row_kernel<T>(lanes);
-#endif
-#ifdef LDPC_KERNELS_HAVE_SSE42
-  if (t == Tier::kSse42) return sse42_row_kernel<T>(lanes);
-#endif
-  (void)t;
-  return scalar_row_kernel<T>(lanes);
-}
-
-template MinSumRowFnT<std::int32_t> row_kernel<std::int32_t>(Tier, int);
-template MinSumRowFnT<std::int16_t> row_kernel<std::int16_t>(Tier, int);
-template MinSumRowFnT<std::int8_t> row_kernel<std::int8_t>(Tier, int);
-
-template <class T>
-QuantFnT<T> quant_kernel(Tier tier) {
-  Tier t = clamp(tier, state().detected);
-#ifdef LDPC_KERNELS_HAVE_AVX512
-  if (t == Tier::kAvx512) {
-    // int32 output is pure double/int32 arithmetic (AVX-512F only by
-    // construction); the narrow-output bodies autovectorise their int16 /
-    // int8 stores, which in a -mavx512bw TU may use BW instructions — the
-    // host must execute them, else the AVX2 body serves.
-    if (lane_type_of<T> == LaneType::kInt32 || state().avx512bw)
-      return avx512_quant_kernel<T>();
-    t = Tier::kAvx2;
-  }
-#endif
-#ifdef LDPC_KERNELS_HAVE_AVX2
-  if (t == Tier::kAvx2) return avx2_quant_kernel<T>();
-#endif
-#ifdef LDPC_KERNELS_HAVE_SSE42
-  if (t == Tier::kSse42) return sse42_quant_kernel<T>();
-#endif
-  (void)t;
-  return scalar_quant_kernel<T>();
-}
-
-template QuantFnT<std::int32_t> quant_kernel<std::int32_t>(Tier);
-template QuantFnT<std::int16_t> quant_kernel<std::int16_t>(Tier);
-template QuantFnT<std::int8_t> quant_kernel<std::int8_t>(Tier);
 
 namespace {
 
-// Shared selection for the two stop-scan kernels: like row_kernel, but the
-// avx512 TU's autovectorised scan bodies may contain AVX-512BW
-// instructions for ANY lane type (its byte-wide fail/ok state invites
-// them), so the host must execute avx512bw before that TU is eligible —
-// falling back to the AVX2 bodies otherwise.
-Tier scan_tier(Tier tier, LaneType type, int lanes, const char* who) {
+// The one tier ladder: every kernel getter below reads its pointer from
+// the KernelSet of the requested tier, clamped to detected_tier().
+template <class T>
+KernelSet<T> kernel_set(Tier tier, int lanes, const char* who) {
+  constexpr LaneType type = lane_type_of<T>;
   if (!valid_lane_width(type, lanes))
     throw std::invalid_argument(
         std::string("kernels::") + who + ": lane width must be " +
         std::to_string(8 * lane_scale(type)) + " or " +
         std::to_string(16 * lane_scale(type)) + " for " + to_string(type));
-  Tier t = clamp(tier, state().detected);
-#if defined(LDPC_KERNELS_HAVE_AVX512) && defined(LDPC_KERNELS_HAVE_AVX512BW)
-  if (t == Tier::kAvx512 && !state().avx512bw) t = Tier::kAvx2;
+  switch (clamp(tier, state().detected)) {
+#ifdef LDPC_KERNELS_HAVE_AVX512
+    case Tier::kAvx512: return avx512_kernels<T>(lanes);
 #endif
-  return t;
+#ifdef LDPC_KERNELS_HAVE_AVX2
+    case Tier::kAvx2: return avx2_kernels<T>(lanes);
+#endif
+#ifdef LDPC_KERNELS_HAVE_SSE42
+    case Tier::kSse42: return sse42_kernels<T>(lanes);
+#endif
+    default: return scalar_kernels<T>(lanes);
+  }
 }
 
 }  // namespace
 
 template <class T>
+MinSumRowFnT<T> row_kernel(Tier tier, int lanes) {
+  return kernel_set<T>(tier, lanes, "row_kernel").row;
+}
+
+template <class T>
+QuantFnT<T> quant_kernel(Tier tier) {
+  // The quantiser is lane-count independent: any valid width selects it.
+  constexpr int lanes = 8 * lane_scale(lane_type_of<T>);
+  return kernel_set<T>(tier, lanes, "quant_kernel").quant;
+}
+
+template <class T>
 CwScanFnT<T> cw_scan_kernel(Tier tier, int lanes) {
-  const Tier t = scan_tier(tier, lane_type_of<T>, lanes, "cw_scan_kernel");
-#ifdef LDPC_KERNELS_HAVE_AVX512
-  if (t == Tier::kAvx512) return avx512_cw_scan_kernel<T>(lanes);
-#endif
-#ifdef LDPC_KERNELS_HAVE_AVX2
-  if (t == Tier::kAvx2) return avx2_cw_scan_kernel<T>(lanes);
-#endif
-#ifdef LDPC_KERNELS_HAVE_SSE42
-  if (t == Tier::kSse42) return sse42_cw_scan_kernel<T>(lanes);
-#endif
-  (void)t;
-  return scalar_cw_scan_kernel<T>(lanes);
+  return kernel_set<T>(tier, lanes, "cw_scan_kernel").cw;
 }
 
 template <class T>
 EtScanFnT<T> et_scan_kernel(Tier tier, int lanes) {
-  const Tier t = scan_tier(tier, lane_type_of<T>, lanes, "et_scan_kernel");
-#ifdef LDPC_KERNELS_HAVE_AVX512
-  if (t == Tier::kAvx512) return avx512_et_scan_kernel<T>(lanes);
-#endif
-#ifdef LDPC_KERNELS_HAVE_AVX2
-  if (t == Tier::kAvx2) return avx2_et_scan_kernel<T>(lanes);
-#endif
-#ifdef LDPC_KERNELS_HAVE_SSE42
-  if (t == Tier::kSse42) return sse42_et_scan_kernel<T>(lanes);
-#endif
-  (void)t;
-  return scalar_et_scan_kernel<T>(lanes);
+  return kernel_set<T>(tier, lanes, "et_scan_kernel").et;
 }
 
+template <class T>
+MergeFreshFnT<T> merge_kernel(Tier tier, int lanes) {
+  return kernel_set<T>(tier, lanes, "merge_kernel").merge;
+}
+
+template MinSumRowFnT<std::int32_t> row_kernel<std::int32_t>(Tier, int);
+template MinSumRowFnT<std::int16_t> row_kernel<std::int16_t>(Tier, int);
+template MinSumRowFnT<std::int8_t> row_kernel<std::int8_t>(Tier, int);
+template QuantFnT<std::int32_t> quant_kernel<std::int32_t>(Tier);
+template QuantFnT<std::int16_t> quant_kernel<std::int16_t>(Tier);
+template QuantFnT<std::int8_t> quant_kernel<std::int8_t>(Tier);
 template CwScanFnT<std::int32_t> cw_scan_kernel<std::int32_t>(Tier, int);
 template CwScanFnT<std::int16_t> cw_scan_kernel<std::int16_t>(Tier, int);
 template CwScanFnT<std::int8_t> cw_scan_kernel<std::int8_t>(Tier, int);
 template EtScanFnT<std::int32_t> et_scan_kernel<std::int32_t>(Tier, int);
 template EtScanFnT<std::int16_t> et_scan_kernel<std::int16_t>(Tier, int);
 template EtScanFnT<std::int8_t> et_scan_kernel<std::int8_t>(Tier, int);
-
-template <class T>
-MergeFreshFnT<T> merge_kernel(Tier tier, int lanes) {
-  // Same host gate as the stop scans: the avx512 TU's int16 body issues
-  // k-masked epi16 stores (AVX-512BW), so without host BW the AVX2-tier
-  // body serves.
-  const Tier t = scan_tier(tier, lane_type_of<T>, lanes, "merge_kernel");
-#ifdef LDPC_KERNELS_HAVE_AVX512
-  if (t == Tier::kAvx512) return avx512_merge_kernel<T>(lanes);
-#endif
-#ifdef LDPC_KERNELS_HAVE_AVX2
-  if (t == Tier::kAvx2) return avx2_merge_kernel<T>(lanes);
-#endif
-#ifdef LDPC_KERNELS_HAVE_SSE42
-  if (t == Tier::kSse42) return sse42_merge_kernel<T>(lanes);
-#endif
-  (void)t;
-  return scalar_merge_kernel<T>(lanes);
-}
-
 template MergeFreshFnT<std::int32_t> merge_kernel<std::int32_t>(Tier, int);
 template MergeFreshFnT<std::int16_t> merge_kernel<std::int16_t>(Tier, int);
 template MergeFreshFnT<std::int8_t> merge_kernel<std::int8_t>(Tier, int);

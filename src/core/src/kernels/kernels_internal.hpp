@@ -1,7 +1,8 @@
-// Internal cross-TU interface of the kernel layer: each tier's translation
-// unit (compiled with that tier's -m flags) exports one getter template,
-// explicitly instantiated for the three lane element types; dispatch.cpp
-// selects among them. Not installed — include only from src/core/src/kernels.
+// Internal cross-TU interface of the kernel layer: the shared kernel bodies
+// and, per tier translation unit (compiled with that tier's -m flags), one
+// KernelSet getter explicitly instantiated for the three lane element
+// types; dispatch.cpp selects among them. Not installed — include only
+// from src/core/src/kernels.
 #pragma once
 
 #include <algorithm>
@@ -20,8 +21,8 @@
 
 namespace ldpc::core::kernels {
 
-// One branchless quantiser body shared by every tier: each tier TU wraps
-// it in a file-local function, so the SAME source autovectorises at that
+// One branchless quantiser body shared by every tier: each tier TU hands
+// out its own instantiation, so the SAME source autovectorises at that
 // TU's -m width (2 doubles/vector at baseline, 4 at AVX2, 8 at AVX-512).
 // `static` is load-bearing: with ordinary `inline` linkage the linker
 // would keep ONE copy — possibly the AVX-512-compiled one — and hand it
@@ -283,68 +284,191 @@ static void merge_fresh_body(const T* const* staged, const int* fresh,
   }
 }
 
+// Native register width of this TU in bytes, from its -m flags (the same
+// key the pack_sign_mask ladder uses). Namespace-scope constexpr has
+// internal linkage, so each tier TU sees its own value.
+#if defined(__AVX512F__) && defined(__AVX512BW__)
+constexpr int kNativeBytes = 64;
+#elif defined(__AVX2__)
+constexpr int kNativeBytes = 32;
+#else
+constexpr int kNativeBytes = 16;
+#endif
+
+// One row chunk of C lanes. The row body loads and stores it through
+// memcpy (single unaligned vector moves): its scratch and L rows are only
+// element-aligned in general.
+template <class T, int C>
+using RowVec = typename ScanVecT<T, C>::type;
+
+// Saturating a - b (kSub) or a + b of one row chunk: the native subs/adds
+// epi16/epi8 ops for the narrow lanes, plain arithmetic for int32 (the
+// rails span <= 12 bits, so int32 never overflows). Vector extensions
+// have no saturating add, and the portable overflow idiom takes several
+// ops where the native one takes one, so this `#if` ladder is the row
+// body's only per-tier code. Like pack_sign_mask it keys on the TU's own
+// -m flags, which dispatch has verified the host executes.
+template <bool kSub, class T, int C>
+static inline RowVec<T, C> sat_op(RowVec<T, C> a, RowVec<T, C> b) {
+  using vec = RowVec<T, C>;
+  constexpr bool k16 = sizeof(T) == 2;
+  if constexpr (sizeof(T) == 4) {
+    return kSub ? a - b : a + b;
+  }
+#if defined(__AVX512F__) && defined(__AVX512BW__)
+  else if constexpr (sizeof(vec) == 64) {
+    const __m512i x = (__m512i)a, y = (__m512i)b;
+    return (vec)(kSub ? (k16 ? _mm512_subs_epi16(x, y)
+                             : _mm512_subs_epi8(x, y))
+                      : (k16 ? _mm512_adds_epi16(x, y)
+                             : _mm512_adds_epi8(x, y)));
+  }
+#endif
+#if defined(__AVX2__)
+  else if constexpr (sizeof(vec) == 32) {
+    const __m256i x = (__m256i)a, y = (__m256i)b;
+    return (vec)(kSub ? (k16 ? _mm256_subs_epi16(x, y)
+                             : _mm256_subs_epi8(x, y))
+                      : (k16 ? _mm256_adds_epi16(x, y)
+                             : _mm256_adds_epi8(x, y)));
+  }
+#endif
+#if defined(__SSE2__)
+  else if constexpr (sizeof(vec) == 16) {
+    const __m128i x = (__m128i)a, y = (__m128i)b;
+    return (vec)(kSub ? (k16 ? _mm_subs_epi16(x, y) : _mm_subs_epi8(x, y))
+                      : (k16 ? _mm_adds_epi16(x, y) : _mm_adds_epi8(x, y)));
+  }
+#endif
+  else {
+    static_assert(sizeof(T) == 4, "no native saturating op at this width");
+    return a;
+  }
+}
+
+// The min-sum row body (MinSumRowFnT) of every SIMD tier: one source in
+// GCC vector extensions, compiled per tier TU and walking the W lanes in
+// chunks of the TU's native register width (one register per op).
+// Output is bit-identical to the independent row_scalar reference:
+// saturate, clip, two-minima scan, sign product, minima correction,
+// saturating write-back. Two steps are cheaper forms of the reference's:
+// the sign product is the sign bit of the XOR of all clipped messages, and
+// the argmin index is not tracked (see the emit loop). The narrow lanes
+// rely on the engine-enforced eligibility rule (every rail fits T): the
+// saturating ops' interval then contains the clamp interval, so
+// saturate-then-clamp equals the int32 wide-then-clamp. `static` linkage
+// per the COMDAT note above.
+template <class T, int W>
+static void row_body(T* const* l_rows, T* lambda_row, T* lam_full, T* lam,
+                     int deg, const RowBounds& b) {
+  constexpr int kChunk = std::min<int>(W, kNativeBytes / int{sizeof(T)});
+  using vec = RowVec<T, kChunk>;
+  const auto splat = [](std::int32_t x) { return vec{} + static_cast<T>(x); };
+  const auto load = [](const T* p) {
+    vec v;
+    __builtin_memcpy(&v, p, sizeof(vec));
+    return v;
+  };
+  const auto store = [](T* p, vec v) { __builtin_memcpy(p, &v, sizeof(vec)); };
+  const vec app_lo = splat(b.app_lo), app_hi = splat(b.app_hi);
+  const vec msg_lo = splat(b.msg_lo), msg_hi = splat(b.msg_hi);
+  const vec zero{};
+
+  for (int c = 0; c < W; c += kChunk) {
+    vec min1 = msg_hi, min2 = msg_hi, signs = zero;
+    for (int e = 0; e < deg; ++e) {
+      vec d = sat_op<true, T, kChunk>(load(l_rows[e] + c),
+                                      load(lambda_row + e * W + c));
+      d = d > app_hi ? app_hi : d;
+      d = d < app_lo ? app_lo : d;
+      store(lam_full + e * W + c, d);
+      vec m = d > msg_hi ? msg_hi : d;
+      m = m < msg_lo ? msg_lo : m;
+      store(lam + e * W + c, m);
+
+      signs ^= m;  // the sign bit accumulates the sign product
+      const vec mag = m < zero ? -m : m;  // GCC emits the native abs
+      // Two-minima update without a compare: min2 = max(min1, min(min2,
+      // mag)) is min1 when mag < min1 and min(min2, mag) otherwise.
+      min2 = min2 < mag ? min2 : mag;
+      min2 = min2 > min1 ? min2 : min1;
+      min1 = min1 < mag ? min1 : mag;
+    }
+
+    // Min-sum variant correction of the two minima (see RowBounds).
+    vec out1 = min1, out2 = min2;
+    if (b.offset) {
+      const vec off = splat(b.offset);
+      out1 -= off;
+      out2 -= off;
+      out1 = out1 < zero ? zero : out1;
+      out2 = out2 < zero ? zero : out2;
+    }
+    if (b.norm) {
+      out1 -= out1 >> 2;
+      out2 -= out2 >> 2;
+    }
+
+    // An edge whose magnitude equals min1 gets min2. The reference gives
+    // min2 to the argmin edge only, but any other edge at min1 means the
+    // minimum is tied and min2 == min1, so both rules emit the same word.
+    for (int e = 0; e < deg; ++e) {
+      const vec m = load(lam + e * W + c);
+      const vec mag = (m < zero ? -m : m) == min1 ? out2 : out1;
+      const vec out = (signs ^ m) < zero ? -mag : mag;
+      vec app = sat_op<false, T, kChunk>(load(lam_full + e * W + c), out);
+      app = app > app_hi ? app_hi : app;
+      app = app < app_lo ? app_lo : app;
+      store(lambda_row + e * W + c, out);
+      store(l_rows[e] + c, app);
+    }
+  }
+}
+
+// The five kernels one tier TU serves for lane type T at one lane width.
 template <class T>
-MinSumRowFnT<T> scalar_row_kernel(int lanes);
+struct KernelSet {
+  MinSumRowFnT<T> row;
+  QuantFnT<T> quant;
+  CwScanFnT<T> cw;
+  EtScanFnT<T> et;
+  MergeFreshFnT<T> merge;
+};
+
+// Every shared body at lane width W, with `row` as the row kernel.
+template <class T, int W>
+static KernelSet<T> body_set(MinSumRowFnT<T> row) {
+  return {row, &quantize_llrs_body<T>, &cw_scan_body<T, W>,
+          &et_scan_body<T, W>, &merge_fresh_body<T, W>};
+}
+
+// The set of a vector tier TU (sse42 / avx2 / avx512): every body at this
+// TU's -m flags. `lanes` is valid (dispatch checked valid_lane_width).
 template <class T>
-QuantFnT<T> scalar_quant_kernel();
+static KernelSet<T> vector_kernels(int lanes) {
+  constexpr int s = lane_scale(lane_type_of<T>);
+  return lanes == 16 * s ? body_set<T, 16 * s>(&row_body<T, 16 * s>)
+                         : body_set<T, 8 * s>(&row_body<T, 8 * s>);
+}
+
+// Per-tier getters, one per TU, explicitly instantiated for the three lane
+// types; dispatch.cpp only calls a tier's getter after CPUID confirmed the
+// host executes it.
 template <class T>
-CwScanFnT<T> scalar_cw_scan_kernel(int lanes);
-template <class T>
-EtScanFnT<T> scalar_et_scan_kernel(int lanes);
-template <class T>
-MergeFreshFnT<T> scalar_merge_kernel(int lanes);
+KernelSet<T> scalar_kernels(int lanes);
 #ifdef LDPC_KERNELS_HAVE_SSE42
 template <class T>
-MinSumRowFnT<T> sse42_row_kernel(int lanes);
-template <class T>
-QuantFnT<T> sse42_quant_kernel();
-template <class T>
-CwScanFnT<T> sse42_cw_scan_kernel(int lanes);
-template <class T>
-EtScanFnT<T> sse42_et_scan_kernel(int lanes);
-template <class T>
-MergeFreshFnT<T> sse42_merge_kernel(int lanes);
+KernelSet<T> sse42_kernels(int lanes);
 #endif
 #ifdef LDPC_KERNELS_HAVE_AVX2
 template <class T>
-MinSumRowFnT<T> avx2_row_kernel(int lanes);
-template <class T>
-QuantFnT<T> avx2_quant_kernel();
-template <class T>
-CwScanFnT<T> avx2_cw_scan_kernel(int lanes);
-template <class T>
-EtScanFnT<T> avx2_et_scan_kernel(int lanes);
-template <class T>
-MergeFreshFnT<T> avx2_merge_kernel(int lanes);
+KernelSet<T> avx2_kernels(int lanes);
 #endif
 #ifdef LDPC_KERNELS_HAVE_AVX512
-// For int16/int8 the returned kernel uses native 512-bit AVX-512BW bodies
-// only when the TU was compiled with BW support; dispatch additionally
-// verifies the HOST executes avx512bw before handing these out (falling
-// back to the AVX2 bodies otherwise).
+// AVX-512F+BW: the TU is compiled with -mavx512f -mavx512bw, and the
+// kAvx512 tier is only detected on hosts executing both.
 template <class T>
-MinSumRowFnT<T> avx512_row_kernel(int lanes);
-// The narrow-output quantiser bodies are autovectorised in a TU that may
-// be compiled with -mavx512bw; the int16/int8 stores invite BW
-// instructions, so dispatch requires the HOST to execute avx512bw before
-// handing those out (int32 output stays AVX-512F-only by construction).
-template <class T>
-QuantFnT<T> avx512_quant_kernel();
-// The scan bodies are compiled in a TU that may use -mavx512bw (the ET
-// vector-extension body's byte-wide state invites BW even at int32; the
-// codeword body's int16/int8 sign packs use BW movemasks). Dispatch
-// therefore requires the HOST to execute avx512bw before handing these
-// out, for every lane type — unlike the intrinsics row kernels, whose
-// int32 bodies use AVX-512F ops only by construction.
-template <class T>
-CwScanFnT<T> avx512_cw_scan_kernel(int lanes);
-template <class T>
-EtScanFnT<T> avx512_et_scan_kernel(int lanes);
-// The int16 full-width merge body is a 32x32 register block transpose with
-// k-masked epi16 column stores — AVX-512BW instructions, so dispatch gates
-// on the host executing avx512bw like the scans.
-template <class T>
-MergeFreshFnT<T> avx512_merge_kernel(int lanes);
+KernelSet<T> avx512_kernels(int lanes);
 #endif
 
 }  // namespace ldpc::core::kernels

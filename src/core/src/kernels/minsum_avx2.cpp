@@ -1,72 +1,19 @@
 // AVX2 tier: one 256-bit vector holds 8 int32, 16 int16 or 32 int8 lanes.
 // The narrower widths run one vector per operation, the wider ones two.
-// This TU is compiled with -mavx2 — dispatch.cpp only hands these pointers
-// out after __builtin_cpu_supports("avx2") says the host can execute them.
-#include <immintrin.h>
-
-#include <type_traits>
-
+// Every kernel is a shared body from kernels_internal.hpp compiled with
+// -mavx2 — dispatch.cpp only hands these pointers out after
+// __builtin_cpu_supports("avx2") says the host can execute them.
 #include "kernels_internal.hpp"
 
 namespace ldpc::core::kernels {
 
-namespace {
-#include "minsum_row_avx2.inl"
-}  // namespace
-
 template <class T>
-MinSumRowFnT<T> avx2_row_kernel(int lanes) {
-  return avx2_body<T>(lanes);
+KernelSet<T> avx2_kernels(int lanes) {
+  return vector_kernels<T>(lanes);
 }
 
-template MinSumRowFnT<std::int32_t> avx2_row_kernel<std::int32_t>(int);
-template MinSumRowFnT<std::int16_t> avx2_row_kernel<std::int16_t>(int);
-template MinSumRowFnT<std::int8_t> avx2_row_kernel<std::int8_t>(int);
-
-namespace {
-template <class T>
-void quantize_llrs_avx2(const double* llr, T* raw, std::size_t count,
-                        const QuantSpec& spec) {
-  quantize_llrs_body<T>(llr, raw, count, spec);
-}
-}  // namespace
-
-template <class T>
-QuantFnT<T> avx2_quant_kernel() {
-  return &quantize_llrs_avx2<T>;
-}
-
-template QuantFnT<std::int32_t> avx2_quant_kernel<std::int32_t>();
-template QuantFnT<std::int16_t> avx2_quant_kernel<std::int16_t>();
-template QuantFnT<std::int8_t> avx2_quant_kernel<std::int8_t>();
-
-template <class T>
-CwScanFnT<T> avx2_cw_scan_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &cw_scan_body<T, 16 * s> : &cw_scan_body<T, 8 * s>;
-}
-template <class T>
-EtScanFnT<T> avx2_et_scan_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &et_scan_body<T, 16 * s> : &et_scan_body<T, 8 * s>;
-}
-
-template CwScanFnT<std::int32_t> avx2_cw_scan_kernel<std::int32_t>(int);
-template CwScanFnT<std::int16_t> avx2_cw_scan_kernel<std::int16_t>(int);
-template CwScanFnT<std::int8_t> avx2_cw_scan_kernel<std::int8_t>(int);
-template EtScanFnT<std::int32_t> avx2_et_scan_kernel<std::int32_t>(int);
-template EtScanFnT<std::int16_t> avx2_et_scan_kernel<std::int16_t>(int);
-template EtScanFnT<std::int8_t> avx2_et_scan_kernel<std::int8_t>(int);
-
-template <class T>
-MergeFreshFnT<T> avx2_merge_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &merge_fresh_body<T, 16 * s>
-                         : &merge_fresh_body<T, 8 * s>;
-}
-
-template MergeFreshFnT<std::int32_t> avx2_merge_kernel<std::int32_t>(int);
-template MergeFreshFnT<std::int16_t> avx2_merge_kernel<std::int16_t>(int);
-template MergeFreshFnT<std::int8_t> avx2_merge_kernel<std::int8_t>(int);
+template KernelSet<std::int32_t> avx2_kernels<std::int32_t>(int);
+template KernelSet<std::int16_t> avx2_kernels<std::int16_t>(int);
+template KernelSet<std::int8_t> avx2_kernels<std::int8_t>(int);
 
 }  // namespace ldpc::core::kernels

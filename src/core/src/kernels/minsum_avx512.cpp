@@ -1,13 +1,10 @@
-// AVX-512 tier: a full 512-bit engine fits one register per operation —
-// 16 int32 lanes under AVX-512F, 32 int16 / 64 int8 lanes under AVX-512BW
-// (which adds the 512-bit epi16/epi8 min/max/abs/saturating ops) — with
-// compare results living in mask registers instead of vector blends.
-// Narrower engines under this tier, and the narrow lane types when the
-// build or host lacks AVX-512BW, reuse the AVX2 bodies (this TU's flags
-// include -mavx2, and any avx512f host runs AVX2). Compiled with
-// -mavx2 -mavx512f (+ -mavx512bw when the compiler supports it, defining
-// LDPC_KERNELS_HAVE_AVX512BW); dispatch guards execution with
-// __builtin_cpu_supports("avx512f") / ("avx512bw").
+// AVX-512 tier (AVX-512F+BW): a full 512-bit engine fits one register per
+// operation — 16 int32, 32 int16 or 64 int8 lanes — with compare results
+// living in mask registers. Every kernel is a shared body from
+// kernels_internal.hpp compiled with -mavx512f -mavx512bw (the half-width
+// engines run 256-bit chunks of the same bodies), except the int16
+// full-width fresh-lane merge below. Dispatch only detects this tier on
+// hosts executing both avx512f and avx512bw.
 #include <immintrin.h>
 
 #include <type_traits>
@@ -17,195 +14,6 @@
 namespace ldpc::core::kernels {
 
 namespace {
-
-#include "minsum_row_avx2.inl"
-
-void row_avx512_w16(std::int32_t* const* l_rows, std::int32_t* lambda_row,
-                    std::int32_t* lam_full, std::int32_t* lam, int deg,
-                    const RowBounds& b) {
-  constexpr int W = 16;
-  const __m512i app_lo = _mm512_set1_epi32(b.app_lo);
-  const __m512i app_hi = _mm512_set1_epi32(b.app_hi);
-  const __m512i msg_lo = _mm512_set1_epi32(b.msg_lo);
-  const __m512i msg_hi = _mm512_set1_epi32(b.msg_hi);
-  const __m512i zero = _mm512_setzero_si512();
-
-  __m512i min1 = msg_hi, min2 = msg_hi;
-  __m512i argmin = _mm512_set1_epi32(-1);
-  __mmask16 signs = 0;  // set bits = odd sign parity so far
-
-  for (int e = 0; e < deg; ++e) {
-    const __m512i l = _mm512_loadu_si512(l_rows[e]);
-    const __m512i lamb = _mm512_loadu_si512(lambda_row + e * W);
-    __m512i d = _mm512_sub_epi32(l, lamb);
-    d = _mm512_min_epi32(d, app_hi);
-    d = _mm512_max_epi32(d, app_lo);
-    _mm512_storeu_si512(lam_full + e * W, d);
-    __m512i m = _mm512_min_epi32(d, msg_hi);
-    m = _mm512_max_epi32(m, msg_lo);
-    _mm512_storeu_si512(lam + e * W, m);
-
-    signs ^= _mm512_cmplt_epi32_mask(m, zero);
-    const __m512i mag = _mm512_abs_epi32(m);
-    const __mmask16 lt1 = _mm512_cmplt_epi32_mask(mag, min1);
-    min2 = _mm512_mask_blend_epi32(lt1, _mm512_min_epi32(min2, mag), min1);
-    min1 = _mm512_mask_blend_epi32(lt1, min1, mag);
-    argmin = _mm512_mask_blend_epi32(lt1, argmin, _mm512_set1_epi32(e));
-  }
-
-  if (b.offset) {
-    min1 = _mm512_max_epi32(
-        _mm512_sub_epi32(min1, _mm512_set1_epi32(b.offset)), zero);
-    min2 = _mm512_max_epi32(
-        _mm512_sub_epi32(min2, _mm512_set1_epi32(b.offset)), zero);
-  }
-  if (b.norm) {
-    min1 = _mm512_sub_epi32(min1, _mm512_srli_epi32(min1, 2));
-    min2 = _mm512_sub_epi32(min2, _mm512_srli_epi32(min2, 2));
-  }
-
-  for (int e = 0; e < deg; ++e) {
-    const __m512i m = _mm512_loadu_si512(lam + e * W);
-    const __m512i lf = _mm512_loadu_si512(lam_full + e * W);
-    const __mmask16 is_min =
-        _mm512_cmpeq_epi32_mask(argmin, _mm512_set1_epi32(e));
-    const __m512i mag = _mm512_mask_blend_epi32(is_min, min1, min2);
-    const __mmask16 out_neg = signs ^ _mm512_cmplt_epi32_mask(m, zero);
-    const __m512i out =
-        _mm512_mask_sub_epi32(mag, out_neg, zero, mag);
-    __m512i app = _mm512_add_epi32(lf, out);
-    app = _mm512_min_epi32(app, app_hi);
-    app = _mm512_max_epi32(app, app_lo);
-    _mm512_storeu_si512(lambda_row + e * W, out);
-    _mm512_storeu_si512(l_rows[e], app);
-  }
-}
-
-#ifdef LDPC_KERNELS_HAVE_AVX512BW
-
-void row_avx512_w32_epi16(std::int16_t* const* l_rows,
-                          std::int16_t* lambda_row, std::int16_t* lam_full,
-                          std::int16_t* lam, int deg, const RowBounds& b) {
-  constexpr int W = 32;
-  const __m512i app_lo = _mm512_set1_epi16(static_cast<short>(b.app_lo));
-  const __m512i app_hi = _mm512_set1_epi16(static_cast<short>(b.app_hi));
-  const __m512i msg_lo = _mm512_set1_epi16(static_cast<short>(b.msg_lo));
-  const __m512i msg_hi = _mm512_set1_epi16(static_cast<short>(b.msg_hi));
-  const __m512i zero = _mm512_setzero_si512();
-
-  __m512i min1 = msg_hi, min2 = msg_hi;
-  __m512i argmin = _mm512_set1_epi16(-1);
-  __mmask32 signs = 0;
-
-  for (int e = 0; e < deg; ++e) {
-    const __m512i l = _mm512_loadu_si512(l_rows[e]);
-    const __m512i lamb = _mm512_loadu_si512(lambda_row + e * W);
-    __m512i d = _mm512_subs_epi16(l, lamb);
-    d = _mm512_min_epi16(d, app_hi);
-    d = _mm512_max_epi16(d, app_lo);
-    _mm512_storeu_si512(lam_full + e * W, d);
-    __m512i m = _mm512_min_epi16(d, msg_hi);
-    m = _mm512_max_epi16(m, msg_lo);
-    _mm512_storeu_si512(lam + e * W, m);
-
-    signs ^= _mm512_cmplt_epi16_mask(m, zero);
-    const __m512i mag = _mm512_abs_epi16(m);
-    const __mmask32 lt1 = _mm512_cmplt_epi16_mask(mag, min1);
-    min2 = _mm512_mask_blend_epi16(lt1, _mm512_min_epi16(min2, mag), min1);
-    min1 = _mm512_mask_blend_epi16(lt1, min1, mag);
-    argmin = _mm512_mask_blend_epi16(
-        lt1, argmin, _mm512_set1_epi16(static_cast<short>(e)));
-  }
-
-  if (b.offset) {
-    const __m512i off = _mm512_set1_epi16(static_cast<short>(b.offset));
-    min1 = _mm512_max_epi16(_mm512_sub_epi16(min1, off), zero);
-    min2 = _mm512_max_epi16(_mm512_sub_epi16(min2, off), zero);
-  }
-  if (b.norm) {
-    min1 = _mm512_sub_epi16(min1, _mm512_srli_epi16(min1, 2));
-    min2 = _mm512_sub_epi16(min2, _mm512_srli_epi16(min2, 2));
-  }
-
-  for (int e = 0; e < deg; ++e) {
-    const __m512i m = _mm512_loadu_si512(lam + e * W);
-    const __m512i lf = _mm512_loadu_si512(lam_full + e * W);
-    const __mmask32 is_min = _mm512_cmpeq_epi16_mask(
-        argmin, _mm512_set1_epi16(static_cast<short>(e)));
-    const __m512i mag = _mm512_mask_blend_epi16(is_min, min1, min2);
-    const __mmask32 out_neg = signs ^ _mm512_cmplt_epi16_mask(m, zero);
-    const __m512i out = _mm512_mask_sub_epi16(mag, out_neg, zero, mag);
-    __m512i app = _mm512_adds_epi16(lf, out);
-    app = _mm512_min_epi16(app, app_hi);
-    app = _mm512_max_epi16(app, app_lo);
-    _mm512_storeu_si512(lambda_row + e * W, out);
-    _mm512_storeu_si512(l_rows[e], app);
-  }
-}
-
-void row_avx512_w64_epi8(std::int8_t* const* l_rows,
-                         std::int8_t* lambda_row, std::int8_t* lam_full,
-                         std::int8_t* lam, int deg, const RowBounds& b) {
-  constexpr int W = 64;
-  const __m512i app_lo = _mm512_set1_epi8(static_cast<char>(b.app_lo));
-  const __m512i app_hi = _mm512_set1_epi8(static_cast<char>(b.app_hi));
-  const __m512i msg_lo = _mm512_set1_epi8(static_cast<char>(b.msg_lo));
-  const __m512i msg_hi = _mm512_set1_epi8(static_cast<char>(b.msg_hi));
-  const __m512i zero = _mm512_setzero_si512();
-
-  __m512i min1 = msg_hi, min2 = msg_hi;
-  __m512i argmin = _mm512_set1_epi8(-1);
-  __mmask64 signs = 0;
-
-  for (int e = 0; e < deg; ++e) {
-    const __m512i l = _mm512_loadu_si512(l_rows[e]);
-    const __m512i lamb = _mm512_loadu_si512(lambda_row + e * W);
-    __m512i d = _mm512_subs_epi8(l, lamb);
-    d = _mm512_min_epi8(d, app_hi);
-    d = _mm512_max_epi8(d, app_lo);
-    _mm512_storeu_si512(lam_full + e * W, d);
-    __m512i m = _mm512_min_epi8(d, msg_hi);
-    m = _mm512_max_epi8(m, msg_lo);
-    _mm512_storeu_si512(lam + e * W, m);
-
-    signs ^= _mm512_cmplt_epi8_mask(m, zero);
-    const __m512i mag = _mm512_abs_epi8(m);
-    const __mmask64 lt1 = _mm512_cmplt_epi8_mask(mag, min1);
-    min2 = _mm512_mask_blend_epi8(lt1, _mm512_min_epi8(min2, mag), min1);
-    min1 = _mm512_mask_blend_epi8(lt1, min1, mag);
-    argmin = _mm512_mask_blend_epi8(
-        lt1, argmin, _mm512_set1_epi8(static_cast<char>(e)));
-  }
-
-  if (b.offset) {
-    const __m512i off = _mm512_set1_epi8(static_cast<char>(b.offset));
-    min1 = _mm512_max_epi8(_mm512_sub_epi8(min1, off), zero);
-    min2 = _mm512_max_epi8(_mm512_sub_epi8(min2, off), zero);
-  }
-  if (b.norm) {
-    // Byte shift via 16-bit shift + leak mask, as in the AVX2 body.
-    const __m512i mask = _mm512_set1_epi8(0x3f);
-    min1 = _mm512_sub_epi8(
-        min1, _mm512_and_si512(_mm512_srli_epi16(min1, 2), mask));
-    min2 = _mm512_sub_epi8(
-        min2, _mm512_and_si512(_mm512_srli_epi16(min2, 2), mask));
-  }
-
-  for (int e = 0; e < deg; ++e) {
-    const __m512i m = _mm512_loadu_si512(lam + e * W);
-    const __m512i lf = _mm512_loadu_si512(lam_full + e * W);
-    const __mmask64 is_min = _mm512_cmpeq_epi8_mask(
-        argmin, _mm512_set1_epi8(static_cast<char>(e)));
-    const __m512i mag = _mm512_mask_blend_epi8(is_min, min1, min2);
-    const __mmask64 out_neg = signs ^ _mm512_cmplt_epi8_mask(m, zero);
-    const __m512i out = _mm512_mask_sub_epi8(mag, out_neg, zero, mag);
-    __m512i app = _mm512_adds_epi8(lf, out);
-    app = _mm512_min_epi8(app, app_hi);
-    app = _mm512_max_epi8(app, app_lo);
-    _mm512_storeu_si512(lambda_row + e * W, out);
-    _mm512_storeu_si512(l_rows[e], app);
-  }
-}
 
 // Fresh-lane merge, int16 @ 32 lanes: a 32x32 register block transpose.
 // The reference merge walks each staged frame sequentially and scatters it
@@ -298,79 +106,19 @@ void merge_avx512_w32_epi16(const std::int16_t* const* staged,
     }
 }
 
-#endif  // LDPC_KERNELS_HAVE_AVX512BW
-
 }  // namespace
 
 template <class T>
-MinSumRowFnT<T> avx512_row_kernel(int lanes) {
-  if constexpr (std::is_same_v<T, std::int32_t>) {
-    return lanes == 16 ? &row_avx512_w16 : avx2_body<T>(lanes);
-  } else {
-#ifdef LDPC_KERNELS_HAVE_AVX512BW
-    if constexpr (std::is_same_v<T, std::int16_t>) {
-      if (lanes == 32) return &row_avx512_w32_epi16;
-    } else {
-      if (lanes == 64) return &row_avx512_w64_epi8;
-    }
-#endif
-    return avx2_body<T>(lanes);
-  }
-}
-
-template MinSumRowFnT<std::int32_t> avx512_row_kernel<std::int32_t>(int);
-template MinSumRowFnT<std::int16_t> avx512_row_kernel<std::int16_t>(int);
-template MinSumRowFnT<std::int8_t> avx512_row_kernel<std::int8_t>(int);
-
-namespace {
-template <class T>
-void quantize_llrs_avx512(const double* llr, T* raw, std::size_t count,
-                          const QuantSpec& spec) {
-  quantize_llrs_body<T>(llr, raw, count, spec);
-}
-}  // namespace
-
-template <class T>
-QuantFnT<T> avx512_quant_kernel() {
-  return &quantize_llrs_avx512<T>;
-}
-
-template QuantFnT<std::int32_t> avx512_quant_kernel<std::int32_t>();
-template QuantFnT<std::int16_t> avx512_quant_kernel<std::int16_t>();
-template QuantFnT<std::int8_t> avx512_quant_kernel<std::int8_t>();
-
-template <class T>
-CwScanFnT<T> avx512_cw_scan_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &cw_scan_body<T, 16 * s> : &cw_scan_body<T, 8 * s>;
-}
-template <class T>
-EtScanFnT<T> avx512_et_scan_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &et_scan_body<T, 16 * s> : &et_scan_body<T, 8 * s>;
-}
-
-template CwScanFnT<std::int32_t> avx512_cw_scan_kernel<std::int32_t>(int);
-template CwScanFnT<std::int16_t> avx512_cw_scan_kernel<std::int16_t>(int);
-template CwScanFnT<std::int8_t> avx512_cw_scan_kernel<std::int8_t>(int);
-template EtScanFnT<std::int32_t> avx512_et_scan_kernel<std::int32_t>(int);
-template EtScanFnT<std::int16_t> avx512_et_scan_kernel<std::int16_t>(int);
-template EtScanFnT<std::int8_t> avx512_et_scan_kernel<std::int8_t>(int);
-
-template <class T>
-MergeFreshFnT<T> avx512_merge_kernel(int lanes) {
-#ifdef LDPC_KERNELS_HAVE_AVX512BW
+KernelSet<T> avx512_kernels(int lanes) {
+  KernelSet<T> set = vector_kernels<T>(lanes);
   if constexpr (std::is_same_v<T, std::int16_t>) {
-    if (lanes == 32) return &merge_avx512_w32_epi16;
+    if (lanes == 32) set.merge = &merge_avx512_w32_epi16;
   }
-#endif
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &merge_fresh_body<T, 16 * s>
-                         : &merge_fresh_body<T, 8 * s>;
+  return set;
 }
 
-template MergeFreshFnT<std::int32_t> avx512_merge_kernel<std::int32_t>(int);
-template MergeFreshFnT<std::int16_t> avx512_merge_kernel<std::int16_t>(int);
-template MergeFreshFnT<std::int8_t> avx512_merge_kernel<std::int8_t>(int);
+template KernelSet<std::int32_t> avx512_kernels<std::int32_t>(int);
+template KernelSet<std::int16_t> avx512_kernels<std::int16_t>(int);
+template KernelSet<std::int8_t> avx512_kernels<std::int8_t>(int);
 
 }  // namespace ldpc::core::kernels

@@ -10,7 +10,10 @@
 // silently truncate, whereas every intermediate here stays clamped inside
 // the rails — which by the lane-type eligibility rule fit the lane type —
 // so the cast is value-preserving and the result matches both the int32
-// scalar kernel and the saturating narrow SIMD kernels exactly.
+// scalar kernel and the saturating narrow SIMD kernels exactly. The SIMD
+// tiers share one vector-extension body (row_body in kernels_internal.hpp);
+// this loop stays a separate implementation so the tier matrix has an
+// independent reference.
 #include "kernels_internal.hpp"
 
 namespace ldpc::core::kernels {
@@ -111,60 +114,17 @@ void row_scalar(T* const* l_rows, T* lambda_row, T* lam_full, T* lam,
 
 }  // namespace
 
+// The scalar tier serves row_scalar; every other kernel is the shared
+// body at the baseline architecture.
 template <class T>
-MinSumRowFnT<T> scalar_row_kernel(int lanes) {
+KernelSet<T> scalar_kernels(int lanes) {
   constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &row_scalar<T, 16 * s> : &row_scalar<T, 8 * s>;
+  return lanes == 16 * s ? body_set<T, 16 * s>(&row_scalar<T, 16 * s>)
+                         : body_set<T, 8 * s>(&row_scalar<T, 8 * s>);
 }
 
-template MinSumRowFnT<std::int32_t> scalar_row_kernel<std::int32_t>(int);
-template MinSumRowFnT<std::int16_t> scalar_row_kernel<std::int16_t>(int);
-template MinSumRowFnT<std::int8_t> scalar_row_kernel<std::int8_t>(int);
-
-namespace {
-template <class T>
-void quantize_llrs_scalar(const double* llr, T* raw, std::size_t count,
-                          const QuantSpec& spec) {
-  quantize_llrs_body<T>(llr, raw, count, spec);
-}
-}  // namespace
-
-template <class T>
-QuantFnT<T> scalar_quant_kernel() {
-  return &quantize_llrs_scalar<T>;
-}
-
-template QuantFnT<std::int32_t> scalar_quant_kernel<std::int32_t>();
-template QuantFnT<std::int16_t> scalar_quant_kernel<std::int16_t>();
-template QuantFnT<std::int8_t> scalar_quant_kernel<std::int8_t>();
-
-template <class T>
-CwScanFnT<T> scalar_cw_scan_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &cw_scan_body<T, 16 * s> : &cw_scan_body<T, 8 * s>;
-}
-template <class T>
-EtScanFnT<T> scalar_et_scan_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &et_scan_body<T, 16 * s> : &et_scan_body<T, 8 * s>;
-}
-
-template CwScanFnT<std::int32_t> scalar_cw_scan_kernel<std::int32_t>(int);
-template CwScanFnT<std::int16_t> scalar_cw_scan_kernel<std::int16_t>(int);
-template CwScanFnT<std::int8_t> scalar_cw_scan_kernel<std::int8_t>(int);
-template EtScanFnT<std::int32_t> scalar_et_scan_kernel<std::int32_t>(int);
-template EtScanFnT<std::int16_t> scalar_et_scan_kernel<std::int16_t>(int);
-template EtScanFnT<std::int8_t> scalar_et_scan_kernel<std::int8_t>(int);
-
-template <class T>
-MergeFreshFnT<T> scalar_merge_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &merge_fresh_body<T, 16 * s>
-                         : &merge_fresh_body<T, 8 * s>;
-}
-
-template MergeFreshFnT<std::int32_t> scalar_merge_kernel<std::int32_t>(int);
-template MergeFreshFnT<std::int16_t> scalar_merge_kernel<std::int16_t>(int);
-template MergeFreshFnT<std::int8_t> scalar_merge_kernel<std::int8_t>(int);
+template KernelSet<std::int32_t> scalar_kernels<std::int32_t>(int);
+template KernelSet<std::int16_t> scalar_kernels<std::int16_t>(int);
+template KernelSet<std::int8_t> scalar_kernels<std::int8_t>(int);
 
 }  // namespace ldpc::core::kernels

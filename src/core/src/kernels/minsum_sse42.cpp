@@ -1,298 +1,19 @@
 // SSE4.2 tier: one 128-bit vector holds 4 int32, 8 int16 or 16 int8 lanes
-// (the actual instruction needs are SSSE3 abs + SSE4.1 min/max/blendv;
-// gating the tier on SSE4.2 keeps the ladder conventional). Compiled with
-// -msse4.2; dispatch guards execution with
-// __builtin_cpu_supports("sse4.2").
-#include <immintrin.h>
-
-#include <type_traits>
-
+// (the row body's instruction needs are SSSE3 abs + SSE4.1 min/max/blendv;
+// gating the tier on SSE4.2 keeps the ladder conventional). Every kernel
+// is a shared body from kernels_internal.hpp compiled with -msse4.2;
+// dispatch guards execution with __builtin_cpu_supports("sse4.2").
 #include "kernels_internal.hpp"
 
 namespace ldpc::core::kernels {
 
-namespace {
-
-inline __m128i minima_correct_epi32_sse(__m128i mag, const RowBounds& b) {
-  if (b.offset) {
-    mag = _mm_sub_epi32(mag, _mm_set1_epi32(b.offset));
-    mag = _mm_max_epi32(mag, _mm_setzero_si128());
-  }
-  if (b.norm) mag = _mm_sub_epi32(mag, _mm_srli_epi32(mag, 2));
-  return mag;
-}
-
-inline __m128i minima_correct_epi16_sse(__m128i mag, const RowBounds& b) {
-  if (b.offset) {
-    mag = _mm_sub_epi16(mag, _mm_set1_epi16(static_cast<short>(b.offset)));
-    mag = _mm_max_epi16(mag, _mm_setzero_si128());
-  }
-  if (b.norm) mag = _mm_sub_epi16(mag, _mm_srli_epi16(mag, 2));
-  return mag;
-}
-
-inline __m128i minima_correct_epi8_sse(__m128i mag, const RowBounds& b) {
-  if (b.offset) {
-    mag = _mm_sub_epi8(mag, _mm_set1_epi8(static_cast<char>(b.offset)));
-    mag = _mm_max_epi8(mag, _mm_setzero_si128());
-  }
-  if (b.norm) {
-    // No byte shift in SSE: shift 16-bit lanes, clear the leaked bits
-    // (bytes are <= 127, so every byte of mag >> 2 fits in 6 bits).
-    const __m128i q =
-        _mm_and_si128(_mm_srli_epi16(mag, 2), _mm_set1_epi8(0x3f));
-    mag = _mm_sub_epi8(mag, q);
-  }
-  return mag;
-}
-
-template <int W>
-void row_sse42(std::int32_t* const* l_rows, std::int32_t* lambda_row,
-               std::int32_t* lam_full, std::int32_t* lam, int deg,
-               const RowBounds& b) {
-  const __m128i app_lo = _mm_set1_epi32(b.app_lo);
-  const __m128i app_hi = _mm_set1_epi32(b.app_hi);
-  const __m128i msg_lo = _mm_set1_epi32(b.msg_lo);
-  const __m128i msg_hi = _mm_set1_epi32(b.msg_hi);
-  const __m128i zero = _mm_setzero_si128();
-
-  for (int c = 0; c < W; c += 4) {
-    __m128i min1 = msg_hi, min2 = msg_hi;
-    __m128i argmin = _mm_set1_epi32(-1);
-    __m128i signs = zero;
-
-    for (int e = 0; e < deg; ++e) {
-      const __m128i l = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(l_rows[e] + c));
-      const __m128i lamb = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lambda_row + e * W + c));
-      __m128i d = _mm_sub_epi32(l, lamb);
-      d = _mm_min_epi32(d, app_hi);
-      d = _mm_max_epi32(d, app_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(lam_full + e * W + c), d);
-      __m128i m = _mm_min_epi32(d, msg_hi);
-      m = _mm_max_epi32(m, msg_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(lam + e * W + c), m);
-
-      const __m128i neg = _mm_cmpgt_epi32(zero, m);
-      signs = _mm_xor_si128(signs, neg);
-      const __m128i mag = _mm_abs_epi32(m);
-      const __m128i lt1 = _mm_cmpgt_epi32(min1, mag);
-      min2 = _mm_blendv_epi8(_mm_min_epi32(min2, mag), min1, lt1);
-      min1 = _mm_blendv_epi8(min1, mag, lt1);
-      argmin = _mm_blendv_epi8(argmin, _mm_set1_epi32(e), lt1);
-    }
-
-    min1 = minima_correct_epi32_sse(min1, b);
-    min2 = minima_correct_epi32_sse(min2, b);
-
-    for (int e = 0; e < deg; ++e) {
-      const __m128i m = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lam + e * W + c));
-      const __m128i lf = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lam_full + e * W + c));
-      const __m128i is_min = _mm_cmpeq_epi32(argmin, _mm_set1_epi32(e));
-      const __m128i mag = _mm_blendv_epi8(min1, min2, is_min);
-      const __m128i neg_m = _mm_cmpgt_epi32(zero, m);
-      const __m128i out_neg = _mm_xor_si128(signs, neg_m);
-      const __m128i out =
-          _mm_blendv_epi8(mag, _mm_sub_epi32(zero, mag), out_neg);
-      __m128i app = _mm_add_epi32(lf, out);
-      app = _mm_min_epi32(app, app_hi);
-      app = _mm_max_epi32(app, app_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(lambda_row + e * W + c),
-                       out);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(l_rows[e] + c), app);
-    }
-  }
-}
-
-template <int W>
-void row_sse42_epi16(std::int16_t* const* l_rows, std::int16_t* lambda_row,
-                     std::int16_t* lam_full, std::int16_t* lam, int deg,
-                     const RowBounds& b) {
-  const __m128i app_lo = _mm_set1_epi16(static_cast<short>(b.app_lo));
-  const __m128i app_hi = _mm_set1_epi16(static_cast<short>(b.app_hi));
-  const __m128i msg_lo = _mm_set1_epi16(static_cast<short>(b.msg_lo));
-  const __m128i msg_hi = _mm_set1_epi16(static_cast<short>(b.msg_hi));
-  const __m128i zero = _mm_setzero_si128();
-
-  for (int c = 0; c < W; c += 8) {
-    __m128i min1 = msg_hi, min2 = msg_hi;
-    __m128i argmin = _mm_set1_epi16(-1);
-    __m128i signs = zero;
-
-    for (int e = 0; e < deg; ++e) {
-      const __m128i l = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(l_rows[e] + c));
-      const __m128i lamb = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lambda_row + e * W + c));
-      __m128i d = _mm_subs_epi16(l, lamb);
-      d = _mm_min_epi16(d, app_hi);
-      d = _mm_max_epi16(d, app_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(lam_full + e * W + c), d);
-      __m128i m = _mm_min_epi16(d, msg_hi);
-      m = _mm_max_epi16(m, msg_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(lam + e * W + c), m);
-
-      const __m128i neg = _mm_cmpgt_epi16(zero, m);
-      signs = _mm_xor_si128(signs, neg);
-      const __m128i mag = _mm_abs_epi16(m);
-      const __m128i lt1 = _mm_cmpgt_epi16(min1, mag);
-      min2 = _mm_blendv_epi8(_mm_min_epi16(min2, mag), min1, lt1);
-      min1 = _mm_blendv_epi8(min1, mag, lt1);
-      argmin = _mm_blendv_epi8(
-          argmin, _mm_set1_epi16(static_cast<short>(e)), lt1);
-    }
-
-    min1 = minima_correct_epi16_sse(min1, b);
-    min2 = minima_correct_epi16_sse(min2, b);
-
-    for (int e = 0; e < deg; ++e) {
-      const __m128i m = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lam + e * W + c));
-      const __m128i lf = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lam_full + e * W + c));
-      const __m128i is_min = _mm_cmpeq_epi16(
-          argmin, _mm_set1_epi16(static_cast<short>(e)));
-      const __m128i mag = _mm_blendv_epi8(min1, min2, is_min);
-      const __m128i neg_m = _mm_cmpgt_epi16(zero, m);
-      const __m128i out_neg = _mm_xor_si128(signs, neg_m);
-      const __m128i out =
-          _mm_blendv_epi8(mag, _mm_sub_epi16(zero, mag), out_neg);
-      __m128i app = _mm_adds_epi16(lf, out);
-      app = _mm_min_epi16(app, app_hi);
-      app = _mm_max_epi16(app, app_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(lambda_row + e * W + c),
-                       out);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(l_rows[e] + c), app);
-    }
-  }
-}
-
-template <int W>
-void row_sse42_epi8(std::int8_t* const* l_rows, std::int8_t* lambda_row,
-                    std::int8_t* lam_full, std::int8_t* lam, int deg,
-                    const RowBounds& b) {
-  const __m128i app_lo = _mm_set1_epi8(static_cast<char>(b.app_lo));
-  const __m128i app_hi = _mm_set1_epi8(static_cast<char>(b.app_hi));
-  const __m128i msg_lo = _mm_set1_epi8(static_cast<char>(b.msg_lo));
-  const __m128i msg_hi = _mm_set1_epi8(static_cast<char>(b.msg_hi));
-  const __m128i zero = _mm_setzero_si128();
-
-  for (int c = 0; c < W; c += 16) {
-    __m128i min1 = msg_hi, min2 = msg_hi;
-    __m128i argmin = _mm_set1_epi8(-1);
-    __m128i signs = zero;
-
-    for (int e = 0; e < deg; ++e) {
-      const __m128i l = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(l_rows[e] + c));
-      const __m128i lamb = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lambda_row + e * W + c));
-      __m128i d = _mm_subs_epi8(l, lamb);
-      d = _mm_min_epi8(d, app_hi);
-      d = _mm_max_epi8(d, app_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(lam_full + e * W + c), d);
-      __m128i m = _mm_min_epi8(d, msg_hi);
-      m = _mm_max_epi8(m, msg_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(lam + e * W + c), m);
-
-      const __m128i neg = _mm_cmpgt_epi8(zero, m);
-      signs = _mm_xor_si128(signs, neg);
-      const __m128i mag = _mm_abs_epi8(m);
-      const __m128i lt1 = _mm_cmpgt_epi8(min1, mag);
-      min2 = _mm_blendv_epi8(_mm_min_epi8(min2, mag), min1, lt1);
-      min1 = _mm_blendv_epi8(min1, mag, lt1);
-      argmin = _mm_blendv_epi8(argmin,
-                               _mm_set1_epi8(static_cast<char>(e)), lt1);
-    }
-
-    min1 = minima_correct_epi8_sse(min1, b);
-    min2 = minima_correct_epi8_sse(min2, b);
-
-    for (int e = 0; e < deg; ++e) {
-      const __m128i m = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lam + e * W + c));
-      const __m128i lf = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lam_full + e * W + c));
-      const __m128i is_min =
-          _mm_cmpeq_epi8(argmin, _mm_set1_epi8(static_cast<char>(e)));
-      const __m128i mag = _mm_blendv_epi8(min1, min2, is_min);
-      const __m128i neg_m = _mm_cmpgt_epi8(zero, m);
-      const __m128i out_neg = _mm_xor_si128(signs, neg_m);
-      const __m128i out =
-          _mm_blendv_epi8(mag, _mm_sub_epi8(zero, mag), out_neg);
-      __m128i app = _mm_adds_epi8(lf, out);
-      app = _mm_min_epi8(app, app_hi);
-      app = _mm_max_epi8(app, app_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(lambda_row + e * W + c),
-                       out);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(l_rows[e] + c), app);
-    }
-  }
-}
-
-}  // namespace
-
 template <class T>
-MinSumRowFnT<T> sse42_row_kernel(int lanes) {
-  if constexpr (std::is_same_v<T, std::int32_t>)
-    return lanes == 16 ? &row_sse42<16> : &row_sse42<8>;
-  else if constexpr (std::is_same_v<T, std::int16_t>)
-    return lanes == 32 ? &row_sse42_epi16<32> : &row_sse42_epi16<16>;
-  else
-    return lanes == 64 ? &row_sse42_epi8<64> : &row_sse42_epi8<32>;
+KernelSet<T> sse42_kernels(int lanes) {
+  return vector_kernels<T>(lanes);
 }
 
-template MinSumRowFnT<std::int32_t> sse42_row_kernel<std::int32_t>(int);
-template MinSumRowFnT<std::int16_t> sse42_row_kernel<std::int16_t>(int);
-template MinSumRowFnT<std::int8_t> sse42_row_kernel<std::int8_t>(int);
-
-namespace {
-template <class T>
-void quantize_llrs_sse42(const double* llr, T* raw, std::size_t count,
-                         const QuantSpec& spec) {
-  quantize_llrs_body<T>(llr, raw, count, spec);
-}
-}  // namespace
-
-template <class T>
-QuantFnT<T> sse42_quant_kernel() {
-  return &quantize_llrs_sse42<T>;
-}
-
-template QuantFnT<std::int32_t> sse42_quant_kernel<std::int32_t>();
-template QuantFnT<std::int16_t> sse42_quant_kernel<std::int16_t>();
-template QuantFnT<std::int8_t> sse42_quant_kernel<std::int8_t>();
-
-template <class T>
-CwScanFnT<T> sse42_cw_scan_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &cw_scan_body<T, 16 * s> : &cw_scan_body<T, 8 * s>;
-}
-template <class T>
-EtScanFnT<T> sse42_et_scan_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &et_scan_body<T, 16 * s> : &et_scan_body<T, 8 * s>;
-}
-
-template CwScanFnT<std::int32_t> sse42_cw_scan_kernel<std::int32_t>(int);
-template CwScanFnT<std::int16_t> sse42_cw_scan_kernel<std::int16_t>(int);
-template CwScanFnT<std::int8_t> sse42_cw_scan_kernel<std::int8_t>(int);
-template EtScanFnT<std::int32_t> sse42_et_scan_kernel<std::int32_t>(int);
-template EtScanFnT<std::int16_t> sse42_et_scan_kernel<std::int16_t>(int);
-template EtScanFnT<std::int8_t> sse42_et_scan_kernel<std::int8_t>(int);
-
-template <class T>
-MergeFreshFnT<T> sse42_merge_kernel(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? &merge_fresh_body<T, 16 * s>
-                         : &merge_fresh_body<T, 8 * s>;
-}
-
-template MergeFreshFnT<std::int32_t> sse42_merge_kernel<std::int32_t>(int);
-template MergeFreshFnT<std::int16_t> sse42_merge_kernel<std::int16_t>(int);
-template MergeFreshFnT<std::int8_t> sse42_merge_kernel<std::int8_t>(int);
+template KernelSet<std::int32_t> sse42_kernels<std::int32_t>(int);
+template KernelSet<std::int16_t> sse42_kernels<std::int16_t>(int);
+template KernelSet<std::int8_t> sse42_kernels<std::int8_t>(int);
 
 }  // namespace ldpc::core::kernels

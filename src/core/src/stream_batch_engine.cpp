@@ -28,7 +28,6 @@ StreamBatchEngineT<T>::StreamBatchEngineT(DecoderConfig config, int lanes)
 
 template <class T>
 void StreamBatchEngineT<T>::reconfigure(const codes::QCCode& code) {
-  check_lane_degree<T>(code, "StreamBatchEngine");
   code_ = &code;
   const auto w = static_cast<std::size_t>(lanes_);
   l_soa_.assign(static_cast<std::size_t>(code.n()) * w, 0);

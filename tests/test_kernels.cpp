@@ -1,13 +1,16 @@
 // Kernel-layer unit tests: the dispatch knobs (tier / lane-type parsing,
-// width validation) and the row-kernel matrix itself — every SIMD tier ×
+// width validation), the row-kernel matrix itself — every SIMD tier ×
 // lane element type × lane width × min-sum variant, locked lane-for-lane
-// against the scalar int32 kernel on random in-rail inputs. The
-// engine-level refill-equivalence suite pins absolute decode semantics;
-// this suite pins the kernels directly, so a drift in one tier's saturation
-// point, tie-breaking or correction shows up as a one-word diff here
-// instead of a whole-decode divergence there.
+// against the scalar int32 kernel on random in-rail inputs, including
+// rails where the narrow lanes saturate — and the fresh-lane merge matrix
+// against the reference merge body. The engine-level refill-equivalence
+// suite pins absolute decode semantics; this suite pins the kernels
+// directly, so a drift in one tier's saturation point, tie-breaking or
+// correction shows up as a one-word diff here instead of a whole-decode
+// divergence there.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -199,14 +202,29 @@ kernels::RowBounds strict_bounds(std::int32_t offset, std::int32_t norm) {
   return {.app_lo = -127, .app_hi = 127, .msg_lo = -127, .msg_hi = 127,
           .offset = offset, .norm = norm};
 }
+/// Rails where L - Lambda and the write-back add overflow the narrow lane
+/// and the saturating ops decide the result: int16 at the full +/-32767
+/// (reachable through a 16-bit APP DecoderConfig), a 12-bit APP with
+/// offset + normalized correction, and int8 with a narrow message bus
+/// under the full 8-bit APP.
+const kernels::RowBounds kFull16{.app_lo = -32767, .app_hi = 32767,
+                                 .msg_lo = -32767, .msg_hi = 32767,
+                                 .offset = 0, .norm = 0};
+const kernels::RowBounds kWide16{.app_lo = -2047, .app_hi = 2047,
+                                 .msg_lo = -127, .msg_hi = 127,
+                                 .offset = 3, .norm = 1};
+const kernels::RowBounds kNarrowMsg8{.app_lo = -127, .app_hi = 127,
+                                     .msg_lo = -31, .msg_hi = 31,
+                                     .offset = 0, .norm = 0};
 
 TEST(Kernels, RowKernelMatrixMatchesScalarReference) {
   for (const kernels::Tier tier : available_tiers()) {
     // Plain, offset (beta = 2 LSBs) and normalized (3/4) min-sum: the
     // correction rides in RowBounds, so the same matrix covers all three.
+    // The standard rails never saturate int16; kFull16 / kWide16 do.
     for (const auto& bounds :
          {standard_bounds(0, 0), standard_bounds(2, 0),
-          standard_bounds(0, 1)}) {
+          standard_bounds(0, 1), kFull16, kWide16}) {
       for (const int deg : {2, 7, 19}) {
         for (const bool alias : {false, true}) {
           std::uint32_t seed = 1;
@@ -220,8 +238,8 @@ TEST(Kernels, RowKernelMatrixMatchesScalarReference) {
       }
     }
     // int8 lanes require the strict rails (everything within +/-127).
-    for (const auto& bounds :
-         {strict_bounds(0, 0), strict_bounds(2, 0), strict_bounds(0, 1)}) {
+    for (const auto& bounds : {strict_bounds(0, 0), strict_bounds(2, 0),
+                               strict_bounds(0, 1), kNarrowMsg8}) {
       for (const int deg : {2, 7, 19}) {
         for (const bool alias : {false, true}) {
           std::uint32_t seed = 101;
@@ -234,18 +252,81 @@ TEST(Kernels, RowKernelMatrixMatchesScalarReference) {
   }
 }
 
+/// One fresh-lane merge case: `nfresh` distinct lanes (random order) of a
+/// `lanes`-wide L memory with `n` variables receive staged frames; every
+/// other `staged` slot is nullptr. The kernel under test must write
+/// exactly the fresh columns, matching both a direct column loop and the
+/// scalar tier's kernel (the blocked merge_fresh_body reference).
+template <class T>
+void check_merge_against_reference(kernels::Tier tier, int lanes, int nfresh,
+                                   std::size_t n, std::uint32_t seed) {
+  SCOPED_TRACE("tier=" + kernels::to_string(tier) + " type=" +
+               kernels::to_string(kernels::lane_type_of<T>) + " lanes=" +
+               std::to_string(lanes) + " nfresh=" + std::to_string(nfresh) +
+               " n=" + std::to_string(n));
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> val(-100, 100);
+  const auto w = static_cast<std::size_t>(lanes);
+  std::vector<T> l0(n * w);
+  for (auto& v : l0) v = static_cast<T>(val(rng));
+
+  std::vector<int> order(w);
+  for (std::size_t k = 0; k < w; ++k) order[k] = static_cast<int>(k);
+  std::shuffle(order.begin(), order.end(), rng);
+  const std::vector<int> fresh(order.begin(), order.begin() + nfresh);
+  std::vector<std::vector<T>> frames(w);
+  std::vector<const T*> staged(w, nullptr);
+  std::vector<T> expect = l0;
+  for (const int lane : fresh) {
+    auto& frame = frames[static_cast<std::size_t>(lane)];
+    frame.resize(n);
+    for (auto& v : frame) v = static_cast<T>(val(rng));
+    staged[static_cast<std::size_t>(lane)] = frame.data();
+    for (std::size_t v = 0; v < n; ++v)
+      expect[v * w + static_cast<std::size_t>(lane)] = frame[v];
+  }
+
+  std::vector<T> body = l0;
+  kernels::merge_kernel<T>(kernels::Tier::kScalar, lanes)(
+      staged.data(), fresh.data(), nfresh, body.data(), n);
+  ASSERT_EQ(body, expect);
+  std::vector<T> got = l0;
+  kernels::merge_kernel<T>(tier, lanes)(staged.data(), fresh.data(), nfresh,
+                                        got.data(), n);
+  ASSERT_EQ(got, expect);
+}
+
+template <class T>
+void check_merge_widths(kernels::Tier tier, std::uint32_t& seed) {
+  const int s = kernels::lane_scale(kernels::lane_type_of<T>);
+  for (const int lanes : {8 * s, 16 * s})
+    // {1, 5, 6, W} straddles the AVX-512 int16 transpose's fresh-count
+    // threshold; n = 103 leaves a 7-row tail after three 32-row blocks.
+    for (const int nfresh : {1, 5, 6, lanes})
+      for (const std::size_t n : {std::size_t{20}, std::size_t{103}})
+        check_merge_against_reference<T>(tier, lanes, nfresh, n, seed++);
+}
+
+TEST(Kernels, MergeKernelMatrixMatchesReferenceBody) {
+  for (const kernels::Tier tier : available_tiers()) {
+    std::uint32_t seed = 301;
+    check_merge_widths<std::int32_t>(tier, seed);
+    check_merge_widths<std::int16_t>(tier, seed);
+    check_merge_widths<std::int8_t>(tier, seed);
+  }
+}
+
 TEST(Kernels, PreferredLanesFollowsTierAndType) {
   for (const kernels::Tier tier : available_tiers()) {
     ASSERT_EQ(kernels::force_tier(tier), tier);
+    // kAvx512 implies AVX-512BW, so every lane type fills 512 bits there.
     const bool full512 = tier == kernels::Tier::kAvx512;
     EXPECT_EQ(kernels::preferred_lanes(kernels::LaneType::kInt32),
               full512 ? 16 : 8);
-    // Narrow types only fill a 512-bit register when AVX-512BW is there.
-    const bool narrow512 = full512 && kernels::detected_avx512bw();
     EXPECT_EQ(kernels::preferred_lanes(kernels::LaneType::kInt16),
-              narrow512 ? 32 : 16);
+              full512 ? 32 : 16);
     EXPECT_EQ(kernels::preferred_lanes(kernels::LaneType::kInt8),
-              narrow512 ? 64 : 32);
+              full512 ? 64 : 32);
   }
   kernels::clear_forced_tier();
 }

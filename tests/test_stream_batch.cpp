@@ -381,17 +381,16 @@ TEST(StreamBatchEngine, ValidatesConfigAndLaneWidth) {
   EXPECT_THROW(unconfigured.decode({}, {}, one), std::logic_error);
 
   // preferred_lanes follows the dispatched tier — one full 512-bit
-  // register only on AVX-512 (AVX-512BW for the narrow types), one 256-bit
-  // register otherwise — scaled by the element width.
+  // register only on AVX-512, one 256-bit register otherwise — scaled by
+  // the element width.
   const bool avx512 = kernels::active_tier() == kernels::Tier::kAvx512;
   EXPECT_EQ(core::StreamBatchEngine::preferred_lanes(), avx512 ? 16 : 8);
-  const bool wide_narrow = avx512 && kernels::detected_avx512bw();
   EXPECT_EQ(
       core::StreamBatchEngine::preferred_lanes(kernels::LaneType::kInt16),
-      wide_narrow ? 32 : 16);
+      avx512 ? 32 : 16);
   EXPECT_EQ(
       core::StreamBatchEngine::preferred_lanes(kernels::LaneType::kInt8),
-      wide_narrow ? 64 : 32);
+      avx512 ? 64 : 32);
   core::StreamBatchEngine auto_engine(cfg);
   EXPECT_EQ(auto_engine.lanes(),
             core::StreamBatchEngine::preferred_lanes(
