@@ -403,8 +403,9 @@ struct RetireFixture {
     // part of the per-iteration scan, not of retirement).
     hard_mask.resize(static_cast<std::size_t>(code.n()));
     std::vector<std::uint8_t> ok(static_cast<std::size_t>(lanes));
-    core::soa_codeword_scan(code, l_soa.data(), lanes, hard_mask.data(),
-                            ok.data());
+    core::soa_codeword_scan(
+        core::kernels::cw_scan_kernel<std::int16_t>(lanes), code,
+        l_soa.data(), hard_mask.data(), ok.data());
   }
 };
 
@@ -692,6 +693,46 @@ void BM_Encode2304(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * code.k_info());
 }
 BENCHMARK(BM_Encode2304);
+
+// ---- frame synthesis ---------------------------------------------------------
+// The simulator's per-frame chain cost outside the decoder: the ziggurat
+// block fill alone, and one whole transmit (index-map walk, BPSK, AWGN,
+// demap) of the end-to-end benchmark's NR frame (BG1 z = 384, E = 17000,
+// 96 fillers, 3.2 dB) into a reused buffer.
+
+void BM_GaussianFill(benchmark::State& state) {
+  util::Xoshiro256 rng(41);
+  std::vector<double> out(17000);
+  for (auto _ : state) {
+    rng.fill_gaussian(out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_GaussianFill);
+
+void BM_TransmitNrZ384(benchmark::State& state) {
+  const auto code = codes::make_nr_code(codes::Rate::kR13, 384, 17000, 96);
+  const auto encoder = enc::make_encoder(code);
+  util::Xoshiro256 rng(43);
+  std::vector<std::uint8_t> info(
+      static_cast<std::size_t>(code.payload_bits()));
+  enc::random_bits(rng, info);
+  const auto cw = encoder->encode(info);
+  const channel::AwgnChannel chan(channel::ebn0_to_sigma(
+      3.2, code.effective_rate(), channel::Modulation::kBpsk));
+  std::vector<double> llrs(static_cast<std::size_t>(code.transmitted_bits()));
+  for (auto _ : state) {
+    sim::transmit_llrs_into(code, cw, channel::Modulation::kBpsk, chan, rng,
+                            0, llrs);
+    benchmark::DoNotOptimize(llrs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TransmitNrZ384);
 
 void BM_CodeExpansion(benchmark::State& state) {
   for (auto _ : state) {

@@ -48,6 +48,10 @@ namespace {
 // The decode configuration, file split, rate-matched case list and bit
 // packing are shared with tests/test_golden.cpp through
 // ldpc/core/golden.hpp — one definition of the generator/checker contract.
+// The committed golden files are canned decoder inputs: the ziggurat
+// sampler (DESIGN.md §11) changed the noise this generator draws, so a
+// rerun now writes different frames. The committed files still lock the
+// decoders. Regenerate them only when the decoder arithmetic changes.
 
 void write_golden_entry(std::ostream& out, const codes::QCCode& code,
                         std::uint64_t seed, double ebn0_db) {

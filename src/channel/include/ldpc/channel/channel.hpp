@@ -37,6 +37,10 @@ struct ModulatedFrame {
   double amplitude = 1.0;  // per-dimension signal amplitude
 };
 
+/// Per-dimension signal amplitude at unit symbol energy: 1 for BPSK,
+/// 1/sqrt(2) for QPSK.
+double modulation_amplitude(Modulation mod) noexcept;
+
 /// Maps code bits to channel samples. Bit 0 -> +amplitude, bit 1 ->
 /// -amplitude (the usual LDPC sign convention: positive LLR means bit 0).
 ModulatedFrame modulate(std::span<const std::uint8_t> bits, Modulation mod);
@@ -54,18 +58,26 @@ double esn0_to_sigma(double esn0_db, Modulation mod);
 /// A memoryless (per-frame) noisy channel plus coherent demapper. One call
 /// consumes frame samples and produces per-bit channel LLRs; all
 /// randomness comes from the caller-owned generator, so determinism
-/// contracts reduce to seeding discipline.
+/// contracts reduce to seeding discipline. Noise is drawn through
+/// util::Xoshiro256's block fill, one gaussian per sample in sample order
+/// (fading channels add their fade draws ahead of each block).
 class Channel {
  public:
   virtual ~Channel() = default;
 
   virtual double sigma() const noexcept = 0;
 
-  /// Transmits `frame` through the channel and returns per-bit LLRs
-  /// (positive = bit 0). Fading channels assume coherent detection with
-  /// perfect CSI: L = 2 a h y / sigma^2 for fade amplitude h.
-  virtual std::vector<double> transmit_demap(const ModulatedFrame& frame,
-                                             util::Xoshiro256& rng) const = 0;
+  /// Transmits in place: `samples` holds modulated samples of
+  /// per-dimension amplitude `amplitude` on entry and their per-bit LLRs
+  /// (positive = bit 0) on return. Fading channels assume coherent
+  /// detection with perfect CSI: L = 2 a h y / sigma^2 for fade amplitude
+  /// h. Allocates nothing.
+  virtual void transmit_demap(std::span<double> samples, double amplitude,
+                              util::Xoshiro256& rng) const = 0;
+
+  /// Copying form: transmits `frame` and returns its per-bit LLRs.
+  std::vector<double> transmit_demap(const ModulatedFrame& frame,
+                                     util::Xoshiro256& rng) const;
 };
 
 /// Additive white Gaussian noise with per-dimension standard deviation
@@ -80,9 +92,10 @@ class AwgnChannel : public Channel {
   void transmit(std::span<double> samples, util::Xoshiro256& rng) const;
 
   /// transmit() + demap_llr(), drawing exactly one gaussian per sample in
-  /// sample order — bit-identical to the historical two-step path.
-  std::vector<double> transmit_demap(const ModulatedFrame& frame,
-                                     util::Xoshiro256& rng) const override;
+  /// sample order — bit-identical to the two-step path.
+  using Channel::transmit_demap;
+  void transmit_demap(std::span<double> samples, double amplitude,
+                      util::Xoshiro256& rng) const override;
 
  private:
   double sigma_;
@@ -102,8 +115,9 @@ class BlockFadingChannel : public Channel {
   double sigma() const noexcept override { return sigma_; }
   int coherence_bits() const noexcept { return coherence_bits_; }
 
-  std::vector<double> transmit_demap(const ModulatedFrame& frame,
-                                     util::Xoshiro256& rng) const override;
+  using Channel::transmit_demap;
+  void transmit_demap(std::span<double> samples, double amplitude,
+                      util::Xoshiro256& rng) const override;
 
  private:
   double sigma_;

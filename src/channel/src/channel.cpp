@@ -1,5 +1,6 @@
 #include "ldpc/channel/channel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,10 +14,14 @@ int bits_per_symbol(Modulation mod) {
 
 }  // namespace
 
+double modulation_amplitude(Modulation mod) noexcept {
+  // Unit symbol energy: BPSK amplitude 1, QPSK 1/sqrt(2) per dimension.
+  return mod == Modulation::kBpsk ? 1.0 : 1.0 / std::sqrt(2.0);
+}
+
 ModulatedFrame modulate(std::span<const std::uint8_t> bits, Modulation mod) {
   ModulatedFrame frame;
-  // Unit symbol energy: BPSK amplitude 1, QPSK 1/sqrt(2) per dimension.
-  frame.amplitude = mod == Modulation::kBpsk ? 1.0 : 1.0 / std::sqrt(2.0);
+  frame.amplitude = modulation_amplitude(mod);
   frame.samples.reserve(bits.size());
   for (std::uint8_t b : bits)
     frame.samples.push_back(b ? -frame.amplitude : frame.amplitude);
@@ -39,23 +44,34 @@ double esn0_to_sigma(double esn0_db, Modulation mod) {
   return ebn0_to_sigma(esn0_db, 1.0, mod);
 }
 
+std::vector<double> Channel::transmit_demap(const ModulatedFrame& frame,
+                                            util::Xoshiro256& rng) const {
+  std::vector<double> llr = frame.samples;
+  transmit_demap(llr, frame.amplitude, rng);
+  return llr;
+}
+
 AwgnChannel::AwgnChannel(double sigma) : sigma_(sigma) {
   if (!(sigma > 0.0)) throw std::invalid_argument("AwgnChannel: sigma <= 0");
 }
 
 void AwgnChannel::transmit(std::span<double> samples,
                            util::Xoshiro256& rng) const {
-  for (double& s : samples) s += sigma_ * rng.gaussian();
+  const double sigma = sigma_;
+  util::for_each_gaussian(rng, samples.size(),
+                          [&](std::size_t i, double g) {
+                            samples[i] += sigma * g;
+                          });
 }
 
-std::vector<double> AwgnChannel::transmit_demap(const ModulatedFrame& frame,
-                                                util::Xoshiro256& rng) const {
-  const double scale = 2.0 * frame.amplitude / (sigma_ * sigma_);
-  std::vector<double> llr;
-  llr.reserve(frame.samples.size());
-  for (double y : frame.samples)
-    llr.push_back(scale * (y + sigma_ * rng.gaussian()));
-  return llr;
+void AwgnChannel::transmit_demap(std::span<double> samples, double amplitude,
+                                 util::Xoshiro256& rng) const {
+  const double sigma = sigma_;
+  const double scale = 2.0 * amplitude / (sigma * sigma);
+  util::for_each_gaussian(rng, samples.size(),
+                          [&](std::size_t i, double g) {
+                            samples[i] = scale * (samples[i] + sigma * g);
+                          });
 }
 
 BlockFadingChannel::BlockFadingChannel(double sigma, int coherence_bits)
@@ -66,27 +82,26 @@ BlockFadingChannel::BlockFadingChannel(double sigma, int coherence_bits)
     throw std::invalid_argument("BlockFadingChannel: coherence < 0");
 }
 
-std::vector<double> BlockFadingChannel::transmit_demap(
-    const ModulatedFrame& frame, util::Xoshiro256& rng) const {
+void BlockFadingChannel::transmit_demap(std::span<double> samples,
+                                        double amplitude,
+                                        util::Xoshiro256& rng) const {
   const std::size_t block = coherence_bits_ == 0
-                                ? frame.samples.size()
+                                ? samples.size()
                                 : static_cast<std::size_t>(coherence_bits_);
-  const double scale = 2.0 * frame.amplitude / (sigma_ * sigma_);
-  std::vector<double> llr;
-  llr.reserve(frame.samples.size());
-  for (std::size_t start = 0; start < frame.samples.size(); start += block) {
+  const double sigma = sigma_;
+  const double scale = 2.0 * amplitude / (sigma * sigma);
+  for (std::size_t start = 0; start < samples.size(); start += block) {
     // Rayleigh amplitude with E[h^2] = 1: h = |g1 + i g2| / sqrt(2).
     const double g1 = rng.gaussian();
     const double g2 = rng.gaussian();
     const double h = std::sqrt((g1 * g1 + g2 * g2) / 2.0);
-    const std::size_t end =
-        std::min(start + block, frame.samples.size());
-    for (std::size_t i = start; i < end; ++i) {
-      const double y = h * frame.samples[i] + sigma_ * rng.gaussian();
-      llr.push_back(scale * h * y);
-    }
+    const auto blk =
+        samples.subspan(start, std::min(block, samples.size() - start));
+    util::for_each_gaussian(rng, blk.size(), [&](std::size_t i, double g) {
+      const double y = h * blk[i] + sigma * g;
+      blk[i] = scale * h * y;
+    });
   }
-  return llr;
 }
 
 std::unique_ptr<Channel> make_channel(ChannelKind kind, double sigma,

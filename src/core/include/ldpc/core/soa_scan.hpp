@@ -19,7 +19,8 @@
 //
 // Semantics are bit-identical to the scalar path by construction:
 //   - soa_codeword_scan(w) == QCCode::is_codeword(hard decisions of lane w)
-//   - soa_et_scan fire[w]  == EarlyTermination::update(lane w's info APPs)
+//   - the ET scan's fire[w] (kernels::et_scan_kernel)
+//     == EarlyTermination::update(lane w's info APPs)
 //     with the same has-previous / all-stable / min-|L|-above-threshold
 //     rule (has_prev[w] is the per-lane reset flag: clear it when a lane
 //     is (re)filled, exactly like EarlyTermination::reset()).
@@ -259,12 +260,11 @@ inline void soa_finish_crc(const DecoderConfig& config,
 
 /// Per-lane parity check over lane-major APP state: ok[w] = 1 iff the
 /// hard decisions (sign bits) of lane w satisfy every check of `code`.
-/// `lanes` <= kMaxSoaLanes. Dispatches into the per-tier kernel TUs
-/// (kernels::cw_scan_kernel): the scan loop bodies there are the reference
-/// loops compiled at the tier's full vector width with the lane count
-/// baked in — instantiated here, in an engine TU built for the default
-/// architecture, they ran at SSE2 width and dominated the per-iteration
-/// cost.
+/// `scan` is the per-tier kernel (kernels::cw_scan_kernel), resolved once
+/// by the caller with the lane count baked in: the scan loop bodies there
+/// are the reference loops compiled at the tier's full vector width —
+/// instantiated in an engine TU built for the default architecture, they
+/// ran at SSE2 width and dominated the per-iteration cost.
 ///
 /// `hard_mask` (size code.n()) receives the packed hard decisions the scan
 /// walks: bit w of hard_mask[v] is lane w's sign for variable v. Retiring
@@ -273,27 +273,11 @@ inline void soa_finish_crc(const DecoderConfig& config,
 /// iteration. The masks are valid for the L state the scan saw; engines
 /// that keep iterating must use the masks of the stopping iteration.
 template <class T>
-inline void soa_codeword_scan(const codes::QCCode& code, const T* l_soa,
-                              int lanes, std::uint64_t* hard_mask,
-                              std::uint8_t* ok) {
-  kernels::cw_scan_kernel<T>(lanes)(code.check_row_ptr().data(),
-                                    code.check_col_idx().data(), code.m(),
-                                    code.n(), l_soa, hard_mask, ok);
-}
-
-/// Per-lane early-termination rule over lane-major APP state: for every
-/// lane, fire[w] = had a previous iteration AND the info-bit hard
-/// decisions are unchanged since it AND min |L| over the info bits exceeds
-/// `threshold` — EarlyTermination::update, vectorised across lanes.
-/// `prev_hard` (k_info * lanes, lane-major) and `has_prev` (lanes) are the
-/// monitor state; clear has_prev[w] when lane w is (re)filled. Dispatched
-/// like soa_codeword_scan.
-template <class T>
-inline void soa_et_scan(int k_info, int lanes, std::int32_t threshold,
-                        const T* l_soa, T* prev_hard, std::uint8_t* has_prev,
-                        std::uint8_t* fire) {
-  kernels::et_scan_kernel<T>(lanes)(k_info, threshold, l_soa, prev_hard,
-                                    has_prev, fire);
+inline void soa_codeword_scan(kernels::CwScanFnT<T> scan,
+                              const codes::QCCode& code, const T* l_soa,
+                              std::uint64_t* hard_mask, std::uint8_t* ok) {
+  scan(code.check_row_ptr().data(), code.check_col_idx().data(), code.m(),
+       code.n(), l_soa, hard_mask, ok);
 }
 
 }  // namespace ldpc::core

@@ -143,6 +143,8 @@ class StreamBatchEngineT {
   kernels::Tier tier_ = kernels::Tier::kScalar;
   kernels::MinSumRowFnT<T> row_fn_ = nullptr;
   kernels::MergeFreshFnT<T> merge_fn_ = nullptr;
+  kernels::CwScanFnT<T> cw_scan_fn_ = nullptr;
+  kernels::EtScanFnT<T> et_scan_fn_ = nullptr;
 
   kernels::RowBounds bounds_{};         // rails + variant correction
   long long cycles_per_iteration_ = 0;  // sum of row cycles over layers

@@ -22,6 +22,8 @@ StreamBatchEngineT<T>::StreamBatchEngineT(DecoderConfig config, int lanes)
   tier_ = kernels::active_tier();
   row_fn_ = kernels::row_kernel<T>(tier_, lanes_);  // validates the width
   merge_fn_ = kernels::merge_kernel<T>(tier_, lanes_);
+  cw_scan_fn_ = kernels::cw_scan_kernel<T>(tier_, lanes_);
+  et_scan_fn_ = kernels::et_scan_kernel<T>(tier_, lanes_);
   bounds_ = make_row_bounds(config_, traits_);
   lane_.resize(static_cast<std::size_t>(lanes_));
 }
@@ -199,12 +201,11 @@ void StreamBatchEngineT<T>::run_queue(std::span<const int> order,
     // same rules the scalar engine applies per frame, at a fraction of
     // the cost of the per-lane gathers they replace.
     if (config_.early_termination.enabled)
-      soa_et_scan(k_info, lanes_, config_.early_termination.threshold_raw,
-                  l_soa_.data(), prev_hard_soa_.data(), has_prev_,
-                  et_fire_);
+      et_scan_fn_(k_info, config_.early_termination.threshold_raw,
+                  l_soa_.data(), prev_hard_soa_.data(), has_prev_, et_fire_);
     if (config_.stop_on_codeword)
-      soa_codeword_scan(*code_, l_soa_.data(), lanes_, hard_mask_.data(),
-                        cw_ok_);
+      soa_codeword_scan(cw_scan_fn_, *code_, l_soa_.data(),
+                        hard_mask_.data(), cw_ok_);
 
     // Per-lane bookkeeping: exactly the scalar engine's post-iteration
     // sequence (decision, ET, codeword stop) against the lane's OWN

@@ -42,21 +42,33 @@ struct DecodeOutcome {
 /// worker that owns it.
 using DecodeFn = std::function<DecodeOutcome(std::span<const double>)>;
 
-/// One frame's transmit chain under the code's TransmissionScheme:
-/// extracts the transmitted bits from the codeword (skipping punctured
-/// columns and fillers, wraparound-repeating to E), modulates them, adds
-/// AWGN from `rng` and demaps to transmitted_bits() LLRs. For degenerate
-/// schemes this is the classic modulate-whole-codeword chain, drawing the
-/// identical noise stream.
+/// One frame's transmit chain under the code's TransmissionScheme, written
+/// into caller memory: walks the transmit index map from redundancy
+/// version `rv`'s window start (see QCCode::rv_start / tx_bit_index; the
+/// punctured columns and fillers are skipped, wraparound repeats to E),
+/// modulating each transmitted bit straight into `out`, then adds the
+/// channel's noise and demaps in place. `out` must hold exactly
+/// code.transmitted_bits() values; nothing is allocated, so a worker can
+/// transmit frame after frame into one reused buffer. For degenerate
+/// schemes the window is the whole codeword in order. Throws
+/// std::invalid_argument on a codeword or output size mismatch.
+void transmit_llrs_into(const codes::QCCode& code,
+                        std::span<const std::uint8_t> codeword,
+                        channel::Modulation modulation,
+                        const channel::Channel& chan, util::Xoshiro256& rng,
+                        int rv, std::span<double> out);
+
+/// transmit_llrs_into over AWGN with noise sigma at the attached scheme's
+/// redundancy version, returning the transmitted_bits() LLRs.
 std::vector<double> transmit_llrs(const codes::QCCode& code,
                                   std::span<const std::uint8_t> codeword,
                                   channel::Modulation modulation,
                                   double sigma, util::Xoshiro256& rng);
 
-/// Channel- and redundancy-version-aware transmit chain: extracts the rv
-/// window (see QCCode::rv_start) and runs it through an arbitrary Channel
-/// model (AWGN, Rayleigh block fading). With an AwgnChannel and rv 0 this
-/// draws the identical noise stream as the sigma overload above.
+/// transmit_llrs_into returning the LLRs: any Channel model (AWGN,
+/// Rayleigh block fading), any redundancy version. With an AwgnChannel and
+/// the scheme's rv this draws the identical noise stream as the sigma
+/// overload above.
 std::vector<double> transmit_llrs(const codes::QCCode& code,
                                   std::span<const std::uint8_t> codeword,
                                   channel::Modulation modulation,

@@ -127,6 +127,7 @@ LinkPoint LinkSimulator::run_point(double esn0_db) {
       std::vector<std::unique_ptr<enc::Encoder>> encoders(modes_.size());
       core::HarqSoftBuffer soft;
       std::vector<std::int32_t> raw;
+      std::vector<double> llrs;  // one round's LLRs, reused
       const core::DatapathTraits<std::int32_t> traits{decoder_config_};
 
       while (true) {
@@ -161,6 +162,7 @@ LinkPoint LinkSimulator::run_point(double esn0_db) {
 
           soft.reset(code);
           raw.assign(static_cast<std::size_t>(code.n()), 0);
+          llrs.resize(static_cast<std::size_t>(code.transmitted_bits()));
           ++tally.blocks;
           bool acked = false;
           int rounds_used = 0;
@@ -170,8 +172,8 @@ LinkPoint LinkSimulator::run_point(double esn0_db) {
                 r % static_cast<int>(config_.rv_sequence.size()))];
             util::Xoshiro256 round_rng(util::substream_seed(
                 block_seed, static_cast<std::uint64_t>(r) + 1));
-            const auto llrs = transmit_llrs(code, cw, config_.modulation,
-                                            *chan, round_rng, rv);
+            transmit_llrs_into(code, cw, config_.modulation, *chan,
+                               round_rng, rv, llrs);
             tally.tx_bits_sent += code.transmitted_bits();
             if (!config_.combine) soft.reset(code);
             soft.add_round(code, llrs, rv);

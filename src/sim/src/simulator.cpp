@@ -42,6 +42,27 @@ DecodeOutcome run_baseline(const baseline::SoftDecoder& decoder,
 
 }  // namespace
 
+void transmit_llrs_into(const codes::QCCode& code,
+                        std::span<const std::uint8_t> codeword,
+                        channel::Modulation modulation,
+                        const channel::Channel& chan, util::Xoshiro256& rng,
+                        int rv, std::span<double> out) {
+  if (codeword.size() != static_cast<std::size_t>(code.n()))
+    throw std::invalid_argument("transmit_llrs: codeword size");
+  if (out.size() != static_cast<std::size_t>(code.transmitted_bits()))
+    throw std::invalid_argument("transmit_llrs: output size");
+  const double a = channel::modulation_amplitude(modulation);
+  // Indexed, not branched: codeword bits are coin flips.
+  const double level[2] = {a, -a};
+  const int sendable = code.sendable_bits();
+  int s = code.rv_start(rv);
+  for (double& x : out) {
+    x = level[codeword[static_cast<std::size_t>(code.tx_bit_index(s))] != 0];
+    if (++s == sendable) s = 0;
+  }
+  chan.transmit_demap(out, a, rng);
+}
+
 std::vector<double> transmit_llrs(const codes::QCCode& code,
                                   std::span<const std::uint8_t> codeword,
                                   channel::Modulation modulation,
@@ -56,16 +77,9 @@ std::vector<double> transmit_llrs(const codes::QCCode& code,
                                   channel::Modulation modulation,
                                   const channel::Channel& chan,
                                   util::Xoshiro256& rng, int rv) {
-  if (code.scheme().is_degenerate() && rv == 0) {
-    // Classic full-codeword chain (identical noise stream as ever).
-    const auto mod = channel::modulate(codeword, modulation);
-    return chan.transmit_demap(mod, rng);
-  }
-  std::vector<std::uint8_t> tx(
-      static_cast<std::size_t>(code.transmitted_bits()));
-  code.extract_transmitted(codeword, tx, rv);
-  const auto mod = channel::modulate(tx, modulation);
-  return chan.transmit_demap(mod, rng);
+  std::vector<double> llrs(static_cast<std::size_t>(code.transmitted_bits()));
+  transmit_llrs_into(code, codeword, modulation, chan, rng, rv, llrs);
+  return llrs;
 }
 
 core::QuantisedFrame quantise_llrs(const codes::QCCode& code,
@@ -304,11 +318,15 @@ SweepPoint Simulator::run_point(double ebn0_db) {
       }
       const int claim = batch_factory_ ? batch_ : 1;
       const auto encoder = enc::make_encoder(code_);
+      const channel::AwgnChannel chan(sigma);
+      const int rv = code_.scheme().redundancy_version;
+      const auto e = static_cast<std::size_t>(code_.transmitted_bits());
+      // Per-worker buffers, reused by every frame: the claim's payloads,
+      // one codeword, and the claim's LLRs, transmitted in place.
       std::vector<std::uint8_t> info(k_payload *
                                      static_cast<std::size_t>(claim));
-      std::vector<double> llrs;
-      llrs.reserve(static_cast<std::size_t>(code_.transmitted_bits()) *
-                   static_cast<std::size_t>(claim));
+      std::vector<std::uint8_t> codeword(n);
+      std::vector<double> llrs(e * static_cast<std::size_t>(claim));
 
       while (true) {
         // Claim a contiguous chunk of frame indices (one frame when not
@@ -324,7 +342,6 @@ SweepPoint Simulator::run_point(double ebn0_db) {
         // Counter-based substream: frame f's bits and noise depend only on
         // (point_seed, f), never on the worker (or batch slot) that runs
         // it.
-        llrs.clear();
         for (int i = 0; i < count; ++i) {
           const int f = f0 + i;
           util::Xoshiro256 rng(util::substream_seed(
@@ -333,17 +350,20 @@ SweepPoint Simulator::run_point(double ebn0_db) {
               info.data() + static_cast<std::size_t>(i) * k_payload,
               k_payload};
           enc::random_bits(rng, frame_info);
-          const auto cw = encoder->encode(frame_info);
-          const auto llr =
-              transmit_llrs(code_, cw, config_.modulation, sigma, rng);
-          llrs.insert(llrs.end(), llr.begin(), llr.end());
+          encoder->encode(frame_info, codeword);
+          transmit_llrs_into(
+              code_, codeword, config_.modulation, chan, rng, rv,
+              std::span<double>(llrs).subspan(static_cast<std::size_t>(i) * e,
+                                              e));
         }
+        const std::span<const double> claimed(
+            llrs.data(), static_cast<std::size_t>(count) * e);
 
         std::vector<DecodeOutcome> outs;
         if (decode_batch) {
-          outs = decode_batch(llrs);
+          outs = decode_batch(claimed);
         } else {
-          outs.push_back(decode(llrs));
+          outs.push_back(decode(claimed));
         }
         if (outs.size() != static_cast<std::size_t>(count))
           throw std::logic_error("Simulator: batch outcome count");

@@ -121,22 +121,28 @@ std::vector<double> NandReadLadder::read(const codes::QCCode& code,
   }
 
   // Programmed voltages are keyed on the content alone; the rung's read
-  // noise comes from its own substream. Both are drawn bit-sequentially,
-  // so read() is pure in its arguments.
+  // noise comes from its own substream. Each stream is drawn in cell order
+  // (block fills: the programming noise straight into the output, which
+  // each cell then overwrites with its LLR), so read() is pure in its
+  // arguments.
   util::Xoshiro256 program_rng(
       util::substream_seed(content_key, kProgramStream));
   util::Xoshiro256 read_rng(util::substream_seed(
       content_key, kReadStreamBase + static_cast<std::uint64_t>(rung)));
 
+  // Branch-free per cell (codeword bits and bins are data): the level is
+  // indexed, and the bin is the count of thresholds below y (they ascend).
+  const double level[2] = {1.0, -1.0};
   std::vector<double> llrs(codeword.size());
-  for (std::size_t i = 0; i < codeword.size(); ++i) {
-    const double s = codeword[i] ? -1.0 : 1.0;
-    const double v = s + config_.program_sigma * program_rng.gaussian();
-    const double y = v + r.read_sigma * read_rng.gaussian();
+  program_rng.fill_gaussian(llrs);
+  util::for_each_gaussian(read_rng, llrs.size(), [&](std::size_t i,
+                                                     double g) {
+    const double v = level[codeword[i] != 0] + config_.program_sigma * llrs[i];
+    const double y = v + r.read_sigma * g;
     std::size_t bin = 0;
-    while (bin < thresholds.size() && y > thresholds[bin]) ++bin;
+    for (const double t : thresholds) bin += y > t ? 1 : 0;
     llrs[i] = bin_llr[bin];
-  }
+  });
   return llrs;
 }
 

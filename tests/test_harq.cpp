@@ -342,6 +342,51 @@ TEST(HarqCombining, UncoveredPositionsStayExactZeroErasures) {
   EXPECT_EQ(nonzero_uncovered, 0);
 }
 
+TEST(RvExtraction, TransmitWalkEqualsExtractModulateDemap) {
+  // sim::transmit_llrs walks the transmit index map itself; it must equal
+  // extract_transmitted -> modulate -> transmit_demap on the same noise
+  // stream for every rv window shape (fillers, wraparound repetition) and
+  // both modulations, and a degenerate scheme transmits the whole
+  // codeword in order.
+  struct Case {
+    codes::Rate rate;
+    int z;
+    int e;
+    int fillers;
+  };
+  const Case cases[] = {
+      {codes::Rate::kR13, 96, 5000, 120},          // BG1, fillers
+      {codes::Rate::kR13, 36, 66 * 36 + 500, 0},   // BG1, E > sendable
+      {codes::Rate::kR15, 36, 1500, 40},           // BG2, fillers
+  };
+  const channel::AwgnChannel chan(0.9);
+  for (const Case& c : cases) {
+    const auto code = codes::make_nr_code(c.rate, c.z, c.e, c.fillers);
+    const auto cw = random_codeword(code, 0x7A5u ^ c.z);
+    for (const auto mod :
+         {channel::Modulation::kBpsk, channel::Modulation::kQpsk}) {
+      for (int rv = 0; rv < 4; ++rv) {
+        std::vector<std::uint8_t> tx(
+            static_cast<std::size_t>(code.transmitted_bits()));
+        code.extract_transmitted(cw, tx, rv);
+        util::Xoshiro256 a(rv + 1), b(rv + 1);
+        const auto want = chan.transmit_demap(channel::modulate(tx, mod), a);
+        EXPECT_EQ(sim::transmit_llrs(code, cw, mod, chan, b, rv), want)
+            << code.name() << " rv" << rv;
+      }
+    }
+  }
+  const auto classic = codes::make_code(
+      {codes::Standard::kWimax80216e, codes::Rate::kR12, 24});
+  const auto cw = random_codeword(classic, 5);
+  util::Xoshiro256 a(3), b(3);
+  const auto want = chan.transmit_demap(
+      channel::modulate(cw, channel::Modulation::kBpsk), a);
+  EXPECT_EQ(sim::transmit_llrs(classic, cw, channel::Modulation::kBpsk, 0.9,
+                               b),
+            want);
+}
+
 // ---------------------------------------------------------------------------
 // Contract 3: channel models.
 

@@ -350,10 +350,14 @@ TEST(StreamBatchEngine, ForceScalarEnvKnobLowersDispatch) {
 
 TEST(StreamBatchEngine, ValidatesConfigAndLaneWidth) {
   core::DecoderConfig cfg = stream_config();
-  // The default config selects int16 lanes: valid widths are 16 and 32.
-  EXPECT_THROW(core::StreamBatchEngine(cfg, 7), std::invalid_argument);
-  EXPECT_THROW(core::StreamBatchEngine(cfg, 8), std::invalid_argument);
-  EXPECT_THROW(core::StreamBatchEngine(cfg, 64), std::invalid_argument);
+  // Over int16 lanes (the default config's type, pinned here because the
+  // LDPC_LANE_TYPE preference may widen the auto-selected one) the valid
+  // widths are 16 and 32.
+  const auto int16 = kernels::LaneType::kInt16;
+  EXPECT_THROW(core::StreamBatchEngine(cfg, 7, int16), std::invalid_argument);
+  EXPECT_THROW(core::StreamBatchEngine(cfg, 8, int16), std::invalid_argument);
+  EXPECT_THROW(core::StreamBatchEngine(cfg, 64, int16),
+               std::invalid_argument);
   // Width validation is per chosen type: 32 lanes of int32 is no engine.
   EXPECT_THROW(core::StreamBatchEngine(cfg, 32, kernels::LaneType::kInt32),
                std::invalid_argument);
