@@ -105,10 +105,10 @@ int main(int argc, char** argv) {
   const double step = args.get_or("step", 0.5);
   for (double db = from; db <= to + 1e-9; db += step) {
     for (const Entry& e : entries) {
-      // Quantized min-sum-family rows use the batched factory: the SoA
-      // lockstep kernel fills its lanes inside each worker (same
-      // statistics), so the ladder also exercises the SIMD datapath the
-      // narrow lanes ship through.
+      // Quantized min-sum-family rows use the batched factory: each
+      // worker's claim is one refill queue of the SoA lane-refill engine
+      // (same statistics), so the ladder also exercises the SIMD datapath
+      // the narrow lanes ship through.
       const bool batched = core::is_min_sum(e.config.kernel) &&
                            e.config.datapath == core::Datapath::kQuantized;
       sim::Simulator s =

@@ -4,22 +4,26 @@
 // core::LayerEngineT<std::int32_t> of the same block-serial datapath the
 // functional decoder executes, so the chip model is bit-accurate to the
 // configured word lengths (a float-datapath config is rejected: silicon
-// has no IEEE doubles) — under the chip's optimised layer schedule, with
-// an arch::HardwareObserver attached that counts every memory-port use,
-// the shifter word traffic, and the pipeline cycles (including stalls and
-// shifter latency) from the cycle-level pipeline model. Because the
-// arithmetic is the single engine implementation, the chip's hard decisions
-// are bit-identical to core::ReconfigurableDecoder by construction; tests
-// lock this across every registered code mode.
+// has no IEEE doubles) — under the chip's optimised layer schedule.
+// Because the arithmetic is the single engine implementation, the chip's
+// hard decisions are bit-identical to core::ReconfigurableDecoder by
+// construction; tests lock this across every registered code mode.
+//
+// Hardware statistics are closed-form in the iteration count. The chip
+// runs every layer of every iteration in full and only stops after a
+// complete iteration, so each iteration costs the same memory-port uses,
+// shifter words and pipeline cycles (the cycle-level pipeline model's
+// steady-state timing of the programmed order, stalls and shifter latency
+// included); one drain closes the frame. A frame's stats are therefore
+// that per-iteration activity times its iterations plus the drain, on
+// every decode path.
 //
 // decode_batch_quantised() on a min-sum configuration streams the whole
 // batch through the continuous SIMD lane-refill kernel (core::StreamBatchEngine)
 // under the programmed layer order — a lane whose frame stops early is
 // reloaded with the next pending frame mid-flight instead of idling until
-// the batch drains — and then derives each frame's hardware statistics in
-// closed form from its iteration count (every counter is linear in it), so
-// they are identical to per-frame decoding while the arithmetic runs
-// several frames per vector.
+// the batch drains — so the arithmetic runs several frames per vector
+// while each frame's stats stay those of a per-frame decode.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +32,6 @@
 #include <vector>
 
 #include "ldpc/arch/circular_shifter.hpp"
-#include "ldpc/arch/hardware_observer.hpp"
 #include "ldpc/arch/pipeline.hpp"
 #include "ldpc/codes/qc_code.hpp"
 #include "ldpc/core/decoder.hpp"
@@ -125,24 +128,19 @@ class DecoderChip {
       std::span<const core::QuantisedFrame* const> frames);
 
  private:
-  ChipDecodeResult decode_quantized();
   /// Stores the programmed schedule's timing and derives per_iteration_.
   void program_timing(IterationTiming timing);
+  /// Widens one stored frame into raw_ and runs the scalar engine on it.
+  ChipDecodeResult run_widened(const core::QuantisedFrame& frame);
   /// Builds a frame's stats in closed form: per_iteration_ times the
-  /// iteration count plus the drain, exactly what the observer counts
-  /// when the frame runs through the per-event hooks (used by the batched
-  /// path, whose kernel bypasses them).
-  ChipDecodeResult finish_batched(core::FixedDecodeResult functional);
-  /// Completes `stats` with the configuration-level fields.
-  ChipDecodeResult finish(core::FixedDecodeResult functional,
-                          ChipDecodeStats stats) const;
+  /// iteration count plus the drain, with the configuration-level fields.
+  ChipDecodeResult frame_stats(core::FixedDecodeResult functional) const;
 
   ChipDimensions dims_;
   const codes::QCCode* code_ = nullptr;
 
   core::LayerEngine engine_;  // the fixed-point (int32) instantiation
   std::optional<core::StreamBatchEngine> stream_engine_;
-  HardwareObserver observer_;
   std::optional<PipelineModel> pipeline_;
   std::vector<int> order_;
   IterationTiming timing_;

@@ -94,24 +94,20 @@ class FramePipeline {
  public:
   FramePipeline(DecoderChip& chip, FramePipelineConfig config = {});
 
-  /// Decodes one frame of channel LLRs (size transmitted_bits()) for
-  /// `code`, reconfiguring first if the chip currently holds a different
-  /// code. Returns the chip result; pipeline accounting accumulates in
-  /// stats().
-  ChipDecodeResult decode_frame(const codes::QCCode& code,
-                                std::span<const double> llr);
-
   /// Decodes a same-mode burst of pre-deposited size-n raw codes (one-
-  /// shot sim::quantise_llrs frames or HARQ combined soft state) through
-  /// DecoderChip::decode_batch_quantised: one reconfiguration amortised
-  /// over the burst, and the continuous SIMD lane-refill kernel when the
-  /// decoder config allows it — the burst is one refill queue. Per-frame
-  /// results and the modeled cycle accounting stay bit-identical to
-  /// calling decode_frame in a loop on the frames' source LLRs (the chip
+  /// shot sim::quantise_llrs frames or HARQ combined soft state) for
+  /// `code` through DecoderChip::decode_batch_quantised, reconfiguring
+  /// first if the chip currently holds a different code: one
+  /// reconfiguration amortised over the burst, and the continuous SIMD
+  /// lane-refill kernel when the decoder config allows it — the burst is
+  /// one refill queue. Per-frame results and the modeled cycle accounting
+  /// are bit-identical to decoding the frames one at a time (the chip
   /// model is a serial device; host-side lane parallelism never leaks
   /// into the modeled cycles) — test-locked. The modeled chip interface
   /// still receives transmitted_bits() soft words per frame: the host-
-  /// side representation is not the modeled wire format.
+  /// side representation is not the modeled wire format. A burst that is
+  /// empty or holds a frame failing QuantisedFrame::valid_for(code.n())
+  /// throws std::invalid_argument before the chip or the ledger changes.
   BurstDecodeResult decode_burst_quantised(
       const codes::QCCode& code,
       std::span<const core::QuantisedFrame* const> frames);

@@ -70,12 +70,9 @@ void DecoderChip::set_layer_order(std::span<const int> order) {
 
 void DecoderChip::program_timing(IterationTiming timing) {
   timing_ = std::move(timing);
-  observer_.set_timing({.cycles_per_iteration = timing_.cycles_per_iteration,
-                        .stalls_per_iteration = timing_.total_stalls,
-                        .drain_cycles = timing_.drain_cycles});
-  // What the observer counts per executed iteration: every block is
-  // fetched and written back once through the shifter, and each of its z
-  // rows reads and writes one Lambda word.
+  // The activity of one executed iteration: every block is fetched and
+  // written back once through the shifter, and each of its z rows reads
+  // and writes one Lambda word.
   const long long blocks = code_->nonzero_blocks();
   const long long rows = blocks * code_->z();
   per_iteration_ = {.cycles = timing_.cycles_per_iteration,
@@ -96,7 +93,7 @@ ChipDecodeResult DecoderChip::decode(std::span<const double> llr) {
   if (llr.size() != static_cast<std::size_t>(code_->transmitted_bits()))
     throw std::invalid_argument("DecoderChip::decode: llr size");
   engine_.deposit(llr, raw_);
-  return decode_quantized();
+  return frame_stats(engine_.run(raw_, order_));
 }
 
 std::vector<ChipDecodeResult> DecoderChip::decode_batch_quantised(
@@ -124,66 +121,49 @@ std::vector<ChipDecodeResult> DecoderChip::decode_batch_quantised(
     std::vector<core::FixedDecodeResult> functional(frames.size());
     stream_engine_->decode_quantised(frames, order_, functional);
     for (auto& f : functional)
-      results.push_back(finish_batched(std::move(f)));
+      results.push_back(frame_stats(std::move(f)));
     return results;
   }
-  // Non-min-sum fallback: widen each frame's stored codes into the raw
-  // int32 buffer the engine runs on (the same staging the stream engine
-  // performs) and decode per frame.
-  for (const core::QuantisedFrame* f : frames) {
-    switch (f->type) {
-      case core::kernels::LaneType::kInt8: {
-        const auto codes = f->as<std::int8_t>();
-        std::copy(codes.begin(), codes.end(), raw_.begin());
-        break;
-      }
-      case core::kernels::LaneType::kInt16: {
-        const auto codes = f->as<std::int16_t>();
-        std::copy(codes.begin(), codes.end(), raw_.begin());
-        break;
-      }
-      case core::kernels::LaneType::kInt32: {
-        const auto codes = f->as<std::int32_t>();
-        std::copy(codes.begin(), codes.end(), raw_.begin());
-        break;
-      }
-    }
-    results.push_back(decode_quantized());
-  }
+  // Non-min-sum fallback: the scalar engine per frame.
+  for (const core::QuantisedFrame* f : frames)
+    results.push_back(run_widened(*f));
   return results;
 }
 
-ChipDecodeResult DecoderChip::finish_batched(
-    core::FixedDecodeResult functional) {
+ChipDecodeResult DecoderChip::run_widened(const core::QuantisedFrame& frame) {
+  // Widen the stored codes into the raw int32 buffer the engine runs on
+  // (the same staging the stream engine performs).
+  const auto widen = [&](auto codes) {
+    std::copy(codes.begin(), codes.end(), raw_.begin());
+  };
+  switch (frame.type) {
+    case core::kernels::LaneType::kInt8:
+      widen(frame.as<std::int8_t>());
+      break;
+    case core::kernels::LaneType::kInt16:
+      widen(frame.as<std::int16_t>());
+      break;
+    case core::kernels::LaneType::kInt32:
+      widen(frame.as<std::int32_t>());
+      break;
+  }
+  return frame_stats(engine_.run(raw_, order_));
+}
+
+ChipDecodeResult DecoderChip::frame_stats(
+    core::FixedDecodeResult functional) const {
   const long long it = functional.iterations;
   const ChipDecodeStats& p = per_iteration_;
-  return finish(std::move(functional),
-                {.cycles = it * p.cycles + timing_.drain_cycles,
-                 .l_mem_reads = it * p.l_mem_reads,
-                 .l_mem_writes = it * p.l_mem_writes,
-                 .lambda_reads = it * p.lambda_reads,
-                 .lambda_writes = it * p.lambda_writes,
-                 .shifter_words = it * p.shifter_words});
-}
-
-ChipDecodeResult DecoderChip::decode_quantized() {
-  observer_.reset();
-  auto functional = engine_.run(raw_, order_, &observer_);
-  observer_.finish();
-  return finish(std::move(functional),
-                {.cycles = observer_.cycles(),
-                 .l_mem_reads = observer_.l_reads(),
-                 .l_mem_writes = observer_.l_writes(),
-                 .lambda_reads = observer_.lambda_reads(),
-                 .lambda_writes = observer_.lambda_writes(),
-                 .shifter_words = observer_.shifter_words()});
-}
-
-ChipDecodeResult DecoderChip::finish(core::FixedDecodeResult functional,
-                                     ChipDecodeStats stats) const {
-  stats.active_sisos = code_->z();
-  stats.idle_sisos = dims_.z_max - code_->z();
-  stats.stalls_per_iteration = timing_.total_stalls;
+  const ChipDecodeStats stats{
+      .cycles = it * p.cycles + timing_.drain_cycles,
+      .l_mem_reads = it * p.l_mem_reads,
+      .l_mem_writes = it * p.l_mem_writes,
+      .lambda_reads = it * p.lambda_reads,
+      .lambda_writes = it * p.lambda_writes,
+      .shifter_words = it * p.shifter_words,
+      .active_sisos = code_->z(),
+      .idle_sisos = dims_.z_max - code_->z(),
+      .stalls_per_iteration = timing_.total_stalls};
   functional.datapath_cycles = stats.cycles;
   return {std::move(functional), stats};
 }

@@ -38,27 +38,19 @@ void FramePipeline::account_frame(const codes::QCCode& code,
   stats_.payload_bits += code.payload_bits();
 }
 
-ChipDecodeResult FramePipeline::decode_frame(const codes::QCCode& code,
-                                             std::span<const double> llr) {
-  long long overhead = 0;
-  const bool needs_config = !chip_.configured() || &chip_.code() != &code;
-  if (needs_config) {
-    chip_.configure(code);
-    ++stats_.reconfigurations;
-    // Reconfiguration cannot overlap decoding: the schedule and bank
-    // activation change under the core.
-    overhead += config_.reconfigure_cycles;
-  }
-
-  ChipDecodeResult result = chip_.decode(llr);
-  account_frame(code, result.stats.cycles, io_cycles_per_frame(code),
-                overhead);
-  return result;
-}
-
 BurstDecodeResult FramePipeline::decode_burst_quantised(
     const codes::QCCode& code,
     std::span<const core::QuantisedFrame* const> frames) {
+  // Validate before touching the chip or the ledger, so a rejected burst
+  // leaves both as they were.
+  if (frames.empty())
+    throw std::invalid_argument(
+        "FramePipeline::decode_burst_quantised: empty burst");
+  for (const core::QuantisedFrame* f : frames)
+    if (!f || !f->valid_for(code.n()))
+      throw std::invalid_argument(
+          "FramePipeline::decode_burst_quantised: frame does not match "
+          "code " + code.name());
   const bool needs_config = !chip_.configured() || &chip_.code() != &code;
   if (needs_config) {
     chip_.configure(code);

@@ -1,21 +1,17 @@
 // Value-type policies for the templated layered datapath.
 //
 // core::LayerEngineT<V> runs the paper's read -> shift -> SISO -> write-back
-// loop over an arbitrary message value type V; everything numeric about a
-// value type — quantisation, the wider APP-word arithmetic, the message-bus
+// loop over a message value type V; everything numeric about a value
+// type — quantisation, the wider APP-word arithmetic, the message-bus
 // clip, the check-node f/g kernels — lives in its DatapathTraits
-// specialisation. Three datapaths are provided:
+// specialisation. Two datapaths are provided:
 //
 //   std::int32_t        raw codes under a *runtime* fixed::QFormat — the
 //                       bit-accurate model of the chip, with the word
 //                       length selectable per DecoderConfig (this is what
 //                       the quantization_sweep bench varies);
 //   double              the unquantised floating-point reference the
-//                       quantization-loss comparison measures against;
-//   fixed::Sat<m, f>    raw codes with the format fixed at compile time —
-//                       the "synthesised for one bus width" instantiation,
-//                       bit-exact against the runtime path for the same
-//                       Qm.f split.
+//                       quantization-loss comparison measures against.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +25,6 @@
 #include "ldpc/core/early_termination.hpp"
 #include "ldpc/core/siso.hpp"
 #include "ldpc/fixed/qformat.hpp"
-#include "ldpc/fixed/sat.hpp"
 
 namespace ldpc::core {
 
@@ -133,11 +128,11 @@ inline double g_op_exact(double s, double b, double clamp = 1e3) noexcept {
   return (s < 0.0) != (b < 0.0) ? -mag : mag;
 }
 
-/// Shared check-row schedule for the non-int32 datapaths: the same
-/// degree-1 / sum-subtract / forward-backward structure as the int32
-/// implementation behind SisoR2/R4 (siso.cpp), expressed over a pluggable
-/// f/g pair. A regression test locks LayerEngineT<fixed::Sat<8,2>> against
-/// the runtime-format engine so the two row implementations cannot drift.
+/// Check-row schedule of the float datapath: the same degree-1 /
+/// sum-subtract / forward-backward structure as the int32 implementation
+/// behind SisoR2/R4 (siso.cpp), expressed over a pluggable f/g pair. A
+/// regression test runs it over the int32 LUT f/g operators against the
+/// SISO cores so the two row implementations cannot drift.
 template <class V, class FOp, class GOp>
 void siso_row_generic(std::span<const V> lambda, std::span<V> lambda_new,
                       CnuArch arch, FOp&& f, GOp&& g, std::vector<V>& prefix,
@@ -293,87 +288,6 @@ struct DatapathTraits<double> {
   double minsum_offset;
   CnuArch arch;
   mutable std::vector<double> prefix_, suffix_;
-};
-
-/// Compile-time fixed-point datapath over fixed::Sat<m, f>: the same LUT
-/// f/g kernels as the runtime path, with the message format resolved at
-/// compile time. Bit-exact against DatapathTraits<std::int32_t> configured
-/// with QFormat(m, f) (locked by tests).
-template <int TotalBits, int FracBits>
-struct DatapathTraits<fixed::Sat<TotalBits, FracBits>> {
-  using value_type = fixed::Sat<TotalBits, FracBits>;
-
-  explicit DatapathTraits(const DecoderConfig& config)
-      : app_fmt(TotalBits + config.app_extra_bits, FracBits),
-        exclude_zero(config.exclude_zero_input),
-        minsum_offset(config.minsum_offset_raw),
-        arch(config.cnu_arch),
-        flut(CorrectionLut::Kind::kFPlus, value_type::format()),
-        glut(CorrectionLut::Kind::kGMinus, value_type::format()) {}
-
-  value_type quantize_llr(double llr) const noexcept {
-    value_type v = value_type::from_double(llr);
-    if (v.raw() == 0 && exclude_zero)
-      v = value_type::from_raw(llr < 0.0 ? -1 : 1);
-    return v;
-  }
-  /// Strongest positive prior at the widened APP format (matches the int32
-  /// path bit for bit).
-  value_type filler_value() const noexcept {
-    return value_type::from_raw(app_fmt.raw_max());
-  }
-  static bool is_negative(value_type v) noexcept { return v.raw() < 0; }
-  static value_type magnitude(value_type v) noexcept {
-    return value_type::from_raw(v.raw() < 0 ? -v.raw() : v.raw());
-  }
-  static value_type negate(value_type v) noexcept {
-    return value_type::from_raw(-v.raw());
-  }
-  value_type mag_max() const noexcept { return value_type::max(); }
-  /// Offset / normalization corrections in the raw domain — identical
-  /// arithmetic to the int32 path for the same Qm.f split.
-  value_type offset_correct(value_type mag) const noexcept {
-    const std::int32_t m = mag.raw() - minsum_offset;
-    return value_type::from_raw(m < 0 ? 0 : m);
-  }
-  static value_type normalize_correct(value_type mag) noexcept {
-    return value_type::from_raw(mag.raw() - (mag.raw() >> 2));
-  }
-  /// APP words ride in the same value type but saturate at the widened
-  /// format, mirroring how the int32 path carries APP-width codes.
-  value_type app_sub(value_type a, value_type b) const noexcept {
-    return value_type::from_raw(app_fmt.sub(a.raw(), b.raw()));
-  }
-  value_type app_add(value_type a, value_type b) const noexcept {
-    return value_type::from_raw(app_fmt.add(a.raw(), b.raw()));
-  }
-  static value_type clip_msg(value_type v) noexcept {
-    return value_type::from_raw(value_type::saturate_raw(v.raw()));
-  }
-  value_type et_threshold(const EarlyTermination::Config& c) const noexcept {
-    return value_type::from_raw(c.threshold_raw);
-  }
-  void siso_row(std::span<const value_type> lambda,
-                std::span<value_type> lambda_new, Radix /*radix*/) const {
-    const fixed::QFormat fmt = value_type::format();
-    siso_row_generic(
-        lambda, lambda_new, arch,
-        [&](value_type a, value_type b) {
-          return value_type::from_raw(f_op(a.raw(), b.raw(), flut, fmt));
-        },
-        [&](value_type s, value_type b) {
-          return value_type::from_raw(g_op(s.raw(), b.raw(), glut, fmt));
-        },
-        prefix_, suffix_);
-  }
-
-  fixed::QFormat app_fmt;
-  bool exclude_zero;
-  std::int32_t minsum_offset;
-  CnuArch arch;
-  CorrectionLut flut;
-  CorrectionLut glut;
-  mutable std::vector<value_type> prefix_, suffix_;
 };
 
 }  // namespace ldpc::core

@@ -10,15 +10,15 @@
 //                       the bit-accurate chip datapath (arch::DecoderChip
 //                       is wired to exactly this instantiation);
 //   FloatLayerEngine  = LayerEngineT<double>          the unquantised
-//                       reference for quantization-loss comparisons;
-//   LayerEngineT<fixed::Sat<m, f>>                    compile-time format.
+//                       reference for quantization-loss comparisons.
 //
-// The functional core::ReconfigurableDecoder runs the engine bare;
-// arch::DecoderChip runs the same (fixed-point) engine under an optimised
-// layer order with a hardware observer attached that accounts for memory
-// ports, shifter traffic and pipeline cycles. Because both decoders execute
-// this single implementation, their hard decisions are bit-identical by
-// construction (and locked by tests across every registered code mode).
+// The functional core::ReconfigurableDecoder runs the engine under the
+// natural layer order; arch::DecoderChip runs the same (fixed-point)
+// engine under an optimised layer order and prices memory ports, shifter
+// traffic and pipeline cycles in closed form from the iteration count.
+// Because both decoders execute this single implementation, their hard
+// decisions are bit-identical by construction (and locked by tests across
+// every registered code mode).
 #pragma once
 
 #include <algorithm>
@@ -53,29 +53,6 @@ struct FixedDecodeResult {
   /// Idealised SISO datapath cycles (one layer's rows run in parallel
   /// across z SISO cores, so each layer costs one row's cycles).
   long long datapath_cycles = 0;
-};
-
-/// Pluggable observation of the engine's schedule as it executes. The
-/// functional decoder attaches nothing (zero overhead beyond a null check
-/// per layer); the chip model attaches arch::HardwareObserver, which turns
-/// these events into memory-port counts, shifter traffic and pipeline
-/// cycles. All hooks default to no-ops.
-class LayerObserver {
- public:
-  virtual ~LayerObserver() = default;
-
-  /// Layer fetch phase: `degree` L-memory words (z lanes each) are read
-  /// and routed through the circular shifter.
-  virtual void on_layer_fetch(int /*layer*/, int /*degree*/, int /*z*/) {}
-  /// One check row absorbed and emitted by a SISO core: `degree` Lambda
-  /// messages read from and written back to the row's bank.
-  virtual void on_row(int /*layer*/, int /*degree*/) {}
-  /// Layer write-back phase: `degree` updated L words inverse-rotated and
-  /// written to the L-memory.
-  virtual void on_layer_writeback(int /*layer*/, int /*degree*/,
-                                  int /*z*/) {}
-  /// One full iteration (all layers) completed.
-  virtual void on_iteration(int /*iteration*/) {}
 };
 
 /// Idealised SISO datapath cycles of one check row: both stages (absorb +
@@ -302,8 +279,7 @@ class LayerEngineT {
   /// code's block rows (the caller validates; the chip's pipeline model
   /// does so when programming its schedule).
   FixedDecodeResult run(std::span<const V> llr_raw,
-                        std::span<const int> order = {},
-                        LayerObserver* observer = nullptr) {
+                        std::span<const int> order = {}) {
     if (!code_) throw std::logic_error("LayerEngine: not configured");
     const int n = code_->n();
     if (llr_raw.size() != static_cast<std::size_t>(n))
@@ -326,12 +302,11 @@ class LayerEngineT {
     const V threshold = traits_.et_threshold(config_.early_termination);
     for (int iter = 1; iter <= config_.max_iterations; ++iter) {
       if (order.empty()) {
-        for (int l = 0; l < j; ++l) cycles += process_layer(l, observer);
+        for (int l = 0; l < j; ++l) cycles += process_layer(l);
       } else {
-        for (int l : order) cycles += process_layer(l, observer);
+        for (int l : order) cycles += process_layer(l);
       }
       result.iterations = iter;
-      if (observer) observer->on_iteration(iter);
 
       // Decision making: x_n = sign(L_n).
       for (int v = 0; v < n; ++v)
@@ -402,25 +377,19 @@ class LayerEngineT {
   }
 
   /// |APP| of one L word as a double reliability key for the CRC flip
-  /// fallback (exact for every integer datapath; |LLR| for the float one).
+  /// fallback (exact for the integer datapath; |LLR| for the float one).
   static double mag_key(V v) noexcept {
-    if constexpr (std::is_arithmetic_v<V>) {
-      const double d = static_cast<double>(v);
-      return d < 0.0 ? -d : d;
-    } else {
-      const std::int32_t r = v.raw();
-      return static_cast<double>(r < 0 ? -r : r);
-    }
+    const double d = static_cast<double>(v);
+    return d < 0.0 ? -d : d;
   }
 
   /// One layer of the schedule; returns the layer's idealised datapath
   /// cycles (one row's cycles: the z rows run on parallel SISO cores).
-  int process_layer(int layer, LayerObserver* observer) {
+  int process_layer(int layer) {
     const int z = code_->z();
     const int deg =
         static_cast<int>(code_->layers()[static_cast<std::size_t>(layer)]
                              .size());
-    if (observer) observer->on_layer_fetch(layer, deg, z);
 
     for (int t = 0; t < z; ++t) {
       const int r = layer * z + t;
@@ -490,9 +459,7 @@ class LayerEngineT {
             traits_.app_add(lam_full_[static_cast<std::size_t>(e)],
                             lam_new_[static_cast<std::size_t>(e)]);
       }
-      if (observer) observer->on_row(layer, deg);
     }
-    if (observer) observer->on_layer_writeback(layer, deg, z);
     // All z rows of a layer run on parallel SISO cores: the layer costs
     // one row's cycles (rows share a degree within a layer).
     return row_datapath_cycles(config_.radix, deg);
@@ -523,6 +490,5 @@ using FloatLayerEngine = LayerEngineT<double>;
 
 extern template class LayerEngineT<std::int32_t>;
 extern template class LayerEngineT<double>;
-extern template class LayerEngineT<fixed::Msg8>;
 
 }  // namespace ldpc::core

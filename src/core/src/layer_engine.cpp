@@ -7,6 +7,5 @@ namespace ldpc::core {
 // re-instantiating the schedule.
 template class LayerEngineT<std::int32_t>;
 template class LayerEngineT<double>;
-template class LayerEngineT<fixed::Msg8>;
 
 }  // namespace ldpc::core

@@ -211,7 +211,8 @@ class Simulator {
   Simulator(const codes::QCCode& code, std::nullptr_t, SimConfig config);
 
   /// Batched engine: workers claim config.batch frames per grab and decode
-  /// them in one BatchDecodeFn call (SIMD lockstep inner loop). Statistics
+  /// them in one BatchDecodeFn call (the claim is one refill queue of the
+  /// SIMD lane-refill engine, core::StreamBatchEngine). Statistics
   /// remain bit-identical to the single-frame constructors for the same
   /// decoder arithmetic, at any thread count and any batch size.
   Simulator(const codes::QCCode& code, BatchDecoderFactory factory,

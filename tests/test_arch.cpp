@@ -10,7 +10,6 @@
 #include "ldpc/arch/circular_shifter.hpp"
 #include "ldpc/arch/decoder_chip.hpp"
 #include "ldpc/arch/frame_pipeline.hpp"
-#include "ldpc/arch/memory.hpp"
 #include "ldpc/arch/pipeline.hpp"
 #include "ldpc/arch/schedule_lock.hpp"
 #include "ldpc/arch/throughput.hpp"
@@ -134,68 +133,6 @@ TEST(CircularShifter, SingleLaneRingIsAlwaysIdentity) {
 
 TEST(CircularShifter, MuxCountForAreaModel) {
   EXPECT_EQ(CircularShifter(96).mux_count(), 7 * 96);
-}
-
-// ---- memories ---------------------------------------------------------------
-
-TEST(LMemory, ReadWriteRoundTripAndStats) {
-  arch::LMemory mem(4, 8);
-  std::vector<std::int32_t> word{1, 2, 3, 4, 5, 6};
-  mem.write(2, 6, word);
-  std::vector<std::int32_t> out(6);
-  mem.read(2, 6, out);
-  EXPECT_EQ(out, word);
-  EXPECT_EQ(mem.stats().reads, 1);
-  EXPECT_EQ(mem.stats().writes, 1);
-  mem.reset_stats();
-  EXPECT_EQ(mem.stats().reads, 0);
-}
-
-TEST(LMemory, LaneAccessorsBypassStats) {
-  arch::LMemory mem(2, 4);
-  mem.set_lane(1, 3, -7);
-  EXPECT_EQ(mem.lane(1, 3), -7);
-  EXPECT_EQ(mem.stats().reads + mem.stats().writes, 0);
-}
-
-TEST(LMemory, BoundsChecked) {
-  arch::LMemory mem(2, 4);
-  std::vector<std::int32_t> buf(4);
-  EXPECT_THROW(mem.read(2, 4, buf), std::out_of_range);
-  EXPECT_THROW(mem.read(0, 5, buf), std::invalid_argument);
-  EXPECT_THROW(mem.lane(0, 4), std::out_of_range);
-}
-
-TEST(LambdaBanks, ActivationGatesAccess) {
-  arch::LambdaMemoryBanks banks(8, 4, 6);
-  banks.activate(4);
-  EXPECT_EQ(banks.active_banks(), 4);
-  banks.write(3, 0, 0, 42);
-  EXPECT_EQ(banks.read(3, 0, 0), 42);
-  // Banks 4..7 are deactivated: the control logic must never touch them.
-  EXPECT_THROW(banks.read(4, 0, 0), std::out_of_range);
-  EXPECT_THROW(banks.write(7, 0, 0, 1), std::out_of_range);
-}
-
-TEST(LambdaBanks, ActivationClearsContents) {
-  arch::LambdaMemoryBanks banks(4, 2, 3);
-  banks.activate(4);
-  banks.write(0, 1, 2, 99);
-  banks.activate(4);
-  EXPECT_EQ(banks.read(0, 1, 2), 0);
-}
-
-TEST(LambdaBanks, PerBankStats) {
-  arch::LambdaMemoryBanks banks(4, 2, 3);
-  banks.activate(2);
-  banks.write(0, 0, 0, 1);
-  banks.read(0, 0, 0);
-  banks.read(1, 1, 1);
-  EXPECT_EQ(banks.stats(0).reads, 1);
-  EXPECT_EQ(banks.stats(0).writes, 1);
-  EXPECT_EQ(banks.stats(1).reads, 1);
-  EXPECT_EQ(banks.total_reads(), 2);
-  EXPECT_EQ(banks.total_writes(), 1);
 }
 
 // ---- pipeline ---------------------------------------------------------------
@@ -443,6 +380,31 @@ TEST(Throughput, InvalidParamsThrow) {
                std::invalid_argument);
 }
 
+// The burst ingest domain: each transmitted frame quantised once
+// (sim::quantise_llrs), as the stream scheduler builds its bursts.
+struct QuantisedBurst {
+  std::vector<core::QuantisedFrame> frames;
+  std::vector<const core::QuantisedFrame*> ptrs;
+
+  QuantisedBurst(const codes::QCCode& code, const core::DecoderConfig& cfg,
+                 std::span<const double> llrs) {
+    const auto tx = static_cast<std::size_t>(code.transmitted_bits());
+    for (std::size_t off = 0; off < llrs.size(); off += tx)
+      frames.push_back(sim::quantise_llrs(code, cfg, llrs.subspan(off, tx)));
+    for (const auto& f : frames) ptrs.push_back(&f);
+  }
+};
+
+// Decodes one frame of channel LLRs through `pipe` as a one-frame
+// quantised burst (the per-frame reference of the burst tests).
+arch::ChipDecodeResult decode_one(arch::FramePipeline& pipe,
+                                  const core::DecoderConfig& cfg,
+                                  const codes::QCCode& code,
+                                  std::span<const double> llr) {
+  return pipe.decode_burst_quantised(code, QuantisedBurst(code, cfg, llr).ptrs)
+      .frames.front();
+}
+
 // ---- decoder chip -----------------------------------------------------------
 
 struct ChipChain {
@@ -487,9 +449,9 @@ TEST(ChipDimensions, FitsChecksAllLimits) {
 }
 
 TEST(DecoderChip, MatchesFunctionalDecoderBitExactly) {
-  // The structural model (memories + shifter + banks) must reproduce the
-  // functional decoder exactly when running the same layer order. This
-  // validates the shifter routing and bank addressing.
+  // The chip model must reproduce the functional decoder exactly when
+  // running the same layer order: both execute the one fixed-point
+  // engine, so the programmed schedule is the only difference.
   ChipChain chain({Standard::kWimax80216e, Rate::kR34A, 48}, 77);
   core::DecoderConfig cfg{.max_iterations = 5};
   arch::DecoderChip chip({}, cfg);
@@ -520,24 +482,94 @@ TEST(DecoderChip, DecodesWithOptimizedOrder) {
   }
 }
 
+// Every ChipDecodeStats field against values computed from the code and
+// the pipeline model alone, on every decode path: per-frame decode(), the
+// full-BP burst (scalar engine per frame) and the min-sum burst (lane-
+// refill kernel). ET and codeword stopping are on and the frames mix hard
+// and easy SNRs, so iterations vary across frames. The chip runs every
+// layer of every iteration in full, so each counter is linear in the
+// iteration count.
 TEST(DecoderChip, CountsMemoryAccesses) {
-  ChipChain chain({Standard::kWimax80216e, Rate::kR12, 24}, 5);
-  arch::DecoderChip chip({}, {.max_iterations = 1});
-  chip.configure(chain.code);
-  auto [cw, llr] = chain.frame(8.0);
-  const auto r = chip.decode(llr);
-  const long long e = chain.code.nonzero_blocks();
-  // Per iteration: one L read + one L write per non-zero block.
-  EXPECT_EQ(r.stats.l_mem_reads, e);
-  EXPECT_EQ(r.stats.l_mem_writes, e);
-  // Each of z SISO lanes reads and writes one Lambda message per block.
-  EXPECT_EQ(r.stats.lambda_reads, e * 24);
-  EXPECT_EQ(r.stats.lambda_writes, e * 24);
-  // Every block's L word crosses the shifter twice (forward + inverse).
-  EXPECT_EQ(r.stats.shifter_words, 2 * e);
-  EXPECT_EQ(r.stats.active_sisos, 24);
-  EXPECT_EQ(r.stats.idle_sisos, 96 - 24);
-  EXPECT_GT(r.stats.cycles, 0);
+  struct Case {
+    codes::QCCode code;
+    ChipDimensions dims;
+  };
+  const Case cases[] = {
+      {codes::make_code({Standard::kWimax80216e, Rate::kR12, 24}), {}},
+      {codes::make_code({Standard::kWlan80211n, Rate::kR34, 81}), {}},
+      // NR BG1 at the maximum lifting, rate-matched with fillers.
+      {codes::make_nr_code(Rate::kR13, 384, 12000, 176),
+       ChipDimensions::universal()}};
+  const int frames = 6;
+  for (const Case& c : cases) {
+    const codes::QCCode& code = c.code;
+    // The all-zero codeword over AWGN at 0, 2 and 6 dB Eb/N0 in turn.
+    const std::vector<std::uint8_t> zero(static_cast<std::size_t>(code.n()));
+    util::Xoshiro256 rng(0xC0DE + code.z());
+    std::vector<double> llrs;
+    for (int f = 0; f < frames; ++f) {
+      const double ebn0_db[] = {0.0, 2.0, 6.0};
+      const double sigma = channel::ebn0_to_sigma(
+          ebn0_db[f % 3], code.effective_rate(), channel::Modulation::kBpsk);
+      const auto one = sim::transmit_llrs(code, zero,
+                                          channel::Modulation::kBpsk, sigma,
+                                          rng);
+      llrs.insert(llrs.end(), one.begin(), one.end());
+    }
+    const auto tx = static_cast<std::size_t>(code.transmitted_bits());
+    const long long blocks = code.nonzero_blocks();
+    const long long edges = code.edges();
+    ASSERT_EQ(edges, blocks * code.z()) << code.name();
+
+    for (const core::Radix radix : {core::Radix::kR2, core::Radix::kR4}) {
+      std::set<int> iteration_mix;
+      for (const core::CnuKernel kernel :
+           {core::CnuKernel::kFullBp, core::CnuKernel::kMinSum}) {
+        core::DecoderConfig cfg;
+        cfg.max_iterations = 8;
+        cfg.radix = radix;
+        cfg.kernel = kernel;
+        cfg.stop_on_codeword = true;
+        cfg.early_termination.enabled = true;
+        arch::DecoderChip chip(c.dims, cfg);
+        chip.configure(code);
+        const arch::IterationTiming timing =
+            PipelineModel(code,
+                          {.radix = radix,
+                           .include_shifter_latency = true,
+                           .shifter_stages =
+                               CircularShifter(c.dims.z_max).latency_cycles(),
+                           .reorder_reads = true})
+                .analyze(chip.layer_order());
+        const auto check = [&](const arch::ChipDecodeResult& r,
+                               const char* path) {
+          const long long it = r.functional.iterations;
+          const auto& s = r.stats;
+          SCOPED_TRACE(code.name() + " " + path + " it=" + std::to_string(it));
+          EXPECT_EQ(s.l_mem_reads, it * blocks);
+          EXPECT_EQ(s.l_mem_writes, it * blocks);
+          EXPECT_EQ(s.lambda_reads, it * edges);
+          EXPECT_EQ(s.lambda_writes, it * edges);
+          EXPECT_EQ(s.shifter_words, 2 * it * blocks);
+          EXPECT_EQ(s.cycles,
+                    it * timing.cycles_per_iteration + timing.drain_cycles);
+          EXPECT_EQ(r.functional.datapath_cycles, s.cycles);
+          EXPECT_EQ(s.stalls_per_iteration, timing.total_stalls);
+          EXPECT_EQ(s.active_sisos, code.z());
+          EXPECT_EQ(s.idle_sisos, c.dims.z_max - code.z());
+          iteration_mix.insert(r.functional.iterations);
+        };
+        for (int f = 0; f < frames; ++f)
+          check(chip.decode(std::span<const double>(llrs).subspan(
+                    static_cast<std::size_t>(f) * tx, tx)),
+                "decode");
+        for (const auto& r : chip.decode_batch_quantised(
+                 QuantisedBurst(code, cfg, llrs).ptrs))
+          check(r, "burst");
+      }
+      EXPECT_GE(iteration_mix.size(), 2u) << code.name();
+    }
+  }
 }
 
 TEST(DecoderChip, ReconfiguresAcrossStandards) {
@@ -628,7 +660,7 @@ TEST(FramePipeline, AccountsDecodeAndIo) {
   arch::FramePipeline pipe(chip, {.io_bits_per_cycle = 64,
                                   .reconfigure_cycles = 32});
   auto [cw, llr] = chain.frame(3.0);
-  pipe.decode_frame(chain.code, llr);
+  decode_one(pipe, chip.decoder_config(), chain.code, llr);
   const auto& s = pipe.stats();
   EXPECT_EQ(s.frames, 1);
   EXPECT_EQ(s.reconfigurations, 1);
@@ -648,7 +680,7 @@ TEST(FramePipeline, NoReconfigurationForSameCode) {
   arch::FramePipeline pipe(chip);
   for (int f = 0; f < 3; ++f) {
     auto [cw, llr] = chain.frame(3.0);
-    pipe.decode_frame(chain.code, llr);
+    decode_one(pipe, chip.decoder_config(), chain.code, llr);
   }
   EXPECT_EQ(pipe.stats().reconfigurations, 1);  // only the first frame
   EXPECT_EQ(pipe.stats().frames, 3);
@@ -661,9 +693,9 @@ TEST(FramePipeline, ReconfiguresOnCodeSwitch) {
   arch::FramePipeline pipe(chip);
   for (int round = 0; round < 2; ++round) {
     auto [cw1, llr1] = a.frame(3.0);
-    pipe.decode_frame(a.code, llr1);
+    decode_one(pipe, chip.decoder_config(), a.code, llr1);
     auto [cw2, llr2] = b.frame(4.0);
-    pipe.decode_frame(b.code, llr2);
+    decode_one(pipe, chip.decoder_config(), b.code, llr2);
   }
   EXPECT_EQ(pipe.stats().reconfigurations, 4);  // every frame switches
 }
@@ -676,7 +708,7 @@ TEST(FramePipeline, UtilizationHighWhenDecodeBound) {
                                   .reconfigure_cycles = 0});
   for (int f = 0; f < 3; ++f) {
     auto [cw, llr] = chain.frame(3.0);
-    pipe.decode_frame(chain.code, llr);
+    decode_one(pipe, chip.decoder_config(), chain.code, llr);
   }
   EXPECT_GT(pipe.stats().core_utilization(), 0.9);
   EXPECT_GT(pipe.stats().sustained_bps(450e6), 0.0);
@@ -689,7 +721,7 @@ TEST(FramePipeline, StallsWhenIoBound) {
   arch::FramePipeline pipe(chip, {.io_bits_per_cycle = 1,
                                   .reconfigure_cycles = 0});
   auto [cw, llr] = chain.frame(6.0);
-  pipe.decode_frame(chain.code, llr);
+  decode_one(pipe, chip.decoder_config(), chain.code, llr);
   EXPECT_GT(pipe.stats().stall_cycles, 0);
   EXPECT_LT(pipe.stats().core_utilization(), 0.5);
 }
@@ -800,7 +832,7 @@ TEST(FramePipeline, NrRateMatchedIoAccounting) {
                            {.max_iterations = 2});
     arch::FramePipeline pipe(chip, {.io_bits_per_cycle = 64,
                                     .reconfigure_cycles = 32});
-    pipe.decode_frame(code, random_llrs(e_bits, 0xE0 + e_bits));
+    decode_one(pipe, chip.decoder_config(), code, random_llrs(e_bits, 0xE0 + e_bits));
     const int msg_bits = chip.decoder_config().format.total_bits();
     const long long payload = code.payload_bits();  // 22 * 96, no fillers
     EXPECT_EQ(payload, 2112);
@@ -822,7 +854,7 @@ TEST(FramePipeline, NrFillerModeAccounting) {
   arch::DecoderChip chip(ChipDimensions::universal(), {.max_iterations = 2});
   arch::FramePipeline pipe(chip, {.io_bits_per_cycle = 64,
                                   .reconfigure_cycles = 32});
-  pipe.decode_frame(code, random_llrs(static_cast<int>(tx), 0xF1));
+  decode_one(pipe, chip.decoder_config(), code, random_llrs(static_cast<int>(tx), 0xF1));
   const int msg_bits = chip.decoder_config().format.total_bits();
   EXPECT_EQ(pipe.stats().io_cycles,
             (tx * msg_bits + code.payload_bits() + 63) / 64);
@@ -848,25 +880,10 @@ TEST(FramePipelineStats, MergeAccumulatesEveryField) {
   EXPECT_EQ(a.elapsed_cycles(), 183);
 }
 
-// The burst ingest domain: each transmitted frame quantised once
-// (sim::quantise_llrs), as the stream scheduler builds its bursts.
-struct QuantisedBurst {
-  std::vector<core::QuantisedFrame> frames;
-  std::vector<const core::QuantisedFrame*> ptrs;
-
-  QuantisedBurst(const codes::QCCode& code, const core::DecoderConfig& cfg,
-                 std::span<const double> llrs) {
-    const auto tx = static_cast<std::size_t>(code.transmitted_bits());
-    for (std::size_t off = 0; off < llrs.size(); off += tx)
-      frames.push_back(sim::quantise_llrs(code, cfg, llrs.subspan(off, tx)));
-    for (const auto& f : frames) ptrs.push_back(&f);
-  }
-};
-
 TEST(FramePipeline, BurstMatchesPerFrameAccounting) {
   // decode_burst_quantised = one reconfiguration + the batch datapath;
-  // results and the stats ledger must equal a decode_frame loop over the
-  // frames' source LLRs.
+  // results and the stats ledger must equal decoding the same frames one
+  // at a time.
   ChipChain chain({Standard::kWimax80216e, Rate::kR12, 24}, 91);
   const core::DecoderConfig cfg{.max_iterations = 3};
   arch::DecoderChip chip_a({}, cfg), chip_b({}, cfg);
@@ -883,13 +900,13 @@ TEST(FramePipeline, BurstMatchesPerFrameAccounting) {
 
   std::vector<arch::ChipDecodeResult> single;
   for (int f = 0; f < frames; ++f)
-    single.push_back(one_by_one.decode_frame(
-        chain.code, std::span<const double>(llrs).subspan(f * tx, tx)));
+    single.push_back(decode_one(
+        one_by_one, cfg, chain.code,
+        std::span<const double>(llrs).subspan(f * tx, tx)));
   const auto burst = burst_pipe.decode_burst_quantised(
       chain.code, QuantisedBurst(chain.code, cfg, llrs).ptrs);
 
-  // Full-BP bursts run the structural datapath per frame: per-frame stats
-  // are reset between burst elements.
+  // Full-BP bursts run the scalar engine per frame.
   ASSERT_EQ(burst.frames.size(), static_cast<std::size_t>(frames));
   for (int f = 0; f < frames; ++f) {
     const auto& b = burst.frames[static_cast<std::size_t>(f)];
@@ -921,15 +938,17 @@ TEST(FramePipeline, WideMixedIterationBurstAccountingMatchesPerFrame) {
   // the continuous engine refills lanes mid-flight. The modeled chip is a
   // serial device: host-side lane parallelism must never leak into the
   // cycle ledger, so every stat and every per-frame elapsed share must
-  // still equal a decode_frame loop.
+  // still equal decoding the frames one at a time; and the lane-refill
+  // kernel must agree with the chip's scalar engine on the doubles.
   ChipChain chain({Standard::kWimax80216e, Rate::kR12, 96}, 17);
   core::DecoderConfig cfg;
   cfg.max_iterations = 10;
   cfg.kernel = core::CnuKernel::kMinSum;
   cfg.stop_on_codeword = true;
   cfg.early_termination.enabled = true;
-  arch::DecoderChip chip_a({}, cfg), chip_b({}, cfg);
+  arch::DecoderChip chip_a({}, cfg), chip_b({}, cfg), scalar_chip({}, cfg);
   arch::FramePipeline one_by_one(chip_a), burst_pipe(chip_b);
+  scalar_chip.configure(chain.code);
 
   const int frames = 40;
   const auto tx = static_cast<std::size_t>(chain.code.transmitted_bits());
@@ -943,8 +962,9 @@ TEST(FramePipeline, WideMixedIterationBurstAccountingMatchesPerFrame) {
 
   std::vector<arch::ChipDecodeResult> single;
   for (int f = 0; f < frames; ++f)
-    single.push_back(one_by_one.decode_frame(
-        chain.code, std::span<const double>(llrs).subspan(f * tx, tx)));
+    single.push_back(decode_one(
+        one_by_one, cfg, chain.code,
+        std::span<const double>(llrs).subspan(f * tx, tx)));
   const auto burst = burst_pipe.decode_burst_quantised(
       chain.code, QuantisedBurst(chain.code, cfg, llrs).ptrs);
 
@@ -970,6 +990,11 @@ TEST(FramePipeline, WideMixedIterationBurstAccountingMatchesPerFrame) {
         << "frame " << f;
     EXPECT_EQ(b.functional.datapath_cycles, s.functional.datapath_cycles)
         << "frame " << f;
+    const auto scalar = scalar_chip.decode(
+        std::span<const double>(llrs).subspan(f * tx, tx));
+    EXPECT_EQ(b.functional.bits, scalar.functional.bits) << "frame " << f;
+    EXPECT_EQ(b.functional.iterations, scalar.functional.iterations)
+        << "frame " << f;
     iteration_mix.insert(b.functional.iterations);
   }
   // The workload must actually be mixed-iteration, or this test would
@@ -986,6 +1011,50 @@ TEST(FramePipeline, WideMixedIterationBurstAccountingMatchesPerFrame) {
   long long elapsed = 0;
   for (const long long c : burst.frame_elapsed_cycles) elapsed += c;
   EXPECT_EQ(elapsed, burst_pipe.stats().elapsed_cycles());
+}
+
+TEST(FramePipeline, RejectedBurstLeavesLedgerAndChipUnchanged) {
+  // A burst that fails validation must throw before the pipeline counts a
+  // reconfiguration or reprograms the chip for the other code.
+  ChipChain a({Standard::kWimax80216e, Rate::kR12, 24}, 93);
+  ChipChain b({Standard::kWlan80211n, Rate::kR34, 81}, 94);
+  const core::DecoderConfig cfg{.max_iterations = 3};
+  arch::DecoderChip chip({}, cfg);
+  arch::FramePipeline pipe(chip);
+  const auto llr_a = a.frame(3.0).second;
+  decode_one(pipe, cfg, a.code, llr_a);
+  const arch::FramePipelineStats before = pipe.stats();
+
+  const auto llr_b = b.frame(4.0).second;
+  const QuantisedBurst sized_for_a(a.code, cfg, llr_a);
+  const QuantisedBurst sized_for_b(b.code, cfg, llr_b);
+  const std::vector<const core::QuantisedFrame*> mixed{
+      sized_for_b.ptrs.front(), sized_for_a.ptrs.front()};
+  const std::vector<const core::QuantisedFrame*> with_null{
+      sized_for_b.ptrs.front(), nullptr};
+  EXPECT_THROW(pipe.decode_burst_quantised(b.code, {}),
+               std::invalid_argument);
+  EXPECT_THROW(pipe.decode_burst_quantised(b.code, sized_for_a.ptrs),
+               std::invalid_argument);
+  EXPECT_THROW(pipe.decode_burst_quantised(b.code, mixed),
+               std::invalid_argument);
+  EXPECT_THROW(pipe.decode_burst_quantised(b.code, with_null),
+               std::invalid_argument);
+
+  EXPECT_EQ(&chip.code(), &a.code);
+  const arch::FramePipelineStats& after = pipe.stats();
+  EXPECT_EQ(after.frames, before.frames);
+  EXPECT_EQ(after.decode_cycles, before.decode_cycles);
+  EXPECT_EQ(after.io_cycles, before.io_cycles);
+  EXPECT_EQ(after.stall_cycles, before.stall_cycles);
+  EXPECT_EQ(after.reconfigurations, before.reconfigurations);
+  EXPECT_EQ(after.payload_bits, before.payload_bits);
+
+  // The pipeline still serves both codes afterwards.
+  EXPECT_EQ(pipe.decode_burst_quantised(b.code, sized_for_b.ptrs)
+                .frames.size(),
+            1u);
+  EXPECT_EQ(pipe.stats().reconfigurations, before.reconfigurations + 1);
 }
 
 TEST(Throughput, FillerModePayloadRegression) {

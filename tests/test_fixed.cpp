@@ -4,12 +4,10 @@
 #include <limits>
 
 #include "ldpc/fixed/qformat.hpp"
-#include "ldpc/fixed/sat.hpp"
 
 namespace {
 
 using ldpc::fixed::QFormat;
-using ldpc::fixed::Sat;
 
 TEST(QFormat, DefaultIsPaper8Bit) {
   const QFormat q;
@@ -158,45 +156,6 @@ TEST(QFormat, NegativeZeroQuantizesToPlusZero) {
   // level (no negative-zero code exists in two's complement).
   EXPECT_EQ(q.quantize(-0.124), 0);
   EXPECT_EQ(q.quantize(0.124), 0);
-}
-
-// ---- Sat<m, f>: the compile-time fixed-point value type ---------------------
-
-TEST(Sat, FormatAndBoundsMatchRuntimeQFormat) {
-  using M = ldpc::fixed::Msg8;  // Sat<8, 2>
-  EXPECT_EQ(M::kRawMax, QFormat(8, 2).raw_max());
-  EXPECT_EQ(M::kRawMin, QFormat(8, 2).raw_min());
-  EXPECT_EQ(M::format(), QFormat(8, 2));
-  EXPECT_DOUBLE_EQ(M::max().to_double(), QFormat(8, 2).value_max());
-}
-
-TEST(Sat, SaturatingArithmeticAtBothRails) {
-  using M = Sat<8, 2>;
-  EXPECT_EQ((M::max() + M::from_raw(1)).raw(), M::kRawMax);
-  EXPECT_EQ((M::min() - M::from_raw(1)).raw(), M::kRawMin);
-  EXPECT_EQ((M::from_raw(100) + M::from_raw(100)).raw(), 127);
-  EXPECT_EQ((M::from_raw(-100) - M::from_raw(100)).raw(), -127);
-  EXPECT_EQ((M::from_raw(50) - M::from_raw(30)).raw(), 20);
-  EXPECT_EQ((-M::min()).raw(), M::kRawMax);  // symmetric: no overflow
-  EXPECT_EQ(abs(M::min()).raw(), M::kRawMax);
-}
-
-TEST(Sat, QuantizeMatchesRuntimeFormatEverywhere) {
-  using M = Sat<6, 1>;
-  const QFormat q(6, 1);
-  for (double v = -20.0; v <= 20.0; v += 0.037)
-    ASSERT_EQ(M::from_double(v).raw(), q.quantize(v)) << v;
-  for (std::int32_t raw = M::kRawMin; raw <= M::kRawMax; ++raw)
-    ASSERT_EQ(M::from_double(M::from_raw(raw).to_double()).raw(), raw);
-}
-
-TEST(Sat, OrderingAndZero) {
-  using M = Sat<8, 2>;
-  EXPECT_TRUE(M::from_raw(-3) < M{});
-  EXPECT_TRUE(M{} < M::from_raw(1));
-  EXPECT_EQ(M{}.raw(), 0);
-  EXPECT_EQ(M::from_double(-0.0).raw(), 0);
-  EXPECT_EQ((-M{}).raw(), 0);  // negative zero collapses to the zero code
 }
 
 }  // namespace

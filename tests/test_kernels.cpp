@@ -213,7 +213,7 @@ const kernels::RowBounds kFull16{.app_lo = -32767, .app_hi = 32767,
 const kernels::RowBounds kWide16{.app_lo = -2047, .app_hi = 2047,
                                  .msg_lo = -127, .msg_hi = 127,
                                  .offset = 3, .norm = 1};
-const kernels::RowBounds kNarrowMsg8{.app_lo = -127, .app_hi = 127,
+const kernels::RowBounds kNarrowQ8{.app_lo = -127, .app_hi = 127,
                                      .msg_lo = -31, .msg_hi = 31,
                                      .offset = 0, .norm = 0};
 
@@ -239,7 +239,7 @@ TEST(Kernels, RowKernelMatrixMatchesScalarReference) {
     }
     // int8 lanes require the strict rails (everything within +/-127).
     for (const auto& bounds : {strict_bounds(0, 0), strict_bounds(2, 0),
-                               strict_bounds(0, 1), kNarrowMsg8}) {
+                               strict_bounds(0, 1), kNarrowQ8}) {
       for (const int deg : {2, 7, 19}) {
         for (const bool alias : {false, true}) {
           std::uint32_t seed = 101;

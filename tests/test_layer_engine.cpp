@@ -72,41 +72,6 @@ TEST(LayerEngine, NaturalOrderExplicitAndImplicitAgree) {
   EXPECT_EQ(ra.datapath_cycles, rb.datapath_cycles);
 }
 
-// Observer event counts must reflect the code structure exactly (the chip's
-// memory-port accounting is built on them).
-TEST(LayerEngine, ObserverSeesEveryEvent) {
-  struct Counter final : core::LayerObserver {
-    long long fetches = 0, rows = 0, writebacks = 0, iterations = 0;
-    long long fetch_words = 0, lambda_msgs = 0;
-    void on_layer_fetch(int, int degree, int) override {
-      ++fetches;
-      fetch_words += degree;
-    }
-    void on_row(int, int degree) override {
-      ++rows;
-      lambda_msgs += degree;
-    }
-    void on_layer_writeback(int, int, int) override { ++writebacks; }
-    void on_iteration(int) override { ++iterations; }
-  };
-  const auto code = codes::make_code(
-      {codes::Standard::kWimax80216e, codes::Rate::kR12, 24});
-  core::LayerEngine engine({.max_iterations = 2});
-  engine.reconfigure(code);
-  const auto llr = random_llrs(code, 23);
-  std::vector<std::int32_t> raw(llr.size());
-  engine.quantize(llr, raw);
-  Counter counter;
-  const auto r = engine.run(raw, {}, &counter);
-  ASSERT_EQ(r.iterations, 2);  // random LLRs never converge in 2 iters
-  EXPECT_EQ(counter.iterations, 2);
-  EXPECT_EQ(counter.fetches, 2LL * code.block_rows());
-  EXPECT_EQ(counter.writebacks, 2LL * code.block_rows());
-  EXPECT_EQ(counter.rows, 2LL * code.m());
-  EXPECT_EQ(counter.fetch_words, 2LL * code.nonzero_blocks());
-  EXPECT_EQ(counter.lambda_msgs, 2LL * code.edges());
-}
-
 // ---- the tentpole: functional == chip on EVERY registered mode --------------
 
 class EngineAllModes : public ::testing::TestWithParam<codes::CodeId> {};
@@ -172,38 +137,40 @@ TEST(BatchDecode, FunctionalBatchMatchesPerFrame) {
 
 // ---- templated datapaths ----------------------------------------------------
 
-// The compile-time Sat<8,2> instantiation must be bit-exact against the
-// runtime-format engine configured with the same Q5.2 split — this is the
-// lock that keeps the generic siso_row implementation and the int32 SISO
-// cores from drifting apart.
-TEST(TemplatedDatapath, SatEngineMatchesRuntimeFormatEngine) {
-  const auto code = codes::make_code(
-      {codes::Standard::kWimax80216e, codes::Rate::kR34A, 36});
+// siso_row_generic (the float datapath's row schedule) run over the int32
+// LUT f/g operators must be bit-exact against the SISO cores the runtime-
+// format engine uses — the lock that keeps the two row implementations
+// from drifting apart.
+TEST(TemplatedDatapath, GenericRowMatchesSisoCores) {
+  const fixed::QFormat fmt = fixed::kMessageFormat;
+  const core::CorrectionLut flut(core::CorrectionLut::Kind::kFPlus, fmt);
+  const core::CorrectionLut glut(core::CorrectionLut::Kind::kGMinus, fmt);
+  const auto f = [&](std::int32_t a, std::int32_t b) {
+    return core::f_op(a, b, flut, fmt);
+  };
+  const auto g = [&](std::int32_t s, std::int32_t b) {
+    return core::g_op(s, b, glut, fmt);
+  };
+  util::Xoshiro256 rng(0x5A7);
+  std::vector<std::int32_t> prefix, suffix;
   for (const core::CnuArch arch :
        {core::CnuArch::kForwardBackward, core::CnuArch::kSumSubtract}) {
-    for (const core::CnuKernel kernel :
-         {core::CnuKernel::kFullBp, core::CnuKernel::kMinSum}) {
-      core::DecoderConfig cfg{.max_iterations = 4,
-                              .kernel = kernel,
-                              .cnu_arch = arch,
-                              .early_termination = {.enabled = true}};
-      core::LayerEngine runtime(cfg);
-      core::LayerEngineT<fixed::Msg8> compiled(cfg);
-      runtime.reconfigure(code);
-      compiled.reconfigure(code);
-      const auto llr = random_llrs(code, 0x5A7 + static_cast<int>(arch));
-      std::vector<std::int32_t> raw(llr.size());
-      std::vector<fixed::Msg8> sat(llr.size());
-      runtime.quantize(llr, raw);
-      compiled.quantize(llr, sat);
-      for (std::size_t i = 0; i < raw.size(); ++i)
-        ASSERT_EQ(sat[i].raw(), raw[i]);
-      const auto rr = runtime.run(raw);
-      const auto rs = compiled.run(sat);
-      EXPECT_EQ(rs.bits, rr.bits);
-      EXPECT_EQ(rs.iterations, rr.iterations);
-      EXPECT_EQ(rs.early_terminated, rr.early_terminated);
-      EXPECT_EQ(rs.datapath_cycles, rr.datapath_cycles);
+    const core::SisoR2 r2(fmt, arch);
+    const core::SisoR4 r4(fmt, arch);
+    for (int d = 1; d <= 24; ++d) {
+      for (int trial = 0; trial < 50; ++trial) {
+        std::vector<std::int32_t> row(static_cast<std::size_t>(d));
+        for (auto& v : row)
+          v = static_cast<std::int32_t>(rng.uniform() * 255.0) - 127;
+        std::vector<std::int32_t> generic(row.size()), core2(row.size()),
+            core4(row.size());
+        core::siso_row_generic<std::int32_t>(row, generic, arch, f, g,
+                                             prefix, suffix);
+        r2.process(row, core2);
+        r4.process(row, core4);
+        ASSERT_EQ(generic, core2) << "d=" << d << " trial " << trial;
+        ASSERT_EQ(generic, core4) << "d=" << d << " trial " << trial;
+      }
     }
   }
 }
