@@ -8,7 +8,7 @@
 // StreamScheduler reference — the service's determinism contract. Any
 // mismatch prints to stderr and the bench exits non-zero, which is what
 // the CI smoke run checks. The table reports what the serving layer
-// controls: wall-clock frames/s, per-job latency percentiles, steals and
+// controls: wall-clock frames/s, per-job latency percentiles and
 // reconfigurations. A second sweep re-runs the binned policy with
 // pre-quantised submissions (TrafficSource::emit_quantised →
 // ServiceRequest::quantised), verified against the SAME reference.
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   util::Table t("live decode service: " + std::to_string(jobs) +
                 " mixed NR+WiMax jobs, wall clock");
   t.header({"policy", "workers", "wall kframes/s", "p50 us", "p99 us",
-            "steals", "reconfigs"});
+            "reconfigs"});
 
   struct PolicyCell {
     std::string name;
@@ -212,13 +212,10 @@ int main(int argc, char** argv) {
           policy.name + "/" + std::to_string(workers) + "w";
       deterministic &= verify(report, reference, label);
 
-      long long steals = 0;
-      for (const auto s : report.worker_steals) steals += s;
       t.row({policy.name, std::to_string(workers),
              util::fmt_fixed(report.wall_frames_per_sec() / 1e3, 1),
              util::fmt_group(report.wall_latency_percentile_ns(50.0) / 1000),
              util::fmt_group(report.wall_latency_percentile_ns(99.0) / 1000),
-             std::to_string(steals),
              std::to_string(report.totals.reconfigurations)});
       if (policy.name == "binned" || policy.name == "binned-quant") {
         JsonCell cell;

@@ -165,18 +165,14 @@ int main(int argc, char** argv) {
   }
   const auto live = service.finish();
 
-  long long steals = 0;
-  for (const auto s : live.worker_steals) steals += s;
   util::Table live_table("live decode service (" + std::to_string(workers) +
                          " worker threads, wall clock)");
-  live_table.header({"wall kframes/s", "p50 us", "p99 us", "steals",
-                     "reconfigs"});
+  live_table.header({"wall kframes/s", "p50 us", "p99 us", "reconfigs"});
   live_table.row({util::fmt_fixed(live.wall_frames_per_sec() / 1e3, 1),
                   util::fmt_group(live.wall_latency_percentile_ns(50.0) /
                                   1000),
                   util::fmt_group(live.wall_latency_percentile_ns(99.0) /
                                   1000),
-                  std::to_string(steals),
                   std::to_string(live.totals.reconfigurations)});
   std::cout << '\n';
   live_table.print(std::cout);

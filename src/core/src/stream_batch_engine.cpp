@@ -32,14 +32,21 @@ template <class T>
 void StreamBatchEngineT<T>::reconfigure(const codes::QCCode& code) {
   code_ = &code;
   const auto w = static_cast<std::size_t>(lanes_);
-  l_soa_.assign(static_cast<std::size_t>(code.n()) * w, 0);
-  lambda_soa_.assign(static_cast<std::size_t>(code.edges()) * w, 0);
+  // resize, not assign: no SoA word needs a value at reconfiguration.
+  // Under the refill discipline a lane's L column is merged and its Lambda
+  // entries are zeroed in-row before anything reads them, has_prev_ gates
+  // the ET scan's prev_hard read, every codeword scan rewrites hard_mask_,
+  // and dead lanes are never read — so a mode switch leaves the previous
+  // code's words in place (rail-bounded, like any dead lane's) instead of
+  // re-zeroing megabytes of state.
+  l_soa_.resize(static_cast<std::size_t>(code.n()) * w);
+  lambda_soa_.resize(static_cast<std::size_t>(code.edges()) * w);
   lam_full_.resize(static_cast<std::size_t>(code.max_check_degree()) * w);
   lam_.resize(static_cast<std::size_t>(code.max_check_degree()) * w);
   lrow_ptrs_.resize(static_cast<std::size_t>(code.max_check_degree()));
-  prev_hard_soa_.assign(static_cast<std::size_t>(code.k_info()) * w, 0);
+  prev_hard_soa_.resize(static_cast<std::size_t>(code.k_info()) * w);
   raw_scratch_.resize(static_cast<std::size_t>(code.n()) * w);
-  hard_mask_.assign(static_cast<std::size_t>(code.n()), 0);
+  hard_mask_.resize(static_cast<std::size_t>(code.n()));
   cycles_per_iteration_ = 0;
   for (const auto& layer : code.layers())
     cycles_per_iteration_ +=

@@ -10,9 +10,9 @@
 // content is pure in the submitter's data, the engines are bit-identical
 // to the scalar reference for any batching, and the layer order is fixed
 // per mode — so per-frame hard decisions and iteration counts cannot
-// depend on thread interleaving, queue capacity, stealing, or the
+// depend on thread interleaving, queue capacity, bin size or the
 // dispatch policy; they equal the modeled scheduler's results for the
-// same jobs (test-locked across worker counts / steal configs / queue
+// same jobs (test-locked across worker counts / batch sizes / queue
 // capacities).
 //
 // Serving mechanics:
@@ -36,13 +36,14 @@
 //                 disables binning: always the oldest job, one at a time
 //                 — with one worker that degenerates to FIFO exactly
 //                 (test-locked).
-//   Work stealing bin residue beyond one engine batch parks in the
-//                 owner's local deque; idle workers steal single jobs
-//                 from the BACK of a victim's deque (the jobs the victim
-//                 will reach last), keeping the farm busy when binning
-//                 skews work onto few workers.
+//   Ownership     a claim takes up to two engine batches of one mode;
+//                 the claiming worker decodes all of it, the residue
+//                 right after the first batch and without another
+//                 reconfiguration. Claimed jobs never move between
+//                 workers, and an idle worker simply blocks in the
+//                 queue's claim() until a job or the close arrives.
 //   Shutdown      finish() closes the queue, drains every queued and
-//                 parked job, joins the workers and returns the composed
+//                 claimed job, joins the workers and returns the composed
 //                 StreamReport (wall-clock frames/s and per-class p50/p99
 //                 latency next to the shared ledger totals).
 #pragma once
@@ -53,6 +54,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,10 +90,6 @@ struct ServiceConfig {
   std::size_t queue_capacity = 64;
   /// Full-queue behaviour of submit(); see Admission.
   Admission admission = Admission::kBlock;
-  /// Idle workers steal single jobs from the back of a victim's parked
-  /// bin residue (results are bit-identical either way; this only moves
-  /// work between threads).
-  bool work_stealing = true;
   /// Frames a worker decodes per engine dispatch. 0 = the engine's SIMD
   /// lane width (one full vector of frames).
   int max_local_batch = 0;
@@ -191,10 +189,8 @@ class DecodeService {
   struct Worker;
 
   void worker_main(int index);
-  std::size_t take_local(Worker& w, std::vector<QueuedJob>& bin);
-  std::size_t claim_central(Worker& w, std::vector<QueuedJob>& bin);
-  bool steal(int thief, std::vector<QueuedJob>& bin);
-  void decode_bin(int index, std::vector<QueuedJob>& bin);
+  std::size_t claim(const Worker& w, std::vector<QueuedJob>& claimed);
+  void decode_bin(int index, std::span<const QueuedJob> bin);
   std::size_t select_index(const std::deque<QueuedJob>& q, long long now,
                            int worker_mode) const;
   long long now_ns() const;

@@ -6,24 +6,23 @@
 //   capacity > 0   classic bounded queue: push blocks (or try_push fails)
 //                  while `capacity` items are waiting.
 //   capacity == 0  rendezvous: a push can only complete by handing the
-//                  item to a consumer that is already blocked in a
-//                  waiting pop — the strictest backpressure (no buffered
-//                  latency hiding at all). try_push succeeds only when a
-//                  consumer is waiting.
+//                  item to a consumer that is already blocked in claim()
+//                  — the strictest backpressure (no buffered latency
+//                  hiding at all). try_push succeeds only when a consumer
+//                  is waiting.
 //   close()        producers: push/try_push return false immediately
 //                  (blocked pushes wake and fail — a shutdown while full
 //                  rejects the stragglers instead of deadlocking).
-//                  Consumers: pops drain the remaining items, then return
-//                  nullopt.
+//                  Consumers: claims drain the remaining items, then
+//                  return 0.
 //
-// Consumers may pick WHICH waiting item to take: the *_select variants
-// call a selector under the queue lock with a const view of the deque
-// (index 0 = oldest) and remove the chosen index — this is how the
-// service implements EDF and reconfiguration-aware binning without a
-// priority-queue rebuild per policy. claim() extends that to a bin grab:
-// the selector picks a seed item and the claim sweeps the remaining items
-// in queue order, taking those the predicate accepts (same mode, same
-// class), up to a cap — one lock hold per dispatched batch.
+// claim() is the one consumer call: it blocks until an item waits, lets
+// a selector pick WHICH item seeds the take (under the queue lock, with a
+// const view of the deque, index 0 = oldest — this is how the service
+// implements EDF and reconfiguration-aware binning without a
+// priority-queue rebuild per policy), then sweeps the remaining items in
+// queue order, taking those a predicate accepts (same mode, same class),
+// up to a cap — one lock hold per dispatched bin.
 //
 // Plain mutex + two condition variables by design: every operation is
 // O(queue length) at worst and the queue hands out millisecond-scale
@@ -31,12 +30,10 @@
 // costing the selector/claim flexibility. TSan runs the whole thing in CI.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -77,74 +74,53 @@ class BoundedMpmcQueue {
     return true;
   }
 
-  /// Blocks until an item is available; nullopt once closed and drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++waiting_pop_;
-    // A rendezvous producer may only proceed while a consumer waits.
-    if (capacity_ == 0) not_full_.notify_all();
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    --waiting_pop_;
-    return take_locked(0);
-  }
-
-  /// Non-blocking: the oldest item, or nullopt when none is waiting.
-  std::optional<T> try_pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    return take_locked(0);
-  }
-
-  /// Waits up to `timeout` for an item, then removes the one the selector
-  /// picks: `selector(const std::deque<T>&) -> std::size_t` runs under
-  /// the queue lock (index 0 = oldest; an out-of-range return falls back
-  /// to the oldest). nullopt on timeout or when closed and drained.
-  template <class Selector>
-  std::optional<T> pop_select_for(Selector&& selector,
-                                  std::chrono::nanoseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++waiting_pop_;
-    if (capacity_ == 0) not_full_.notify_all();
-    not_empty_.wait_for(lock, timeout,
-                        [&] { return closed_ || !items_.empty(); });
-    --waiting_pop_;
-    if (items_.empty()) return std::nullopt;
-    std::size_t idx = selector(std::as_const(items_));
-    if (idx >= items_.size()) idx = 0;
-    return take_locked(idx);
-  }
-
-  /// Non-blocking bin grab: the selector picks a seed item, then the
-  /// remaining items are swept in queue order and every one accepted by
-  /// `pred(seed, candidate)` joins the bin, up to `max_total` items in
-  /// all. Taken items are appended to `out`; returns the count (0 when
-  /// the queue is empty or the selector declines by returning
-  /// out-of-range).
+  /// The one consumer call, a blocking bin grab. Waits while the queue is
+  /// empty (counting as a waiting consumer, so a rendezvous push can hand
+  /// off to it); then `selector(const std::deque<T>&) -> std::size_t`
+  /// picks a seed item under the queue lock (index 0 = oldest; an
+  /// out-of-range return falls back to the oldest), and the remaining
+  /// items are swept in queue order: every one accepted by
+  /// `pred(seed, candidate)` joins the bin, up to `max_total` items in all
+  /// (at least the seed). Taken items are appended to `out`, seed first;
+  /// the items left behind keep their order. Returns the count, which is
+  /// 0 only once the queue is closed and drained.
   template <class Selector, class Pred>
   std::size_t claim(Selector&& selector, Pred&& pred, std::size_t max_total,
                     std::vector<T>& out) {
     std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty() || max_total == 0) return 0;
-    const std::size_t idx = selector(std::as_const(items_));
-    if (idx >= items_.size()) return 0;
-    const std::size_t seed_at = out.size();
-    out.push_back(std::move(items_[idx]));
-    items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(idx));
+    ++waiting_;
+    // A rendezvous producer may only proceed while a consumer waits.
+    if (capacity_ == 0) not_full_.notify_all();
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    --waiting_;
+    if (items_.empty()) return 0;
+    std::size_t seed = selector(std::as_const(items_));
+    if (seed >= items_.size()) seed = 0;
+    const std::size_t first = out.size();
+    out.push_back(std::move(items_[seed]));
+    // One stable compaction pass: taken items leave holes that the kept
+    // items behind them close up, so each kept item moves at most once.
     std::size_t taken = 1;
-    for (std::size_t i = 0; i < items_.size() && taken < max_total;) {
-      if (pred(std::as_const(out[seed_at]), std::as_const(items_[i]))) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      if (i == seed) continue;
+      if (taken < max_total &&
+          pred(std::as_const(out[first]), std::as_const(items_[i]))) {
         out.push_back(std::move(items_[i]));
-        items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(i));
         ++taken;
       } else {
-        ++i;
+        if (kept != i) items_[kept] = std::move(items_[i]);
+        ++kept;
       }
     }
+    items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 items_.end());
     not_full_.notify_all();
     return taken;
   }
 
-  /// Wakes every blocked producer (push -> false) and consumer (pops
-  /// drain, then nullopt). Idempotent.
+  /// Wakes every blocked producer (push -> false) and consumer (claims
+  /// drain, then return 0). Idempotent.
   void close() {
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -152,12 +128,6 @@ class BoundedMpmcQueue {
     }
     not_full_.notify_all();
     not_empty_.notify_all();
-  }
-
-  /// True once close() has run (items may still be draining).
-  bool closed() const {
-    std::unique_lock<std::mutex> lock(mu_);
-    return closed_;
   }
 
   /// Items currently waiting (a snapshot — stale by the time it returns).
@@ -175,15 +145,7 @@ class BoundedMpmcQueue {
  private:
   bool can_push_locked() const {
     return capacity_ > 0 ? items_.size() < capacity_
-                         : items_.size() < waiting_pop_;
-  }
-
-  std::optional<T> take_locked(std::size_t idx) {
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_[idx]);
-    items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(idx));
-    not_full_.notify_one();
-    return item;
+                         : items_.size() < waiting_;
   }
 
   mutable std::mutex mu_;
@@ -191,7 +153,7 @@ class BoundedMpmcQueue {
   std::condition_variable not_empty_;
   std::deque<T> items_;
   std::size_t capacity_;
-  std::size_t waiting_pop_ = 0;
+  std::size_t waiting_ = 0;  // consumers blocked in claim()
   bool closed_ = false;
 };
 

@@ -186,7 +186,9 @@ struct StreamReport {
   // Live-service admission accounting (zero for the modeled scheduler).
   long long rejected_jobs = 0;
   long long rejected_payload_bits = 0;
-  /// Jobs stolen from another worker's local deque, per worker.
+  /// Always empty: a claimed job stays with the worker that claimed it,
+  /// so there are no steals to count. Kept only so that existing readers
+  /// that sum it still build; they read 0.
   std::vector<long long> worker_steals;
   /// First submit -> last completion on the service's wall clock.
   long long wall_elapsed_ns = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 
 #include "ldpc/arch/decoder_chip.hpp"
@@ -24,15 +23,9 @@ struct DecodeService::Worker {
   int mode = -1;  // currently configured mode (-1 = none)
   std::thread thread;
 
-  // Local deque of bin residue; the owner takes from the FRONT, thieves
-  // from the BACK, both under `mu`.
-  std::mutex mu;
-  std::deque<QueuedJob> local;
-
   // Written by the worker thread only; read by finish() after join().
   std::vector<StreamJob> records;
   arch::FramePipelineStats ledger;
-  long long steals = 0;
   std::exception_ptr error;
 };
 
@@ -161,32 +154,15 @@ std::size_t DecodeService::select_index(const std::deque<QueuedJob>& q,
   return 0;
 }
 
-std::size_t DecodeService::take_local(Worker& w,
-                                      std::vector<QueuedJob>& bin) {
-  std::unique_lock<std::mutex> lock(w.mu);
-  if (w.local.empty()) return 0;
-  // The front run shares one mode by construction (claims are same-mode
-  // bins), but a stolen-into future could break that — gate on it anyway.
-  const int mode = w.local.front().req.mode;
-  std::size_t taken = 0;
-  while (!w.local.empty() &&
-         taken < static_cast<std::size_t>(batch_) &&
-         w.local.front().req.mode == mode) {
-    bin.push_back(std::move(w.local.front()));
-    w.local.pop_front();
-    ++taken;
-  }
-  return taken;
-}
-
-std::size_t DecodeService::claim_central(Worker& w,
-                                         std::vector<QueuedJob>& bin) {
+std::size_t DecodeService::claim(const Worker& w,
+                                 std::vector<QueuedJob>& claimed) {
   auto selector = [&](const std::deque<QueuedJob>& q) {
     return select_index(q, now_ns(), w.mode);
   };
-  // Binning on: grab up to two engine batches of the seed's mode (the
-  // residue parks in the local deque and is stealable). Binning off:
-  // exactly the selected job, preserving strict dispatch order.
+  // Binning on: grab up to two engine batches of the seed's mode; the
+  // owner decodes the residue right after the first batch, without a
+  // reconfiguration. Binning off: exactly the selected job, preserving
+  // strict dispatch order.
   const std::size_t max_total =
       config_.max_bin_delay_ns > 0
           ? static_cast<std::size_t>(batch_) * 2
@@ -198,34 +174,10 @@ std::size_t DecodeService::claim_central(Worker& w,
     return seed.req.cls != TrafficClass::kDeadline &&
            cand.req.cls == seed.req.cls && cand.req.mode == seed.req.mode;
   };
-  const std::size_t taken = queue_.claim(selector, same_bin, max_total, bin);
-  if (taken > static_cast<std::size_t>(batch_)) {
-    // Park the residue beyond one engine dispatch in the local deque.
-    std::unique_lock<std::mutex> lock(w.mu);
-    for (std::size_t i = static_cast<std::size_t>(batch_); i < bin.size();
-         ++i)
-      w.local.push_back(std::move(bin[i]));
-    bin.resize(static_cast<std::size_t>(batch_));
-  }
-  return bin.size();
+  return queue_.claim(selector, same_bin, max_total, claimed);
 }
 
-bool DecodeService::steal(int thief, std::vector<QueuedJob>& bin) {
-  const int n = config_.workers;
-  for (int k = 1; k < n; ++k) {
-    Worker& victim = *workers_[static_cast<std::size_t>((thief + k) % n)];
-    std::unique_lock<std::mutex> lock(victim.mu);
-    if (victim.local.empty()) continue;
-    bin.push_back(std::move(victim.local.back()));
-    victim.local.pop_back();
-    lock.unlock();
-    workers_[static_cast<std::size_t>(thief)]->steals += 1;
-    return true;
-  }
-  return false;
-}
-
-void DecodeService::decode_bin(int index, std::vector<QueuedJob>& bin) {
+void DecodeService::decode_bin(int index, std::span<const QueuedJob> bin) {
   Worker& w = *workers_[static_cast<std::size_t>(index)];
   const int mode = bin.front().req.mode;
   const codes::QCCode& code = source_.code(mode);
@@ -292,29 +244,18 @@ void DecodeService::decode_bin(int index, std::vector<QueuedJob>& bin) {
 
 void DecodeService::worker_main(int index) {
   Worker& w = *workers_[static_cast<std::size_t>(index)];
-  std::vector<QueuedJob> bin;
+  // The claimed jobs belong to this worker alone: no other thread reads
+  // them, so the residue beyond one engine batch needs no lock.
+  std::vector<QueuedJob> claimed;
+  const auto batch = static_cast<std::size_t>(batch_);
   try {
-    for (;;) {
-      bin.clear();
-      if (take_local(w, bin) == 0 && claim_central(w, bin) == 0 &&
-          (!config_.work_stealing || !steal(index, bin))) {
-        auto selector = [&](const std::deque<QueuedJob>& q) {
-          return select_index(q, now_ns(), w.mode);
-        };
-        auto job = queue_.pop_select_for(selector,
-                                         std::chrono::microseconds(500));
-        if (job) {
-          bin.push_back(std::move(*job));
-        } else if (queue_.closed() && queue_.empty()) {
-          // Drained and closed; nothing local and nothing to steal (the
-          // checks above ran after the close), so the farm is done for
-          // this worker — victims can only shrink their own deques now.
-          break;
-        } else {
-          continue;
-        }
-      }
-      decode_bin(index, bin);
+    // claim() blocks while the queue is empty and returns 0 only once it
+    // is closed and drained.
+    while (claim(w, claimed) > 0) {
+      for (std::size_t at = 0; at < claimed.size(); at += batch)
+        decode_bin(index, std::span<const QueuedJob>(claimed).subspan(
+                              at, std::min(batch, claimed.size() - at)));
+      claimed.clear();
     }
   } catch (...) {
     w.error = std::current_exception();
@@ -343,12 +284,10 @@ StreamReport DecodeService::finish() {
 
   StreamReport report;
   report.worker_ledgers.reserve(workers_.size());
-  report.worker_steals.reserve(workers_.size());
   for (auto& w : workers_) {
     for (auto& rec : w->records) report.jobs.push_back(std::move(rec));
     report.worker_ledgers.push_back(w->ledger);
     report.totals.merge(w->ledger);
-    report.worker_steals.push_back(w->steals);
   }
   std::sort(report.jobs.begin(), report.jobs.end(),
             [](const StreamJob& a, const StreamJob& b) { return a.id < b.id; });

@@ -1,6 +1,6 @@
 // The live-service test battery: per-frame result determinism against the
-// modeled scheduler, MPMC-queue/work-stealing concurrency stress (run
-// under TSan in CI), and SLO/backpressure behaviour.
+// modeled scheduler, MPMC-queue and claimed-residue concurrency stress
+// (run under TSan in CI), and SLO/backpressure behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 #include <chrono>
 #include <latch>
 #include <map>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -129,12 +130,23 @@ void expect_matches_reference(const stream::StreamReport& got,
   }
 }
 
+// Most jobs one engine dispatch carried: the records of one bin share
+// their worker and their start and finish stamps.
+std::size_t largest_bin(const stream::StreamReport& report) {
+  std::map<std::tuple<int, long long, long long>, std::size_t> bins;
+  std::size_t most = 0;
+  for (const auto& rec : report.jobs)
+    most = std::max(
+        most, ++bins[{rec.worker, rec.wall_start_ns, rec.wall_finish_ns}]);
+  return most;
+}
+
 // ---- determinism battery ----------------------------------------------------
 // The tentpole guarantee: per-frame hard-decision hashes and iteration
 // counts from the live multi-threaded service are bit-identical to the
 // modeled single-threaded scheduler for the same traffic, at every worker
-// count, steal configuration and queue capacity. Thread interleaving may
-// only move work in time.
+// count, batch size and queue capacity. Thread interleaving may only move
+// work in time.
 
 TEST(DecodeServiceDeterminism, MatchesModeledSchedulerAcrossWorkerCounts) {
   const std::uint64_t seed = 0xD15C0;
@@ -145,7 +157,6 @@ TEST(DecodeServiceDeterminism, MatchesModeledSchedulerAcrossWorkerCounts) {
     ServiceConfig cfg;
     cfg.workers = workers;
     cfg.queue_capacity = 16;
-    cfg.work_stealing = true;
     cfg.decoder = service_decoder();
     const auto report = run_service(seed, njobs, cfg);
     expect_matches_reference(report, reference,
@@ -234,26 +245,6 @@ TEST(DecodeService, SubmitValidatesQuantisedPayloads) {
                            "validated quantised");
 }
 
-TEST(DecodeServiceDeterminism, StealHeavyAndStealFreeAgree) {
-  const std::uint64_t seed = 0x57EA1;
-  const int njobs = 48;
-  const auto reference = modeled_reference(seed, njobs);
-  for (const bool stealing : {true, false}) {
-    ServiceConfig cfg;
-    cfg.workers = 4;
-    cfg.queue_capacity = 16;
-    cfg.work_stealing = stealing;
-    // A long bin delay parks large same-mode bins in local deques — the
-    // steal-heavy shape; steal-free must still drain everything.
-    cfg.max_bin_delay_ns = 50'000'000;
-    cfg.max_local_batch = 2;  // small dispatches -> deep local deques
-    cfg.decoder = service_decoder();
-    const auto report = run_service(seed, njobs, cfg);
-    expect_matches_reference(report, reference,
-                             stealing ? "steal-heavy" : "steal-free");
-  }
-}
-
 TEST(DecodeServiceDeterminism, QueueCapacitiesAgree) {
   const std::uint64_t seed = 0xCAB;
   const int njobs = 48;
@@ -291,7 +282,7 @@ TEST(DecodeServiceDeterminism, LedgerConservationAndReportShape) {
   const auto report = service.finish();
   ASSERT_EQ(report.jobs.size(), static_cast<std::size_t>(njobs));
   ASSERT_EQ(report.worker_ledgers.size(), 3u);
-  ASSERT_EQ(report.worker_steals.size(), 3u);
+  EXPECT_TRUE(report.worker_steals.empty());  // no stealing: left unfilled
   EXPECT_EQ(report.rejected_jobs, 0);
   // Payload-bit conservation across the per-worker ledgers.
   long long ledger_payload = 0, ledger_frames = 0;
@@ -324,6 +315,17 @@ TEST(DecodeServiceDeterminism, LedgerConservationAndReportShape) {
 
 // ---- MPMC queue stress (runs under TSan in CI) ------------------------------
 
+// claim() arguments for a plain one-item take of the oldest waiting item.
+std::size_t oldest(const std::deque<int>&) { return 0; }
+bool never(const int&, const int&) { return false; }
+
+// One blocking claim of the oldest item; nullopt once closed and drained.
+std::optional<int> claim_one(BoundedMpmcQueue<int>& queue) {
+  std::vector<int> out;
+  if (queue.claim(oldest, never, 1, out) == 0) return std::nullopt;
+  return out.front();
+}
+
 TEST(BoundedMpmcQueue, ProducersOutnumberConsumersExactlyOnceDelivery) {
   BoundedMpmcQueue<int> queue(4);
   constexpr int kProducers = 8;
@@ -335,12 +337,18 @@ TEST(BoundedMpmcQueue, ProducersOutnumberConsumersExactlyOnceDelivery) {
       for (int i = 0; i < kPerProducer; ++i)
         ASSERT_TRUE(queue.push(p * kPerProducer + i));
     });
+  // Multi-item claims (same residue mod 3, up to 3 at a time) exercise
+  // the compaction pass under contention as well as the blocking wait.
+  auto same_mod3 = [](const int& seed, const int& cand) {
+    return seed % 3 == cand % 3;
+  };
   std::vector<std::vector<int>> taken(kConsumers);
   std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c)
-    consumers.emplace_back([&queue, &taken, c] {
-      while (auto item = queue.pop()) taken[static_cast<std::size_t>(c)]
-          .push_back(*item);
+    consumers.emplace_back([&queue, &taken, &same_mod3, c] {
+      auto& mine = taken[static_cast<std::size_t>(c)];
+      while (queue.claim(oldest, same_mod3, 3, mine) > 0) {
+      }
     });
   for (auto& t : producers) t.join();
   queue.close();
@@ -361,10 +369,10 @@ TEST(BoundedMpmcQueue, ZeroCapacityIsARendezvous) {
   // nowhere for the item to go.
   EXPECT_FALSE(queue.try_push(1));
   EXPECT_TRUE(queue.empty());
-  // A blocked consumer enables the handoff.
+  // A consumer blocked in claim() enables the handoff.
   std::atomic<int> received{-1};
   std::thread consumer([&] {
-    auto item = queue.pop();
+    auto item = claim_one(queue);
     ASSERT_TRUE(item.has_value());
     received.store(*item);
   });
@@ -374,7 +382,7 @@ TEST(BoundedMpmcQueue, ZeroCapacityIsARendezvous) {
   EXPECT_EQ(received.load(), 42);
   EXPECT_TRUE(queue.empty());
   // try_push succeeds only in the window where a consumer waits.
-  std::thread consumer2([&] { (void)queue.pop(); });
+  std::thread consumer2([&] { (void)claim_one(queue); });
   while (!queue.try_push(7)) std::this_thread::yield();
   consumer2.join();
   queue.close();
@@ -397,10 +405,10 @@ TEST(BoundedMpmcQueue, ShutdownWhileFullRejectsBlockedProducers) {
   queue.close();
   producer.join();
   EXPECT_FALSE(blocked_push_result.load());
-  // The two admitted items still drain after close; then nullopt.
-  EXPECT_EQ(queue.pop().value_or(-1), 1);
-  EXPECT_EQ(queue.pop().value_or(-1), 2);
-  EXPECT_FALSE(queue.pop().has_value());
+  // The two admitted items still drain after close; then 0.
+  EXPECT_EQ(claim_one(queue).value_or(-1), 1);
+  EXPECT_EQ(claim_one(queue).value_or(-1), 2);
+  EXPECT_FALSE(claim_one(queue).has_value());
 }
 
 TEST(BoundedMpmcQueue, CloseWakesBlockedConsumers) {
@@ -409,7 +417,7 @@ TEST(BoundedMpmcQueue, CloseWakesBlockedConsumers) {
   std::vector<std::thread> consumers;
   for (int c = 0; c < 3; ++c)
     consumers.emplace_back([&] {
-      EXPECT_FALSE(queue.pop().has_value());
+      EXPECT_FALSE(claim_one(queue).has_value());
       woke.fetch_add(1);
     });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -420,54 +428,77 @@ TEST(BoundedMpmcQueue, CloseWakesBlockedConsumers) {
 
 TEST(BoundedMpmcQueue, SelectorAndClaimPickUnderTheLock) {
   BoundedMpmcQueue<int> queue(8);
-  for (const int v : {3, 8, 1, 6, 4}) ASSERT_TRUE(queue.push(v));
-  // Selector picks the largest waiting item.
+  for (const int v : {3, 8, 1, 6, 4, 7, 2}) ASSERT_TRUE(queue.push(v));
+  // Selector picks the largest waiting item; nothing joins it.
   auto largest = [](const std::deque<int>& q) {
     return static_cast<std::size_t>(
         std::max_element(q.begin(), q.end()) - q.begin());
   };
-  auto item = queue.pop_select_for(largest, std::chrono::milliseconds(50));
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 8);
-  // Claim: seed = oldest, companions = same parity, in queue order.
   std::vector<int> bin;
-  auto oldest = [](const std::deque<int>&) { return std::size_t{0}; };
+  ASSERT_EQ(queue.claim(largest, never, 8, bin), 1u);
+  EXPECT_EQ(bin, std::vector<int>{8});
+  // Claim: seed = oldest, companions = same parity, in queue order, up
+  // to the cap.
+  bin.clear();
   auto same_parity = [](const int& seed, const int& cand) {
     return (seed % 2) == (cand % 2);
   };
-  const auto taken = queue.claim(oldest, same_parity, 8, bin);
-  EXPECT_EQ(taken, 2u);  // 3 (seed) then 1; 6 and 4 skipped
-  ASSERT_EQ(bin.size(), 2u);
-  EXPECT_EQ(bin[0], 3);
-  EXPECT_EQ(bin[1], 1);
-  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.claim(oldest, same_parity, 2, bin), 2u);
+  EXPECT_EQ(bin, (std::vector<int>{3, 1}));  // 7 is past the cap
+  // The jobs left behind keep their queue order: a seed from the middle
+  // (6) takes the evens around it and leaves the odd one in place.
+  auto six = [](const std::deque<int>& q) {
+    EXPECT_EQ(q, (std::deque<int>{6, 4, 7, 2}));
+    return std::size_t{0};
+  };
+  bin.clear();
+  EXPECT_EQ(queue.claim(six, same_parity, 8, bin), 3u);
+  EXPECT_EQ(bin, (std::vector<int>{6, 4, 2}));
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(claim_one(queue).value_or(-1), 7);
+  // Out-of-range selector falls back to the oldest item.
+  ASSERT_TRUE(queue.push(5));
+  ASSERT_TRUE(queue.push(9));
+  auto decline = [](const std::deque<int>& q) { return q.size(); };
+  bin.clear();
+  EXPECT_EQ(queue.claim(decline, never, 8, bin), 1u);
+  EXPECT_EQ(bin, std::vector<int>{5});
 }
 
-TEST(DecodeServiceStress, WorkStealingDrainsSkewedBins) {
-  // A long bin delay and tiny dispatches park deep same-mode runs in few
-  // workers' local deques; with stealing on, idle workers must drain them
-  // and every job must complete with the right results. 8 workers over
-  // 96 jobs maximises contention on the steal path (run under TSan).
+TEST(DecodeServiceStress, ClaimedResidueDrainsUnderConcurrentSubmitters) {
+  // A long bin delay and one- or two-frame dispatches make every claim
+  // leave a deep residue that only its claiming worker decodes, while
+  // four submitter threads race the four workers on a small queue. Every
+  // job must come back exactly once with the modeled results, and no
+  // dispatch may exceed one engine batch (run under TSan).
   const std::uint64_t seed = 0x5733A1;
   const int njobs = 96;
   const auto reference = modeled_reference(seed, njobs);
-  ServiceConfig cfg;
-  cfg.workers = 8;
-  cfg.queue_capacity = 8;
-  cfg.work_stealing = true;
-  cfg.max_bin_delay_ns = 100'000'000;
-  cfg.max_local_batch = 1;  // every bin residue entry is stealable
-  cfg.decoder = service_decoder();
   auto src = make_mixed_source(seed);
   const auto jobs = synthesize(src, njobs);
-  DecodeService service(src, cfg);
-  for (const auto& s : jobs)
-    ASSERT_TRUE(service.submit(request_for(src, s)));
-  const auto report = service.finish();
-  expect_matches_reference(report, reference, "steal-stress");
-  long long steals = 0;
-  for (const long long s : report.worker_steals) steals += s;
-  EXPECT_GE(steals, 0);
+  for (const int batch : {1, 2}) {
+    ServiceConfig cfg;
+    cfg.workers = 4;
+    cfg.queue_capacity = 8;
+    cfg.max_bin_delay_ns = 50'000'000;
+    cfg.max_local_batch = batch;
+    cfg.decoder = service_decoder();
+    DecodeService service(src, cfg);
+    constexpr int kSubmitters = 4;
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t)
+      submitters.emplace_back([&, t] {
+        for (int i = t; i < njobs; i += kSubmitters)
+          ASSERT_TRUE(service.submit(
+              request_for(src, jobs[static_cast<std::size_t>(i)])));
+      });
+    for (auto& t : submitters) t.join();
+    const auto report = service.finish();
+    const std::string label = "residue batch=" + std::to_string(batch);
+    expect_matches_reference(report, reference, label);
+    EXPECT_LE(largest_bin(report), static_cast<std::size_t>(batch)) << label;
+    EXPECT_TRUE(report.worker_steals.empty()) << label;
+  }
 }
 
 TEST(DecodeServiceStress, ConcurrentSubmittersShareTheAdmissionQueue) {
@@ -593,17 +624,6 @@ TEST(DecodeServiceSlo, DeadlineClassBeatsBestEffortP99) {
   const long long p99_best_effort =
       report.wall_latency_percentile_ns(99.0, TrafficClass::kBestEffort);
   EXPECT_LT(p99_deadline, p99_best_effort);
-}
-
-// Most jobs one engine dispatch carried: the records of one bin share
-// their worker and their start and finish stamps.
-std::size_t largest_bin(const stream::StreamReport& report) {
-  std::map<std::tuple<int, long long, long long>, std::size_t> bins;
-  std::size_t most = 0;
-  for (const auto& rec : report.jobs)
-    most = std::max(
-        most, ++bins[{rec.worker, rec.wall_start_ns, rec.wall_finish_ns}]);
-  return most;
 }
 
 TEST(DecodeServiceSlo, StorageJobsShareBinsDeadlineJobsDoNot) {

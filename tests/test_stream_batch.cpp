@@ -402,30 +402,62 @@ TEST(StreamBatchEngine, ValidatesConfigAndLaneWidth) {
 }
 
 TEST(StreamBatchEngine, RepeatedQueuesLeaveNoStateBehind) {
-  // Dead-lane content from a drained queue (or a previous decode call)
-  // must never leak into the next queue's results: a second decode on the
-  // same engine equals a fresh engine's output bit for bit.
-  const auto code = codes::make_code(
+  // Dead-lane content from a drained queue, a previous decode call or a
+  // previous MODE must never leak into the next queue's results.
+  // reconfigure() resizes the SoA memories without re-zeroing them, so a
+  // switch small code -> larger NR code with fillers -> back leaves the
+  // other code's words in every buffer; each queue after a switch must
+  // still equal a fresh engine's output bit for bit, at every lane type.
+  const auto small = codes::make_code(
       {codes::Standard::kWlan80211n, codes::Rate::kR12, 27});
-  const core::DecoderConfig cfg = stream_config();
-  const auto queue_a = make_queue(code, 9, 21);   // ragged: 9 < lanes+refill
-  const auto queue_b = make_queue(code, 19, 22);  // refills past one round
-  const int lanes = 16;  // the default config runs int16 lanes
+  const auto nr = codes::make_nr_code(codes::Rate::kR15, 36, 1500, 40);
+  ASSERT_GT(nr.n(), small.n());
+  ASSERT_GT(nr.scheme().filler_bits, 0);
+  const auto queue_a = make_queue(small, 9, 21);   // ragged: 9 < lanes+refill
+  const auto queue_b = make_queue(small, 19, 22);  // refills past one round
+  const auto queue_nr = make_queue(nr, 13, 23);
+  const auto queue_back = make_queue(small, 17, 24);
 
-  core::StreamBatchEngine reused(cfg, lanes);
-  reused.reconfigure(code);
-  std::vector<core::FixedDecodeResult> first(9), second(19);
-  reused.decode(queue_a, {}, first);
-  reused.decode(queue_b, {}, second);
-
-  core::StreamBatchEngine fresh(cfg, lanes);
-  fresh.reconfigure(code);
-  std::vector<core::FixedDecodeResult> expect(19);
-  fresh.decode(queue_b, {}, expect);
-  for (int f = 0; f < 19; ++f)
-    expect_result_eq(expect[static_cast<std::size_t>(f)],
-                     second[static_cast<std::size_t>(f)],
-                     "reused engine frame " + std::to_string(f));
+  struct Case {
+    kernels::LaneType type;
+    core::DecoderConfig cfg;
+  };
+  for (const Case& c : {Case{kernels::LaneType::kInt32, stream_config()},
+                        Case{kernels::LaneType::kInt16, stream_config()},
+                        Case{kernels::LaneType::kInt8, strict_app_config()}}) {
+    const int lanes = 8 * kernels::lane_scale(c.type);
+    const std::string type = to_string(c.type);
+    // One queue on a freshly built engine: the reference.
+    auto fresh = [&](const codes::QCCode& code,
+                     const std::vector<double>& llrs, int frames) {
+      core::StreamBatchEngine engine(c.cfg, lanes, c.type);
+      engine.reconfigure(code);
+      std::vector<core::FixedDecodeResult> out(
+          static_cast<std::size_t>(frames));
+      engine.decode(llrs, {}, out);
+      return out;
+    };
+    core::StreamBatchEngine reused(c.cfg, lanes, c.type);
+    auto run = [&](const codes::QCCode& code, const std::vector<double>& llrs,
+                   int frames, const std::string& step) {
+      std::vector<core::FixedDecodeResult> got(
+          static_cast<std::size_t>(frames));
+      reused.decode(llrs, {}, got);
+      const auto want = fresh(code, llrs, frames);
+      for (int f = 0; f < frames; ++f)
+        expect_result_eq(want[static_cast<std::size_t>(f)],
+                         got[static_cast<std::size_t>(f)],
+                         type + " " + step + " frame " + std::to_string(f));
+    };
+    reused.reconfigure(small);
+    std::vector<core::FixedDecodeResult> first(9);
+    reused.decode(queue_a, {}, first);
+    run(small, queue_b, 19, "second queue");
+    reused.reconfigure(nr);
+    run(nr, queue_nr, 13, "after switch to NR");
+    reused.reconfigure(small);
+    run(small, queue_back, 17, "after switch back");
+  }
 }
 
 TEST(StreamBatchEngine, QueueOrderDoesNotPerturbPerFrameResults) {
