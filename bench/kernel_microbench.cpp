@@ -373,23 +373,21 @@ void BM_DepositFusedInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_DepositFusedInt8)->MinWarmUpTime(0.2)->MinTime(1.0);
 
-// Retire-stage shapes over one engine-width SoA APP memory (wimax 2304,
-// int16 lanes): the legacy strided gather walks one word per cache line
-// per retiree; the folded path runs the dispatched codeword scan (sign
-// pack + uint64 syndrome — work the stopping rule already pays) and reads
-// each retiree as a dense bit column of the packed masks.
-// Both retire benches measure the MARGINAL cost of capturing a retire
-// burst's hard decisions — the codeword scan itself runs every iteration
-// in either design (it is the stop rule), so it is priced in neither.
-// The gather side re-walks the strided L memory (one 64-byte line per
-// variable per burst); the folded side reads the bit columns the scan
-// already packed into hard_mask (8 sequential bytes per variable).
+// One retiring pass of the refill engine over an engine-width SoA APP
+// memory (wimax 2304, int16 lanes): the dispatched codeword scan (sign
+// pack + uint64 syndrome) followed by the retire fold, one dense bit-column
+// extraction per retiree from the packed masks. This is the whole
+// per-pass retirement cost: the scan's ok[] is the convergence verdict
+// and its masks feed the CRC gate and the fold. Under codeword stopping
+// the scan runs every pass anyway; under ET-only configs it runs only on
+// passes where a lane stops or reaches the iteration cap, in place of a
+// scalar is_codeword and a strided L gather per retiring frame.
+// Items = retired frames.
 struct RetireFixture {
   codes::QCCode code = codes::make_code(
       {codes::Standard::kWimax80216e, codes::Rate::kR12, 96});
   int lanes = core::kernels::preferred_lanes(core::kernels::LaneType::kInt16);
   core::SoaVector<std::int16_t> l_soa;
-  std::vector<std::uint64_t> hard_mask;
   static constexpr int kRetirees = 4;
 
   RetireFixture() {
@@ -399,56 +397,36 @@ struct RetireFixture {
     for (auto& v : l_soa)
       v = static_cast<std::int16_t>(static_cast<std::int32_t>(rng()) % 511 -
                                     255);
-    // The mask state the stop scan leaves behind (its production cost is
-    // part of the per-iteration scan, not of retirement).
-    hard_mask.resize(static_cast<std::size_t>(code.n()));
-    std::vector<std::uint8_t> ok(static_cast<std::size_t>(lanes));
-    core::soa_codeword_scan(
-        core::kernels::cw_scan_kernel<std::int16_t>(lanes), code,
-        l_soa.data(), hard_mask.data(), ok.data());
   }
 };
 
-void BM_RetireGather(benchmark::State& state) {
+void BM_RetirePass(benchmark::State& state) {
   RetireFixture fx;
   const auto n = static_cast<std::size_t>(fx.code.n());
-  const auto lanes = static_cast<std::size_t>(fx.lanes);
+  const auto scan =
+      core::kernels::cw_scan_kernel<std::int16_t>(fx.lanes);
+  std::vector<std::uint64_t> hard_mask(n);
+  std::vector<std::uint8_t> ok(static_cast<std::size_t>(fx.lanes));
   std::vector<std::vector<std::uint8_t>> bits(
       RetireFixture::kRetirees, std::vector<std::uint8_t>(n));
   for (auto _ : state) {
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::int16_t* row = &fx.l_soa[v * lanes];
-      for (int i = 0; i < RetireFixture::kRetirees; ++i)
-        bits[static_cast<std::size_t>(i)][v] = row[7 * i] < 0 ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(bits.data());
-  }
-  state.SetItemsProcessed(state.iterations() * RetireFixture::kRetirees *
-                          fx.code.n());
-}
-BENCHMARK(BM_RetireGather)->MinWarmUpTime(0.2)->MinTime(1.0);
-
-void BM_RetireFoldedScan(benchmark::State& state) {
-  RetireFixture fx;
-  const auto n = static_cast<std::size_t>(fx.code.n());
-  std::vector<std::vector<std::uint8_t>> bits(
-      RetireFixture::kRetirees, std::vector<std::uint8_t>(n));
-  for (auto _ : state) {
-    // Mirrors the engines' retire-fold loop: one vectorizable column
+    core::soa_codeword_scan(scan, fx.code, fx.l_soa.data(), hard_mask.data(),
+                            ok.data());
+    // Mirrors the engine's retire fold: one vectorizable column
     // extraction per retiree (fixed shift count) over the packed masks.
     for (int i = 0; i < RetireFixture::kRetirees; ++i) {
       std::uint8_t* b = bits[static_cast<std::size_t>(i)].data();
-      const std::uint64_t* mask = fx.hard_mask.data();
+      const std::uint64_t* mask = hard_mask.data();
       const int w = 7 * i;
       for (std::size_t v = 0; v < n; ++v)
         b[v] = static_cast<std::uint8_t>((mask[v] >> w) & 1);
     }
     benchmark::DoNotOptimize(bits.data());
+    benchmark::DoNotOptimize(ok.data());
   }
-  state.SetItemsProcessed(state.iterations() * RetireFixture::kRetirees *
-                          fx.code.n());
+  state.SetItemsProcessed(state.iterations() * RetireFixture::kRetirees);
 }
-BENCHMARK(BM_RetireFoldedScan)->MinWarmUpTime(0.2)->MinTime(1.0);
+BENCHMARK(BM_RetirePass)->MinWarmUpTime(0.2)->MinTime(1.0);
 
 // Same refill engine pinned to the portable scalar kernels AT THE SAME
 // LANE WIDTH and element type as the dispatched int32 engine above

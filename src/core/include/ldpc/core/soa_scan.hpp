@@ -17,6 +17,15 @@
 // They are templated over the lane element type (int32/int16/int8) like
 // the kernels; the verdicts are type-independent.
 //
+// The codeword scan runs once on every engine pass that can retire a lane
+// (every pass under codeword stopping; otherwise a pass where some lane
+// has a pending ET stop or reaches the iteration cap), and that one scan
+// serves every per-frame consumer: its ok[w] is the stop and convergence
+// verdict, and its packed hard_mask feeds the CRC gate and the retire
+// fold. No retiring frame is re-checked with QCCode::is_codeword or
+// re-gathered from the strided L column; only the CRC flip fallback
+// (soa_finish_crc) still reads L, for its |APP| keys.
+//
 // Semantics are bit-identical to the scalar path by construction:
 //   - soa_codeword_scan(w) == QCCode::is_codeword(hard decisions of lane w)
 //   - the ET scan's fire[w] (kernels::et_scan_kernel)
@@ -191,40 +200,21 @@ inline SoaStopVerdict soa_stop_verdict(const DecoderConfig& config,
   return {};
 }
 
-/// Convergence verdict at a lane's retirement: with codeword stopping on,
-/// this iteration's parity scan IS the verdict; otherwise check the
-/// gathered decisions once.
-inline bool soa_converged(const DecoderConfig& config, std::uint8_t cw_ok,
-                          const codes::QCCode& code,
-                          const std::vector<std::uint8_t>& bits) {
-  return config.stop_on_codeword ? cw_ok != 0 : code.is_codeword(bits);
-}
-
 /// CRC gate of lane w's pending stop — the batched mirror of the scalar
-/// engine's CRC-aided stop rule. Gathers the lane's payload hard decisions
-/// (from the packed codeword-scan masks when that scan ran this iteration,
-/// else a strided sign read of the APP column) into `scratch` and checks
+/// engine's CRC-aided stop rule. Reads the lane's payload hard decisions
+/// from the packed masks of this pass's codeword scan (the engine runs
+/// the scan on every pass with a pending stop) into `scratch` and checks
 /// the payload tail CRC. True = the stop stands; false = miscorrection
 /// veto, the lane keeps iterating. Always true for frame_crc == kNone.
-template <class T>
 inline bool soa_crc_gate(const DecoderConfig& config,
-                         const codes::QCCode& code, const T* l_soa, int lanes,
+                         const codes::QCCode& code,
                          const std::uint64_t* hard_mask, int w,
                          std::vector<std::uint8_t>& scratch) {
   if (config.frame_crc == FrameCrc::kNone) return true;
   const auto p = static_cast<std::size_t>(code.payload_bits());
   scratch.resize(p);
-  if (config.stop_on_codeword) {
-    for (std::size_t v = 0; v < p; ++v)
-      scratch[v] = static_cast<std::uint8_t>((hard_mask[v] >> w) & 1);
-  } else {
-    for (std::size_t v = 0; v < p; ++v)
-      scratch[v] =
-          l_soa[v * static_cast<std::size_t>(lanes) +
-                static_cast<std::size_t>(w)] < 0
-              ? 1
-              : 0;
-  }
+  for (std::size_t v = 0; v < p; ++v)
+    scratch[v] = static_cast<std::uint8_t>((hard_mask[v] >> w) & 1);
   return crc_check(config.frame_crc, scratch);
 }
 
@@ -269,9 +259,9 @@ inline void soa_finish_crc(const DecoderConfig& config,
 /// `hard_mask` (size code.n()) receives the packed hard decisions the scan
 /// walks: bit w of hard_mask[v] is lane w's sign for variable v. Retiring
 /// lanes read their decisions from these masks — the retire-fold — so the
-/// engines never re-gather strided L columns after a codeword-stopped
-/// iteration. The masks are valid for the L state the scan saw; engines
-/// that keep iterating must use the masks of the stopping iteration.
+/// engine never re-gathers strided L columns at retirement. The masks are
+/// valid for the L state the scan saw; engines that keep iterating must
+/// use the masks of the stopping iteration.
 template <class T>
 inline void soa_codeword_scan(kernels::CwScanFnT<T> scan,
                               const codes::QCCode& code, const T* l_soa,

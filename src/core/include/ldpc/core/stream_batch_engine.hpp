@@ -24,6 +24,14 @@
 // lane element type and SIMD dispatch tier (locked by the
 // refill-equivalence suite).
 //
+// Stopping is decided inside the iteration loop, as the paper's
+// early-termination unit does: after each pass the lane-parallel scans of
+// soa_scan.hpp run over all lanes at once, and on any pass that can
+// retire a lane ONE codeword scan yields every lane's parity verdict and
+// packed hard decisions. A retiring frame's bits, convergence flag and
+// CRC gate all read that scan; no frame is re-checked or re-gathered
+// after it stops.
+//
 // Frames enter through one queue with two front doors: decode_quantised
 // (pre-quantised core::QuantisedFrame codes, the serving path) and
 // decode (transmitted-length double LLRs, deposited per lane on refill —
@@ -176,9 +184,9 @@ class StreamBatchEngineT {
   std::uint8_t et_fire_[kMaxLanes] = {};  // per-iteration scan results
   std::uint8_t cw_ok_[kMaxLanes] = {};
   // Packed hard decisions of the last codeword scan (bit w of hard_mask_[v]
-  // = lane w's sign for variable v): the retire-fold source. Valid for the
-  // iteration the scan ran on — exactly the iteration a codeword-stopped
-  // lane retires from.
+  // = lane w's sign for variable v): the CRC gate's and the retire fold's
+  // source. The scan runs on every pass that can retire a lane, so the
+  // masks always hold the iteration a retiring lane stops on.
   std::vector<std::uint64_t> hard_mask_;
 
   // Frame source of the current decode call: the stored frames of

@@ -206,25 +206,32 @@ void StreamBatchEngineT<T>::run_queue(std::span<const int> order,
     // Lane-parallel stop scans: one dense pass each over the SoA state
     // evaluates the ET rule and the parity checks for EVERY lane — the
     // same rules the scalar engine applies per frame, at a fraction of
-    // the cost of the per-lane gathers they replace.
+    // the cost of the per-lane gathers they replace. The codeword scan
+    // runs on every pass that can retire a lane: always under codeword
+    // stopping, otherwise when some live lane has a pending ET stop or
+    // reaches the iteration cap. Its packed masks then serve the CRC
+    // gate and the retire fold, and its ok[] is the convergence verdict,
+    // so no retiring frame is re-checked or re-gathered from L.
     if (config_.early_termination.enabled)
       et_scan_fn_(k_info, config_.early_termination.threshold_raw,
                   l_soa_.data(), prev_hard_soa_.data(), has_prev_, et_fire_);
-    if (config_.stop_on_codeword)
+    bool scan = config_.stop_on_codeword;
+    for (int w = 0; w < lanes_ && !scan; ++w) {
+      const LaneState& lane = lane_[static_cast<std::size_t>(w)];
+      // et_fire_ stays all-zero when ET is disabled (never written).
+      scan = lane.frame >= 0 &&
+             (et_fire_[w] != 0 ||
+              lane.iterations + 1 == config_.max_iterations);
+    }
+    if (scan)
       soa_codeword_scan(cw_scan_fn_, *code_, l_soa_.data(),
                         hard_mask_.data(), cw_ok_);
 
     // Per-lane bookkeeping: exactly the scalar engine's post-iteration
     // sequence (decision, ET, codeword stop) against the lane's OWN
     // iteration counter; stopped lanes retire and refill immediately.
-    // Retiring lanes are collected first so ONE traversal of the L memory
-    // serves every retirement of this pass (the mirror of apply_fresh —
-    // the per-lane column is strided, one word per cache line, so a
-    // per-frame gather pass was per-frame constant cost that did not
-    // shrink with lane count).
     int nretire = 0;
     int retire_w[kMaxLanes];
-    std::uint8_t* retire_bits[kMaxLanes];
     for (int w = 0; w < lanes_; ++w) {
       LaneState& lane = lane_[static_cast<std::size_t>(w)];
       if (lane.frame < 0) continue;
@@ -239,47 +246,28 @@ void StreamBatchEngineT<T>::run_queue(std::span<const int> order,
       // vetoed and the lane keeps iterating (soa_crc_gate — the scalar
       // engine's rule, lane for lane).
       if (stop.stopped &&
-          !soa_crc_gate(config_, *code_, l_soa_.data(), lanes_,
-                        hard_mask_.data(), w, crc_scratch_))
+          !soa_crc_gate(config_, *code_, hard_mask_.data(), w, crc_scratch_))
         stop = {};
       if (stop.early_terminated) res.early_terminated = true;
-      if (stop.stopped || last_iter) {
-        retire_w[nretire] = w;
-        retire_bits[nretire] = res.bits.data();
-        ++nretire;
-      }
+      if (stop.stopped || last_iter) retire_w[nretire++] = w;
     }
     if (nretire > 0) {
+      // Retire-fold: this pass's parity scan packed every lane's hard
+      // decisions into hard_mask_, so retirement is a dense read of one
+      // bit column per retiree — no strided re-walk of the L memory.
+      // Retirees stay on the OUTER loop: a fixed shift count lets the
+      // column extraction vectorize (qword shift + narrowing pack), which
+      // beats sharing the mask load across retirees.
       const auto n = static_cast<std::size_t>(code_->n());
-      if (config_.stop_on_codeword) {
-        // Retire-fold: this iteration's parity scan already packed every
-        // lane's hard decisions into hard_mask_, so retirement is a dense
-        // read of one bit column per retiree — no strided re-walk of the
-        // L memory. Retirees stay on the OUTER loop: a fixed shift count
-        // lets the column extraction vectorize (qword shift + narrowing
-        // pack), which beats sharing the mask load across retirees.
-        for (int i = 0; i < nretire; ++i) {
-          const int w = retire_w[i];
-          std::uint8_t* bits = retire_bits[i];
-          const std::uint64_t* mask = hard_mask_.data();
-          for (std::size_t v = 0; v < n; ++v)
-            bits[v] = static_cast<std::uint8_t>((mask[v] >> w) & 1);
-        }
-      } else {
-        // Without codeword stopping no scan ran this iteration; gather the
-        // decisions in one strided traversal serving every retiree.
-        const auto lanes = static_cast<std::size_t>(lanes_);
-        for (std::size_t v = 0; v < n; ++v) {
-          const T* row = &l_soa_[v * lanes];
-          for (int i = 0; i < nretire; ++i)
-            retire_bits[i][v] = row[retire_w[i]] < 0 ? 1 : 0;
-        }
-      }
+      const std::uint64_t* mask = hard_mask_.data();
       for (int i = 0; i < nretire; ++i) {
         const int w = retire_w[i];
         LaneState& lane = lane_[static_cast<std::size_t>(w)];
         auto& res = results[static_cast<std::size_t>(lane.frame)];
-        res.converged = soa_converged(config_, cw_ok_[w], *code_, res.bits);
+        std::uint8_t* bits = res.bits.data();
+        for (std::size_t v = 0; v < n; ++v)
+          bits[v] = static_cast<std::uint8_t>((mask[v] >> w) & 1);
+        res.converged = cw_ok_[w] != 0;
         soa_finish_crc(config_, *code_, l_soa_.data(), lanes_, w, res,
                        crc_keys_);
         if (next < frames) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
+#include <span>
 
 #include "ldpc/codes/registry.hpp"
 #include "ldpc/stream/scheduler.hpp"
@@ -365,6 +367,32 @@ TEST(StreamScheduler, AllTrafficOnOneModeLeavesOtherQueuesIdle) {
   // One mode: at most one reconfiguration per worker, ever.
   EXPECT_LE(report.totals.reconfigurations, 2);
   EXPECT_GT(report.aggregate_payload_bps(450e6), 0.0);
+}
+
+TEST(DecisionHash, SeparatesEverySingleBitFlipAndEveryLength) {
+  // The modeled == live batteries compare decisions by this hash, so two
+  // decision vectors that differ must not collide in the cases a wrong
+  // decode produces: one flipped bit anywhere in an n = 2304 frame, or a
+  // frame of the wrong length whose extra bits are zero.
+  const std::size_t n = 2304;
+  std::vector<std::uint8_t> bits(n);
+  for (std::size_t v = 0; v < n; ++v)
+    bits[v] = static_cast<std::uint8_t>((v * 2654435761u >> 7) & 1);
+  std::set<std::uint64_t> seen{stream::fnv1a(bits)};
+  for (std::size_t v = 0; v < n; ++v) {
+    bits[v] ^= 1;
+    EXPECT_TRUE(seen.insert(stream::fnv1a(bits)).second) << "flip " << v;
+    bits[v] ^= 1;
+  }
+  EXPECT_EQ(seen.size(), n + 1);
+
+  // All-zero frames: the zero-padded tail word alone cannot tell n from
+  // n + 1 (or n + 1 from n + 2); the mixed-in length must.
+  const std::vector<std::uint8_t> zeros(n + 2, 0);
+  const std::span<const std::uint8_t> z(zeros);
+  EXPECT_NE(stream::fnv1a(z.first(n)), stream::fnv1a(z.first(n + 1)));
+  EXPECT_NE(stream::fnv1a(z.first(n + 1)), stream::fnv1a(z.first(n + 2)));
+  EXPECT_NE(stream::fnv1a(z.first(0)), stream::fnv1a(z.first(1)));
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "ldpc/codes/registry.hpp"
+#include "ldpc/core/crc.hpp"
 #include "ldpc/core/decoder.hpp"
 #include "ldpc/core/golden.hpp"
 #include "ldpc/core/kernels/minsum_kernels.hpp"
@@ -76,9 +77,12 @@ std::vector<kernels::Tier> available_tiers() {
 /// the iteration cap) and easy (high SNR, ET/codeword-stop after a few
 /// iterations) frames interleaved in a seed-dependent order, transmitted
 /// through the code's scheme (so NR puncturing / fillers / rate matching
-/// are exercised too).
+/// are exercised too). With a `crc`, the even frames' payloads carry it
+/// in their tail (crc_append) and the odd frames' tails stay random, so a
+/// CRC-gated decoder both accepts and vetoes stops.
 std::vector<double> make_queue(const codes::QCCode& code, int frames,
-                               std::uint64_t seed) {
+                               std::uint64_t seed,
+                               core::FrameCrc crc = core::FrameCrc::kNone) {
   util::Xoshiro256 rng(seed);
   const auto encoder = enc::make_encoder(code);
   std::vector<std::uint8_t> info(
@@ -91,6 +95,7 @@ std::vector<double> make_queue(const codes::QCCode& code, int frames,
     const double sigma = channel::ebn0_to_sigma(
         ebn0_db, code.effective_rate(), channel::Modulation::kBpsk);
     enc::random_bits(rng, info);
+    if (f % 2 == 0) core::crc_append(crc, info);
     const auto cw = encoder->encode(info);
     const auto llr = sim::transmit_llrs(code, cw,
                                         channel::Modulation::kBpsk, sigma,
@@ -108,6 +113,8 @@ void expect_result_eq(const core::FixedDecodeResult& ref,
   EXPECT_EQ(ref.converged, got.converged) << context;
   EXPECT_EQ(ref.early_terminated, got.early_terminated) << context;
   EXPECT_EQ(ref.datapath_cycles, got.datapath_cycles) << context;
+  EXPECT_EQ(ref.crc_ok, got.crc_ok) << context;
+  EXPECT_EQ(ref.crc_repaired, got.crc_repaired) << context;
 }
 
 /// The core check: scalar per-frame reference under `cfg` vs the refill
@@ -121,7 +128,8 @@ void check_refill_equivalence(
   // engine while keeping the full-registry sweep affordable.
   const int frames = code.n() > 8000 ? 10 : 20;
   const auto tx = static_cast<std::size_t>(code.transmitted_bits());
-  const auto llrs = make_queue(code, frames, 0xC0FFEE ^ code.n());
+  const auto llrs =
+      make_queue(code, frames, 0xC0FFEE ^ code.n(), cfg.frame_crc);
 
   core::ReconfigurableDecoder scalar(code, cfg);
   std::vector<core::FixedDecodeResult> ref;
@@ -136,6 +144,24 @@ void check_refill_equivalence(
   // The queue must be genuinely mixed-iteration, otherwise this test
   // would not exercise mid-flight refill at all.
   EXPECT_GE(iters_seen.size(), 2u) << code.name();
+  if (cfg.frame_crc != core::FrameCrc::kNone) {
+    // The CRC gate must both let stops through and veto some (a frame
+    // whose random tail fails the CRC stops later than it would without
+    // the gate), or the gate would go untested.
+    core::DecoderConfig ungated_cfg = cfg;
+    ungated_cfg.frame_crc = core::FrameCrc::kNone;
+    core::ReconfigurableDecoder ungated(code, ungated_cfg);
+    int passed = 0, vetoed = 0;
+    for (int f = 0; f < frames; ++f) {
+      const auto r = ungated.decode(std::span<const double>(llrs).subspan(
+          static_cast<std::size_t>(f) * tx, tx));
+      const auto& g = ref[static_cast<std::size_t>(f)];
+      if (r.early_terminated)
+        ++(r.iterations == g.iterations ? passed : vetoed);
+    }
+    EXPECT_GE(passed, 1) << code.name();
+    EXPECT_GE(vetoed, 1) << code.name();
+  }
 
   for (const kernels::Tier tier : available_tiers()) {
     for (const kernels::LaneType type : types) {
@@ -163,6 +189,38 @@ void check_refill_equivalence(
   kernels::clear_forced_tier();
 }
 
+// ET-only stopping (the DecoderConfig default's rule, and the serving
+// and simulator configs'): no codeword stop, so a lane retires on an ET
+// fire or at the iteration cap, and the engine runs its codeword scan only
+// on those passes. The scan's masks and verdict must still equal the
+// scalar engine's per-frame decisions and is_codeword.
+core::DecoderConfig et_only_config() {
+  core::DecoderConfig cfg = stream_config();
+  cfg.stop_on_codeword = false;
+  return cfg;
+}
+
+// ET-only plus the CRC-aided stop gate and the bounded flip fallback: an
+// ET stop on a frame whose payload CRC fails is vetoed, and a frame at
+// the cap gets up to 4 single-bit repairs.
+core::DecoderConfig et_only_crc_config() {
+  core::DecoderConfig cfg = et_only_config();
+  cfg.frame_crc = core::FrameCrc::kCrc16;
+  cfg.crc_flip_budget = 4;
+  return cfg;
+}
+
+/// Runs `cfg` and its strict 8-bit-APP twin through the whole matrix:
+/// int32 and int16 lanes under the standard rails, int8 under the strict
+/// ones.
+void check_refill_equivalence_all_types(const codes::QCCode& code,
+                                        core::DecoderConfig cfg) {
+  check_refill_equivalence(
+      code, cfg, {kernels::LaneType::kInt32, kernels::LaneType::kInt16});
+  cfg.app_extra_bits = 0;
+  check_refill_equivalence(code, cfg, {kernels::LaneType::kInt8});
+}
+
 class RefillEquivalence : public ::testing::TestWithParam<codes::CodeId> {};
 
 TEST_P(RefillEquivalence, MatchesScalarAtEveryTierTypeAndLaneWidth) {
@@ -181,15 +239,42 @@ TEST_P(RefillEquivalence, StrictAppInt8MatchesRederivedScalar) {
                            {kernels::LaneType::kInt8});
 }
 
+/// gtest parameter name of a mode: its name with non-alphanumerics as '_'.
+std::string mode_param_name(
+    const ::testing::TestParamInfo<codes::CodeId>& info) {
+  std::string n = to_string(info.param);
+  for (char& c : n)
+    if (!isalnum(static_cast<unsigned char>(c))) c = '_';
+  return n;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, RefillEquivalence,
                          ::testing::ValuesIn(codes::all_modes()),
-                         [](const auto& info) {
-                           std::string n = to_string(info.param);
-                           for (char& c : n)
-                             if (!isalnum(static_cast<unsigned char>(c)))
-                               c = '_';
-                           return n;
-                         });
+                         mode_param_name);
+
+// The stopping-pass configs on one mode per standard (the all-mode sweep
+// above already dominates the sanitizer job's time).
+class RefillEquivalenceEtOnly : public ::testing::TestWithParam<codes::CodeId> {
+};
+
+TEST_P(RefillEquivalenceEtOnly, MatchesScalarWithoutCodewordStop) {
+  check_refill_equivalence_all_types(codes::make_code(GetParam()),
+                                     et_only_config());
+}
+
+TEST_P(RefillEquivalenceEtOnly, MatchesScalarUnderTheCrcGate) {
+  check_refill_equivalence_all_types(codes::make_code(GetParam()),
+                                     et_only_crc_config());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OnePerStandard, RefillEquivalenceEtOnly,
+    ::testing::Values(
+        codes::CodeId{codes::Standard::kWlan80211n, codes::Rate::kR12, 81},
+        codes::CodeId{codes::Standard::kWimax80216e, codes::Rate::kR12, 96},
+        codes::CodeId{codes::Standard::kDmbT, codes::Rate::kR35, 127},
+        codes::CodeId{codes::Standard::kNr5g, codes::Rate::kR13, 52}),
+    mode_param_name);
 
 // The NR rate-matched golden cases (E != sendable, fillers): the per-lane
 // deposit on refill must reproduce the scalar deposit for non-degenerate
@@ -212,6 +297,20 @@ TEST_P(RefillEquivalenceNrRateMatched, StrictAppInt8MatchesRederivedScalar) {
   check_refill_equivalence(
       codes::make_nr_code(c.rate, c.z, c.transmitted_bits, c.filler_bits),
       strict_app_config(), {kernels::LaneType::kInt8});
+}
+
+TEST_P(RefillEquivalenceNrRateMatched, MatchesScalarWithoutCodewordStop) {
+  const auto& c = GetParam();
+  check_refill_equivalence_all_types(
+      codes::make_nr_code(c.rate, c.z, c.transmitted_bits, c.filler_bits),
+      et_only_config());
+}
+
+TEST_P(RefillEquivalenceNrRateMatched, MatchesScalarUnderTheCrcGate) {
+  const auto& c = GetParam();
+  check_refill_equivalence_all_types(
+      codes::make_nr_code(c.rate, c.z, c.transmitted_bits, c.filler_bits),
+      et_only_crc_config());
 }
 
 INSTANTIATE_TEST_SUITE_P(
