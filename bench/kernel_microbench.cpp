@@ -172,6 +172,13 @@ BENCHMARK(BM_MinSumScalarDecode);
 // straggler. One thread; items/sec IS frames/sec. bench/compare_bench.py
 // gates the narrow-lane ratios against this int32 cell, so renaming it
 // breaks the CI gate.
+//
+// These cells measure MID-FLIGHT refill: a 512-frame queue through one
+// engine call, so retired lanes refill while their neighbours decode.
+// The live DecodeService never does that: it decodes each claimed bin in
+// calls of at most one lane width of frames, so every lane is loaded once
+// at the call's start and none is refilled. BM_StreamBinInt16 below
+// measures that call shape.
 
 struct MixedIterationFixture {
   codes::QCCode code = codes::make_code(
@@ -293,6 +300,55 @@ void BM_MinSumStreamRefillMixedInt8(benchmark::State& state) {
                           fx.code.k_info());
 }
 BENCHMARK(BM_MinSumStreamRefillMixedInt8)->MinWarmUpTime(0.5)->MinTime(2.0);
+
+// ---- the live service's bin: one lane width of frames per call ------------
+// DecodeService::decode_bin sends one decode_quantised call of at most
+// `lanes` pre-quantised frames of one mode under the wireless ET-only
+// config (ET threshold 8, at most 10 iterations, no codeword stop). This
+// cell replays exactly that: 802.16e 2304 r1/2 frames at 3.0 dB (the
+// 802.16e operating point of perfbench's mixed_saturated pool), a queue of
+// exactly `lanes` frames, int16 lanes. Every lane starts fresh on the
+// first pass and drains without a refill, so the per-frame start (L
+// merge, Lambda = 0) is paid on a full pass of fresh lanes. One thread;
+// items/sec is frames/sec. No ratio floor reads this cell.
+void BM_StreamBinInt16(benchmark::State& state) {
+  const auto code = codes::make_code(
+      {codes::Standard::kWimax80216e, codes::Rate::kR12, 96});
+  const core::DecoderConfig cfg{
+      .max_iterations = 10,
+      .kernel = core::CnuKernel::kMinSum,
+      .early_termination = {.enabled = true, .threshold_raw = 8}};
+  core::StreamBatchEngine engine(cfg, 0, core::kernels::LaneType::kInt16);
+  engine.reconfigure(code);
+  const int frames = engine.lanes();
+
+  auto encoder = enc::make_encoder(code);
+  util::Xoshiro256 rng(29);
+  const double sigma = channel::ebn0_to_sigma(3.0, code.rate(),
+                                              channel::Modulation::kBpsk);
+  std::vector<std::uint8_t> info(static_cast<std::size_t>(code.k_info()));
+  std::vector<core::QuantisedFrame> quantised;
+  for (int f = 0; f < frames; ++f) {
+    enc::random_bits(rng, info);
+    const auto cw = encoder->encode(info);
+    auto mod = channel::modulate(cw, channel::Modulation::kBpsk);
+    channel::AwgnChannel(sigma).transmit(mod.samples, rng);
+    quantised.push_back(
+        sim::quantise_llrs(code, cfg, channel::demap_llr(mod, sigma)));
+  }
+  std::vector<const core::QuantisedFrame*> ptrs;
+  for (const auto& q : quantised) ptrs.push_back(&q);
+  std::vector<core::FixedDecodeResult> results(
+      static_cast<std::size_t>(frames));
+  for (auto _ : state) {
+    engine.decode_quantised(ptrs, {}, results);
+    benchmark::DoNotOptimize(results.data());
+  }
+  state.SetLabel("tier=" + to_string(engine.tier()) +
+                 " lanes=" + std::to_string(frames));
+  state.SetItemsProcessed(state.iterations() * frames);
+}
+BENCHMARK(BM_StreamBinInt16)->MinWarmUpTime(0.5)->MinTime(2.0);
 
 // ---- ingest-stage microbenches ----------------------------------------------
 // The two stages the quantised-domain refactor fused or folded away,
@@ -469,6 +525,7 @@ void run_row_kernel_bench(benchmark::State& state, core::kernels::Tier tier,
   const auto w = static_cast<std::size_t>(lanes);
   std::vector<std::vector<T>> l(d, std::vector<T>(w));
   std::vector<T> lambda(d * w, T{0}), full(d * w), clip(d * w);
+  const std::vector<T> keep(w, T{-1});  // every lane carried over
   std::vector<T*> rows(d);
   for (std::size_t e = 0; e < d; ++e) {
     for (std::size_t k = 0; k < w; ++k)
@@ -478,7 +535,8 @@ void run_row_kernel_bench(benchmark::State& state, core::kernels::Tier tier,
     rows[e] = l[e].data();
   }
   for (auto _ : state) {
-    fn(rows.data(), lambda.data(), full.data(), clip.data(), deg, bounds);
+    fn(rows.data(), lambda.data(), full.data(), clip.data(), keep.data(),
+       deg, bounds);
     benchmark::DoNotOptimize(lambda.data());
   }
   state.SetLabel("lanes=" + std::to_string(lanes));

@@ -176,13 +176,7 @@ IterationTiming PipelineModel::analyze(std::span<const int> order) const {
   const int j = code_->block_rows();
   if (static_cast<int>(order.size()) != j)
     throw std::invalid_argument("PipelineModel::analyze: order size");
-  std::vector<bool> seen(static_cast<std::size_t>(j), false);
-  for (int l : order) {
-    if (l < 0 || l >= j || seen[static_cast<std::size_t>(l)])
-      throw std::invalid_argument(
-          "PipelineModel::analyze: not a permutation");
-    seen[static_cast<std::size_t>(l)] = true;
-  }
+  core::check_layer_order(order, j, "PipelineModel::analyze");
 
   const auto entry_orders = optimize_entry_orders(order);
   std::vector<std::vector<int>> slots(entry_orders.size());

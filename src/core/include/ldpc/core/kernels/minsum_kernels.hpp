@@ -72,7 +72,8 @@ struct RowBounds {
 
 /// One check row over W SoA lanes of element type T. For each edge e in
 /// [0, deg):
-///   lam_full[e*W + w] = sat_app(l_rows[e][w] - lambda_row[e*W + w])
+///   lam_full[e*W + w] = sat_app(l_rows[e][w] -
+///                               (lambda_row[e*W + w] & keep[w]))
 ///   lam[e*W + w]      = clip_msg(lam_full[e*W + w])
 /// then the per-lane two-minima + sign-product scan (with the optional
 /// offset / normalization correction of the minima), and write-back
@@ -81,11 +82,16 @@ struct RowBounds {
 /// `l_rows[e]` points at the W-lane row of the edge's variable in the L
 /// SoA memory (rows may repeat when a variable appears twice); lambda_row
 /// is the row's contiguous deg*W slice of the Lambda SoA memory; lam_full
-/// and lam are caller-provided deg*W scratch. The caller guarantees every
-/// bound fits in T (core engines enforce this via lane-type eligibility).
+/// and lam are caller-provided deg*W scratch. `keep` is a W-lane mask,
+/// each word all-ones (-1) or 0: a 0 lane reads its Lambda entries as 0,
+/// which is the Lambda = 0 initialisation of a freshly loaded frame folded
+/// into the row's own load (the write-back then overwrites the stale
+/// words). The caller guarantees every bound fits in T (core engines
+/// enforce this via lane-type eligibility).
 template <class T>
 using MinSumRowFnT = void (*)(T* const* l_rows, T* lambda_row, T* lam_full,
-                              T* lam, int deg, const RowBounds& bounds);
+                              T* lam, const T* keep, int deg,
+                              const RowBounds& bounds);
 using MinSumRowFn = MinSumRowFnT<std::int32_t>;
 
 enum class Tier { kScalar = 0, kSse42 = 1, kAvx2 = 2, kAvx512 = 3 };

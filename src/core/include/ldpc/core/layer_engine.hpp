@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -219,6 +220,25 @@ void deposit_transmitted(const codes::QCCode& code, const Traits& traits,
   }
 }
 
+/// Throws std::invalid_argument unless `order` is empty (the natural
+/// order) or a permutation of the block rows [0, j): a repeated or
+/// out-of-range layer would skip layers or index past the code's layer
+/// table. `who` names the thrower in the message.
+inline void check_layer_order(std::span<const int> order, int j,
+                              const char* who) {
+  if (order.empty()) return;
+  if (order.size() != static_cast<std::size_t>(j))
+    throw std::invalid_argument(std::string(who) + ": order size");
+  std::vector<bool> seen(static_cast<std::size_t>(j), false);
+  for (const int l : order) {
+    if (l < 0 || l >= j || seen[static_cast<std::size_t>(l)])
+      throw std::invalid_argument(std::string(who) +
+                                  ": order is not a permutation of the "
+                                  "block rows");
+    seen[static_cast<std::size_t>(l)] = true;
+  }
+}
+
 /// The single layer-schedule implementation, templated over the message
 /// value type V (see DatapathTraits<V>). Owns the architectural state
 /// (L-memory, Lambda memory, per-row scratch) and executes the block-serial
@@ -276,8 +296,8 @@ class LayerEngineT {
   /// initialises L/Lambda, then iterates the layers in `order` (empty =
   /// natural order 0..j-1) up to max_iterations with early-termination /
   /// codeword stopping. `order`, when given, must be a permutation of the
-  /// code's block rows (the caller validates; the chip's pipeline model
-  /// does so when programming its schedule).
+  /// code's block rows (check_layer_order; throws std::invalid_argument
+  /// otherwise).
   FixedDecodeResult run(std::span<const V> llr_raw,
                         std::span<const int> order = {}) {
     if (!code_) throw std::logic_error("LayerEngine: not configured");
@@ -285,8 +305,7 @@ class LayerEngineT {
     if (llr_raw.size() != static_cast<std::size_t>(n))
       throw std::invalid_argument("LayerEngine::run: llr size");
     const int j = code_->block_rows();
-    if (!order.empty() && order.size() != static_cast<std::size_t>(j))
-      throw std::invalid_argument("LayerEngine::run: order size");
+    check_layer_order(order, j, "LayerEngine::run");
 
     // Initialisation (Algorithm 1): Lambda = 0, L = channel LLR.
     std::copy(llr_raw.begin(), llr_raw.end(), l_mem_.begin());

@@ -107,7 +107,8 @@ class StreamBatchEngineT {
   /// frame stored at this engine's own lane type stages by POINTER (zero
   /// copy); a narrower stored type widens on staging (value-preserving);
   /// a wider stored type clamps to the lane rails. `order` (empty =
-  /// natural) is the layer permutation, as in LayerEngineT::run.
+  /// natural) is the layer permutation, as in LayerEngineT::run; one that
+  /// is not a permutation of the block rows throws std::invalid_argument.
   void decode_quantised(std::span<const QuantisedFrame* const> frames,
                         std::span<const int> order,
                         std::span<FixedDecodeResult> results);
@@ -132,15 +133,17 @@ class StreamBatchEngineT {
   /// per cache line, so a refill burst of k lanes would stream the big
   /// arrays through the cache k times. Instead apply_fresh() merges every
   /// staged lane's L column in ONE sequential pass at the next
-  /// iteration's start, and the lane's Lambda entries are zeroed in-row
-  /// as the layer passes reach them (each edge belongs to exactly one
-  /// check row, so each entry is zeroed exactly once, on a cache line the
-  /// kernel is pulling anyway): the same L = channel, Lambda = 0
-  /// initialisation, amortised.
+  /// iteration's start and clears the lane in that pass's keep mask, and
+  /// the row kernel ANDs the mask into its Lambda load, so the lane reads
+  /// Lambda = 0 on every row of its first pass and the write-back replaces
+  /// the stale words (each edge belongs to exactly one check row, so each
+  /// entry is read masked exactly once): the same L = channel, Lambda = 0
+  /// initialisation, with no store of its own.
   void load_lane(int w, std::size_t f,
                  std::span<FixedDecodeResult> results);
-  /// Merges every staged lane's L column into the SoA memory (sequential
-  /// traversal, all fresh lanes per pass).
+  /// Builds this pass's keep mask (0 on the fresh lanes) and merges every
+  /// staged lane's L column into the SoA memory (sequential traversal, all
+  /// fresh lanes per pass).
   void apply_fresh();
   void process_layer(int layer);
 
@@ -171,10 +174,13 @@ class StreamBatchEngineT {
   };
   std::vector<LaneState> lane_;
   // Lanes staged since the last layer pass: their L columns are merged by
-  // apply_fresh() and their Lambda columns zeroed in-row during the next
-  // iteration (see load_lane).
+  // apply_fresh(), which also clears them in keep_, so the next pass's row
+  // kernel reads their Lambda columns as 0 (see load_lane).
   int fresh_[kMaxLanes] = {};
   int nfresh_ = 0;
+  // The row kernel's per-pass Lambda keep mask: 0 on the fresh lanes,
+  // all-ones (-1) on every other lane.
+  SoaVector<T> keep_;
   const T* staged_src_[kMaxLanes] = {};  // n raw codes per lane
   // Lane-parallel early-termination monitor state (see soa_scan.hpp):
   // previous info-bit hard decisions, lane-major, plus the per-lane

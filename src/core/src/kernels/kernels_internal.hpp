@@ -356,11 +356,12 @@ static inline RowVec<T, C> sat_op(RowVec<T, C> a, RowVec<T, C> b) {
 // the argmin index is not tracked (see the emit loop). The narrow lanes
 // rely on the engine-enforced eligibility rule (every rail fits T): the
 // saturating ops' interval then contains the clamp interval, so
-// saturate-then-clamp equals the int32 wide-then-clamp. `static` linkage
-// per the COMDAT note above.
+// saturate-then-clamp equals the int32 wide-then-clamp. The keep mask is
+// loaded once per chunk and ANDed into every Lambda load of that chunk.
+// `static` linkage per the COMDAT note above.
 template <class T, int W>
 static void row_body(T* const* l_rows, T* lambda_row, T* lam_full, T* lam,
-                     int deg, const RowBounds& b) {
+                     const T* keep, int deg, const RowBounds& b) {
   constexpr int kChunk = std::min<int>(W, kNativeBytes / int{sizeof(T)});
   using vec = RowVec<T, kChunk>;
   const auto splat = [](std::int32_t x) { return vec{} + static_cast<T>(x); };
@@ -375,10 +376,11 @@ static void row_body(T* const* l_rows, T* lambda_row, T* lam_full, T* lam,
   const vec zero{};
 
   for (int c = 0; c < W; c += kChunk) {
+    const vec kept = load(keep + c);
     vec min1 = msg_hi, min2 = msg_hi, signs = zero;
     for (int e = 0; e < deg; ++e) {
       vec d = sat_op<true, T, kChunk>(load(l_rows[e] + c),
-                                      load(lambda_row + e * W + c));
+                                      load(lambda_row + e * W + c) & kept);
       d = d > app_hi ? app_hi : d;
       d = d < app_lo ? app_lo : d;
       store(lam_full + e * W + c, d);

@@ -22,12 +22,12 @@ namespace {
 
 template <class T, int W>
 void row_scalar(T* const* l_rows, T* lambda_row, T* lam_full, T* lam,
-                int deg, const RowBounds& b) {
+                const T* keep, int deg, const RowBounds& b) {
   const std::int32_t app_lo = b.app_lo, app_hi = b.app_hi;
   const std::int32_t msg_lo = b.msg_lo, msg_hi = b.msg_hi;
 
-  // Read + subtract + clip: lam_full = sat_app(L - Lambda), lam = the
-  // message-bus clipped copy for the min scan.
+  // Read + subtract + clip: lam_full = sat_app(L - (Lambda & keep)), lam =
+  // the message-bus clipped copy for the min scan.
   for (int e = 0; e < deg; ++e) {
     const T* __restrict lrow = l_rows[e];
     const T* __restrict lamb = &lambda_row[e * W];
@@ -35,7 +35,8 @@ void row_scalar(T* const* l_rows, T* lambda_row, T* lam_full, T* lam,
     T* __restrict lm = &lam[e * W];
 #pragma omp simd
     for (int w = 0; w < W; ++w) {
-      std::int32_t d = std::int32_t{lrow[w]} - std::int32_t{lamb[w]};
+      const std::int32_t lambda = keep[w] ? std::int32_t{lamb[w]} : 0;
+      std::int32_t d = std::int32_t{lrow[w]} - lambda;
       d = d > app_hi ? app_hi : d;
       d = d < app_lo ? app_lo : d;
       lf[w] = static_cast<T>(d);

@@ -26,6 +26,7 @@ StreamBatchEngineT<T>::StreamBatchEngineT(DecoderConfig config, int lanes)
   et_scan_fn_ = kernels::et_scan_kernel<T>(tier_, lanes_);
   bounds_ = make_row_bounds(config_, traits_);
   lane_.resize(static_cast<std::size_t>(lanes_));
+  keep_.resize(static_cast<std::size_t>(lanes_));
 }
 
 template <class T>
@@ -34,7 +35,7 @@ void StreamBatchEngineT<T>::reconfigure(const codes::QCCode& code) {
   const auto w = static_cast<std::size_t>(lanes_);
   // resize, not assign: no SoA word needs a value at reconfiguration.
   // Under the refill discipline a lane's L column is merged and its Lambda
-  // entries are zeroed in-row before anything reads them, has_prev_ gates
+  // entries are masked out of the row kernel's first read, has_prev_ gates
   // the ET scan's prev_hard read, every codeword scan rewrites hard_mask_,
   // and dead lanes are never read — so a mode switch leaves the previous
   // code's words in place (rail-bounded, like any dead lane's) instead of
@@ -157,7 +158,13 @@ void StreamBatchEngineT<T>::load_lane(int w, std::size_t f,
 
 template <class T>
 void StreamBatchEngineT<T>::apply_fresh() {
+  // Lambda = 0 for the fresh lanes rides the row kernel's Lambda load:
+  // keep_ zeroes their lanes for this pass only. Every lane is reset to
+  // all-ones first, so no earlier pass can leave a lane masked.
+  std::fill(keep_.begin(), keep_.end(), static_cast<T>(-1));
   if (nfresh_ == 0) return;
+  for (int i = 0; i < nfresh_; ++i)
+    keep_[static_cast<std::size_t>(fresh_[i])] = 0;
   // Dispatched column merge (kernels::merge_kernel): the reference body is
   // a blocked lane-outer traversal whose row-block cap keeps the strided
   // column stores L1-resident; the full-width AVX-512BW int16 body
@@ -174,8 +181,7 @@ void StreamBatchEngineT<T>::run_queue(std::span<const int> order,
                                       std::span<FixedDecodeResult> results) {
   const std::size_t frames = results.size();
   const int j = code_->block_rows();
-  if (!order.empty() && order.size() != static_cast<std::size_t>(j))
-    throw std::invalid_argument("StreamBatchEngine: order size");
+  check_layer_order(order, j, "StreamBatchEngine");
   const int k_info = code_->k_info();
 
   // Prime the lanes from the head of the queue; lanes beyond the queue
@@ -193,8 +199,8 @@ void StreamBatchEngineT<T>::run_queue(std::span<const int> order,
   while (live > 0) {
     // One full iteration for every lane — freshly refilled lanes at
     // iteration 1 share the vectors with frames deep in their decode.
-    // Staged L columns are merged first; Lambda columns are zeroed in-row
-    // as the pass reaches them.
+    // Staged L columns are merged first; the fresh lanes' Lambda columns
+    // are masked to 0 by the row kernel's load as the pass reaches them.
     apply_fresh();
     if (order.empty()) {
       for (int l = 0; l < j; ++l) process_layer(l);
@@ -293,15 +299,6 @@ void StreamBatchEngineT<T>::process_layer(int layer) {
     const auto vars = code_->check_vars(r);
     const int e0 = code_->edge_index(r, 0);
     T* const lambda_row = &lambda_soa_[static_cast<std::size_t>(e0) * lanes];
-    // Deferred Lambda = 0 for freshly refilled lanes: these cache lines
-    // are about to be read by the kernel, so the clear is free here where
-    // a strided per-refill pass over the edge memory was not.
-    for (int i = 0; i < nfresh_; ++i) {
-      const int w = fresh_[i];
-      for (int e = 0; e < deg; ++e)
-        lambda_row[static_cast<std::size_t>(e) * lanes +
-                   static_cast<std::size_t>(w)] = 0;
-    }
     for (int e = 0; e < deg; ++e)
       lrow_ptrs_[static_cast<std::size_t>(e)] =
           &l_soa_[static_cast<std::size_t>(vars[e]) * lanes];
@@ -316,7 +313,7 @@ void StreamBatchEngineT<T>::process_layer(int layer) {
             &l_soa_[static_cast<std::size_t>(nvars[e]) * lanes], 1);
     }
     row_fn_(lrow_ptrs_.data(), lambda_row, lam_full_.data(), lam_.data(),
-            deg, bounds_);
+            keep_.data(), deg, bounds_);
   }
 }
 

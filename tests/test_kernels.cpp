@@ -1,13 +1,13 @@
 // Kernel-layer unit tests: the dispatch knobs (tier / lane-type parsing,
 // width validation), the row-kernel matrix itself — every SIMD tier ×
-// lane element type × lane width × min-sum variant, locked lane-for-lane
-// against the scalar int32 kernel on random in-rail inputs, including
-// rails where the narrow lanes saturate — and the fresh-lane merge matrix
-// against the reference merge body. The engine-level refill-equivalence
-// suite pins absolute decode semantics; this suite pins the kernels
-// directly, so a drift in one tier's saturation point, tie-breaking or
-// correction shows up as a one-word diff here instead of a whole-decode
-// divergence there.
+// lane element type × lane width × min-sum variant × Lambda keep mask,
+// locked lane-for-lane against the scalar int32 kernel on random in-rail
+// inputs, including rails where the narrow lanes saturate — and the
+// fresh-lane merge matrix against the reference merge body. The
+// engine-level refill-equivalence suite pins absolute decode semantics;
+// this suite pins the kernels directly, so a drift in one tier's
+// saturation point, tie-breaking, correction or masking shows up as a
+// one-word diff here instead of a whole-decode divergence there.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,20 +98,32 @@ std::vector<kernels::Tier> available_tiers() {
   return {seen.begin(), seen.end()};
 }
 
+/// Keep-mask patterns of the row matrix: every lane kept, no lane kept
+/// (a pass whose every lane was just loaded), and a random mix.
+enum class Keep { kAll, kNone, kRandom };
+
 /// One random row case: `deg` edges over `lanes` lanes of type T, inputs
-/// uniform within the rails of `bounds`, executed by the kernel under test
-/// and — in 8-lane chunks — by the scalar int32 reference kernel. Every
-/// output word (updated L rows and Lambda row) must match exactly. When
-/// `alias` is set, edge 2 shares its L row with edge 0 (a variable
-/// appearing twice in one check), locking the write-back ordering too.
+/// uniform within the rails of `bounds`, and a keep mask per `keep`.
+/// The reference is the scalar int32 kernel, run in 8-lane chunks with
+/// every lane kept on a Lambda row whose masked lanes were pre-zeroed —
+/// the Lambda = 0 initialisation the mask stands for. Three calls must
+/// match it word for word (updated L rows and Lambda row): the kernel
+/// under test with the mask on the raw Lambda row, the same kernel with
+/// every lane kept on the pre-zeroed row, and the scalar tier of type T
+/// at the same width with the mask. When `alias` is set, edge 2 shares its
+/// L row with edge 0 (a variable appearing twice in one check), locking
+/// the write-back ordering too.
 template <class T>
 void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
                                   const kernels::RowBounds& bounds,
-                                  bool alias, std::uint32_t seed) {
+                                  bool alias, Keep keep,
+                                  std::uint32_t seed) {
   SCOPED_TRACE("tier=" + kernels::to_string(tier) + " type=" +
                kernels::to_string(kernels::lane_type_of<T>) + " lanes=" +
                std::to_string(lanes) + " deg=" + std::to_string(deg) +
-               (alias ? " aliased" : "") + " seed=" + std::to_string(seed));
+               (alias ? " aliased" : "") + " keep=" +
+               std::to_string(static_cast<int>(keep)) + " seed=" +
+               std::to_string(seed));
   std::mt19937 rng(seed);
   std::uniform_int_distribution<std::int32_t> app_dist(bounds.app_lo,
                                                        bounds.app_hi);
@@ -128,13 +140,23 @@ void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
     for (std::size_t k = 0; k < w; ++k) l0[e][k] = app_dist(rng);
   if (alias && d > 2) l0[2] = l0[0];
   for (auto& v : lam0) v = msg_dist(rng);
+  std::vector<std::int32_t> mask(w, -1);
+  for (auto& m : mask)
+    m = keep == Keep::kNone ? 0
+        : keep == Keep::kAll ? -1
+                             : (rng() & 1 ? -1 : 0);
+  std::vector<std::int32_t> lam_zeroed = lam0;
+  for (std::size_t e = 0; e < d; ++e)
+    for (std::size_t k = 0; k < w; ++k)
+      if (mask[k] == 0) lam_zeroed[e * w + k] = 0;
 
-  // Reference: the scalar int32 kernel over 8-lane chunks.
+  // Reference: the scalar int32 kernel over 8-lane chunks, all lanes kept.
   const auto ref_fn =
       kernels::row_kernel<std::int32_t>(kernels::Tier::kScalar, 8);
   std::vector<std::vector<std::int32_t>> l_ref = l0;
-  std::vector<std::int32_t> lam_ref = lam0;
+  std::vector<std::int32_t> lam_ref = lam_zeroed;
   std::vector<std::int32_t> chunk_lam(d * 8), full8(d * 8), clip8(d * 8);
+  const std::vector<std::int32_t> keep8(8, -1);
   std::vector<std::vector<std::int32_t>> chunk_l(d,
                                                  std::vector<std::int32_t>(8));
   std::vector<std::int32_t*> rows8(d);
@@ -148,8 +170,8 @@ void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
         chunk_lam[e * 8 + k] = lam_ref[e * w + base + k];
     }
     if (alias && d > 2) rows8[2] = rows8[0];  // mirror the aliasing
-    ref_fn(rows8.data(), chunk_lam.data(), full8.data(), clip8.data(), deg,
-           bounds);
+    ref_fn(rows8.data(), chunk_lam.data(), full8.data(), clip8.data(),
+           keep8.data(), deg, bounds);
     for (std::size_t e = 0; e < d; ++e) {
       const std::int32_t* out =
           (alias && e == 2 && d > 2) ? chunk_l[0].data() : chunk_l[e].data();
@@ -162,34 +184,49 @@ void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
       for (std::size_t k = 0; k < 8; ++k) l_ref[2][base + k] = l_ref[0][base + k];
   }
 
-  // Kernel under test, on narrowed copies of the same inputs.
-  const auto fn = kernels::row_kernel<T>(tier, lanes);
-  ASSERT_NE(fn, nullptr);
-  std::vector<std::vector<T>> l_got(d, std::vector<T>(w));
-  std::vector<T> lam_got(d * w), full_got(d * w), clip_got(d * w);
-  std::vector<T*> rows(d);
-  for (std::size_t e = 0; e < d; ++e) {
-    for (std::size_t k = 0; k < w; ++k)
-      l_got[e][k] = static_cast<T>(l0[e][k]);
-    rows[e] = l_got[e].data();
-    for (std::size_t k = 0; k < w; ++k)
-      lam_got[e * w + k] = static_cast<T>(lam0[e * w + k]);
-  }
-  if (alias && d > 2) rows[2] = rows[0];
-  fn(rows.data(), lam_got.data(), full_got.data(), clip_got.data(), deg,
-     bounds);
-
-  for (std::size_t e = 0; e < d; ++e) {
-    const T* out = (alias && e == 2 && d > 2) ? l_got[0].data()
-                                              : l_got[e].data();
-    for (std::size_t k = 0; k < w; ++k) {
-      ASSERT_EQ(l_ref[e][k], static_cast<std::int32_t>(out[k]))
-          << "L edge " << e << " lane " << k;
-      ASSERT_EQ(lam_ref[e * w + k],
-                static_cast<std::int32_t>(lam_got[e * w + k]))
-          << "Lambda edge " << e << " lane " << k;
+  // One call of `fn` on narrowed copies of l0 and `lambda` under `keep_words`,
+  // checked against the reference.
+  const auto check = [&](kernels::MinSumRowFnT<T> fn,
+                         const std::vector<std::int32_t>& lambda,
+                         const std::vector<std::int32_t>& keep_words,
+                         const std::string& call) {
+    SCOPED_TRACE(call);
+    ASSERT_NE(fn, nullptr);
+    std::vector<std::vector<T>> l_got(d, std::vector<T>(w));
+    std::vector<T> lam_got(d * w), full_got(d * w), clip_got(d * w);
+    std::vector<T> keep_got(w);
+    std::vector<T*> rows(d);
+    for (std::size_t e = 0; e < d; ++e) {
+      for (std::size_t k = 0; k < w; ++k)
+        l_got[e][k] = static_cast<T>(l0[e][k]);
+      rows[e] = l_got[e].data();
+      for (std::size_t k = 0; k < w; ++k)
+        lam_got[e * w + k] = static_cast<T>(lambda[e * w + k]);
     }
-  }
+    for (std::size_t k = 0; k < w; ++k)
+      keep_got[k] = static_cast<T>(keep_words[k]);
+    if (alias && d > 2) rows[2] = rows[0];
+    fn(rows.data(), lam_got.data(), full_got.data(), clip_got.data(),
+       keep_got.data(), deg, bounds);
+
+    for (std::size_t e = 0; e < d; ++e) {
+      const T* out = (alias && e == 2 && d > 2) ? l_got[0].data()
+                                                : l_got[e].data();
+      for (std::size_t k = 0; k < w; ++k) {
+        ASSERT_EQ(l_ref[e][k], static_cast<std::int32_t>(out[k]))
+            << "L edge " << e << " lane " << k;
+        ASSERT_EQ(lam_ref[e * w + k],
+                  static_cast<std::int32_t>(lam_got[e * w + k]))
+            << "Lambda edge " << e << " lane " << k;
+      }
+    }
+  };
+  const auto fn = kernels::row_kernel<T>(tier, lanes);
+  check(fn, lam0, mask, "masked");
+  check(fn, lam_zeroed, std::vector<std::int32_t>(w, -1),
+        "all kept, pre-zeroed");
+  check(kernels::row_kernel<T>(kernels::Tier::kScalar, lanes), lam0, mask,
+        "scalar tier, masked");
 }
 
 /// RowBounds of the standard config (Q5.2 messages, 10-bit APP) and of the
@@ -219,33 +256,36 @@ const kernels::RowBounds kNarrowQ8{.app_lo = -127, .app_hi = 127,
 
 TEST(Kernels, RowKernelMatrixMatchesScalarReference) {
   for (const kernels::Tier tier : available_tiers()) {
-    // Plain, offset (beta = 2 LSBs) and normalized (3/4) min-sum: the
-    // correction rides in RowBounds, so the same matrix covers all three.
-    // The standard rails never saturate int16; kFull16 / kWide16 do.
-    for (const auto& bounds :
-         {standard_bounds(0, 0), standard_bounds(2, 0),
-          standard_bounds(0, 1), kFull16, kWide16}) {
-      for (const int deg : {2, 7, 19}) {
-        for (const bool alias : {false, true}) {
-          std::uint32_t seed = 1;
-          for (const int lanes : {8, 16})
-            check_row_against_scalar_ref<std::int32_t>(tier, lanes, deg,
-                                                       bounds, alias, seed++);
-          for (const int lanes : {16, 32})
-            check_row_against_scalar_ref<std::int16_t>(tier, lanes, deg,
-                                                       bounds, alias, seed++);
+    for (const Keep keep : {Keep::kAll, Keep::kNone, Keep::kRandom}) {
+      // Plain, offset (beta = 2 LSBs) and normalized (3/4) min-sum: the
+      // correction rides in RowBounds, so the same matrix covers all
+      // three. The standard rails never saturate int16; kFull16 / kWide16
+      // do.
+      for (const auto& bounds :
+           {standard_bounds(0, 0), standard_bounds(2, 0),
+            standard_bounds(0, 1), kFull16, kWide16}) {
+        for (const int deg : {2, 7, 19}) {
+          for (const bool alias : {false, true}) {
+            std::uint32_t seed = 1;
+            for (const int lanes : {8, 16})
+              check_row_against_scalar_ref<std::int32_t>(
+                  tier, lanes, deg, bounds, alias, keep, seed++);
+            for (const int lanes : {16, 32})
+              check_row_against_scalar_ref<std::int16_t>(
+                  tier, lanes, deg, bounds, alias, keep, seed++);
+          }
         }
       }
-    }
-    // int8 lanes require the strict rails (everything within +/-127).
-    for (const auto& bounds : {strict_bounds(0, 0), strict_bounds(2, 0),
-                               strict_bounds(0, 1), kNarrowQ8}) {
-      for (const int deg : {2, 7, 19}) {
-        for (const bool alias : {false, true}) {
-          std::uint32_t seed = 101;
-          for (const int lanes : {32, 64})
-            check_row_against_scalar_ref<std::int8_t>(tier, lanes, deg,
-                                                      bounds, alias, seed++);
+      // int8 lanes require the strict rails (everything within +/-127).
+      for (const auto& bounds : {strict_bounds(0, 0), strict_bounds(2, 0),
+                                 strict_bounds(0, 1), kNarrowQ8}) {
+        for (const int deg : {2, 7, 19}) {
+          for (const bool alias : {false, true}) {
+            std::uint32_t seed = 101;
+            for (const int lanes : {32, 64})
+              check_row_against_scalar_ref<std::int8_t>(
+                  tier, lanes, deg, bounds, alias, keep, seed++);
+          }
         }
       }
     }

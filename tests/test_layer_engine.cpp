@@ -54,6 +54,32 @@ TEST(LayerEngine, ValidatesConfigAndSizes) {
   EXPECT_THROW(engine.run(ok, bad_order), std::invalid_argument);
 }
 
+TEST(LayerEngine, RejectsALayerOrderThatIsNotAPermutation) {
+  // A repeated layer would decode with another layer never updated, and an
+  // out-of-range one would index past the code's layer table: both throw
+  // before any state is touched.
+  const auto code = codes::make_code(
+      {codes::Standard::kWimax80216e, codes::Rate::kR12, 24});
+  core::LayerEngine engine({.max_iterations = 3});
+  engine.reconfigure(code);
+  std::vector<std::int32_t> raw(static_cast<std::size_t>(code.n()), 1);
+  const int j = code.block_rows();
+  std::vector<int> natural(static_cast<std::size_t>(j));
+  std::iota(natural.begin(), natural.end(), 0);
+  const auto with = [&](int slot, int layer) {
+    std::vector<int> order = natural;
+    order[static_cast<std::size_t>(slot)] = layer;
+    return order;
+  };
+  EXPECT_THROW(engine.run(raw, std::vector<int>(natural.size(), 0)),
+               std::invalid_argument);
+  EXPECT_THROW(engine.run(raw, with(1, 0)), std::invalid_argument);
+  EXPECT_THROW(engine.run(raw, with(j - 1, -1)), std::invalid_argument);
+  EXPECT_THROW(engine.run(raw, with(0, j)), std::invalid_argument);
+  const std::vector<int> reversed(natural.rbegin(), natural.rend());
+  EXPECT_EQ(engine.run(raw, reversed).iterations, engine.run(raw).iterations);
+}
+
 TEST(LayerEngine, NaturalOrderExplicitAndImplicitAgree) {
   const auto code = codes::make_code(
       {codes::Standard::kWimax80216e, codes::Rate::kR12, 24});

@@ -559,6 +559,98 @@ TEST(StreamBatchEngine, RepeatedQueuesLeaveNoStateBehind) {
   }
 }
 
+TEST(StreamBatchEngine, FullWidthBinAfterModeSwitchMatchesFreshEngine) {
+  // The live service's call shape: DecodeService decodes a bin as one call
+  // of at most one lane width of frames, so every lane is loaded at the
+  // call's start and none is refilled — the first pass runs with EVERY
+  // lane fresh. Right after a switch down from the larger NR code, every
+  // lane's Lambda entries hold the NR decode's words; the first pass must
+  // read them as 0 and the bin must equal a fresh engine's, bit for bit,
+  // at the full preferred width of every lane type.
+  const auto wimax = codes::make_code(
+      {codes::Standard::kWimax80216e, codes::Rate::kR12, 96});
+  const auto nr = codes::make_nr_code(codes::Rate::kR13, 96, 5000, 64);
+  ASSERT_GT(nr.edges(), wimax.edges());
+
+  core::DecoderConfig strict = et_only_config();
+  strict.app_extra_bits = 0;  // int8 lanes need the strict 8-bit APP
+  struct Case {
+    kernels::LaneType type;
+    core::DecoderConfig cfg;
+  };
+  for (const Case& c : {Case{kernels::LaneType::kInt32, et_only_config()},
+                        Case{kernels::LaneType::kInt16, et_only_config()},
+                        Case{kernels::LaneType::kInt8, strict}}) {
+    const int lanes = 16 * kernels::lane_scale(c.type);
+    const std::string type = to_string(c.type);
+    const auto bin = make_queue(wimax, lanes, 51);
+    std::vector<core::FixedDecodeResult> want(
+        static_cast<std::size_t>(lanes));
+    {
+      core::StreamBatchEngine fresh(c.cfg, lanes, c.type);
+      fresh.reconfigure(wimax);
+      fresh.decode(bin, {}, want);
+    }
+    core::StreamBatchEngine reused(c.cfg, lanes, c.type);
+    reused.reconfigure(nr);
+    std::vector<core::FixedDecodeResult> nr_out(
+        static_cast<std::size_t>(lanes));
+    reused.decode(make_queue(nr, lanes, 52), {}, nr_out);
+    reused.reconfigure(wimax);
+    std::vector<core::FixedDecodeResult> got(
+        static_cast<std::size_t>(lanes));
+    reused.decode(bin, {}, got);
+    for (int f = 0; f < lanes; ++f)
+      expect_result_eq(want[static_cast<std::size_t>(f)],
+                       got[static_cast<std::size_t>(f)],
+                       type + " bin after NR frame " + std::to_string(f));
+  }
+}
+
+TEST(StreamBatchEngine, RejectsALayerOrderThatIsNotAPermutation) {
+  // An all-zero order used to be accepted (it decoded with only layer 0
+  // ever updated), and an out-of-range entry indexed past the layer
+  // table. Both front doors now throw before any lane is loaded, and the
+  // engine decodes normally afterwards.
+  const auto code = codes::make_code(
+      {codes::Standard::kWimax80216e, codes::Rate::kR12, 96});
+  const core::DecoderConfig cfg = et_only_config();
+  const auto llrs = make_queue(code, 3, 61);
+  const int j = code.block_rows();
+  std::vector<int> natural(static_cast<std::size_t>(j));
+  for (int l = 0; l < j; ++l) natural[static_cast<std::size_t>(l)] = l;
+  const auto with = [&](int slot, int layer) {
+    std::vector<int> order = natural;
+    order[static_cast<std::size_t>(slot)] = layer;
+    return order;
+  };
+  core::StreamBatchEngine engine(cfg);
+  engine.reconfigure(code);
+  std::vector<core::FixedDecodeResult> out(3);
+  for (const auto& bad :
+       {std::vector<int>(natural.size(), 0), with(1, 0), with(j - 1, -1),
+        with(0, j)})
+    EXPECT_THROW(engine.decode(llrs, bad, out), std::invalid_argument);
+  const auto frame = sim::quantise_llrs(
+      code, cfg,
+      std::span<const double>(llrs).first(
+          static_cast<std::size_t>(code.transmitted_bits())));
+  const std::vector<const core::QuantisedFrame*> frames{&frame};
+  std::vector<core::FixedDecodeResult> one(1);
+  EXPECT_THROW(engine.decode_quantised(frames, with(2, 2 - j), one),
+               std::invalid_argument);
+
+  core::StreamBatchEngine reference(cfg);
+  reference.reconfigure(code);
+  std::vector<core::FixedDecodeResult> want(3);
+  reference.decode(llrs, {}, want);
+  engine.decode(llrs, natural, out);
+  for (std::size_t f = 0; f < out.size(); ++f)
+    expect_result_eq(want[f], out[f],
+                     "natural order after rejected orders frame " +
+                         std::to_string(f));
+}
+
 TEST(StreamBatchEngine, QueueOrderDoesNotPerturbPerFrameResults) {
   // Scheduling independence: a frame's decode depends only on its own
   // LLRs, never on which lane it lands in or which frames share the
