@@ -5,7 +5,9 @@
 // lives at soa[v * W + w]. One check row's work — read L, subtract Lambda,
 // saturate to the APP word, clip to the message bus, run the two-minima /
 // sign-product min-sum scan, emit and write back — is a dense pass over W
-// contiguous lanes. The dispatch tiers are
+// contiguous lanes, and the engine hands the kernels one whole LAYER (z
+// check rows over rotated windows of the L memory) per call. The dispatch
+// tiers are
 //
 //   kScalar   portable C++ loops (the independent reference)
 //   kSse42    128-bit vectors (SSE4.2 host)
@@ -52,6 +54,8 @@
 #include <optional>
 #include <string>
 
+#include "ldpc/codes/qc_code.hpp"
+
 namespace ldpc::core::kernels {
 
 /// Saturation bounds of one row pass: APP-word saturation for the
@@ -70,8 +74,10 @@ struct RowBounds {
   std::int32_t norm = 0;
 };
 
-/// One check row over W SoA lanes of element type T. For each edge e in
-/// [0, deg):
+/// One check row over W SoA lanes of element type T: the REFERENCE row of
+/// the layer kernels below (the scalar tier walks every layer through it,
+/// and the kernel tests compare each tier's layer walk against it). For
+/// each edge e in [0, deg):
 ///   lam_full[e*W + w] = sat_app(l_rows[e][w] -
 ///                               (lambda_row[e*W + w] & keep[w]))
 ///   lam[e*W + w]      = clip_msg(lam_full[e*W + w])
@@ -80,19 +86,40 @@ struct RowBounds {
 ///   lambda_row[e*W + w] = minsum output
 ///   l_rows[e][w]        = sat_app(lam_full[e*W + w] + output).
 /// `l_rows[e]` points at the W-lane row of the edge's variable in the L
-/// SoA memory (rows may repeat when a variable appears twice); lambda_row
-/// is the row's contiguous deg*W slice of the Lambda SoA memory; lam_full
-/// and lam are caller-provided deg*W scratch. `keep` is a W-lane mask,
-/// each word all-ones (-1) or 0: a 0 lane reads its Lambda entries as 0,
-/// which is the Lambda = 0 initialisation of a freshly loaded frame folded
-/// into the row's own load (the write-back then overwrites the stale
-/// words). The caller guarantees every bound fits in T (core engines
-/// enforce this via lane-type eligibility).
+/// SoA memory (rows may repeat when a variable appears twice; the
+/// write-back runs in edge order); lambda_row is the row's contiguous
+/// deg*W slice of the Lambda SoA memory; lam_full and lam are
+/// caller-provided deg*W scratch. `keep` is a W-lane mask, each word
+/// all-ones (-1) or 0: a 0 lane reads its Lambda entries as 0, which is the
+/// Lambda = 0 initialisation of a freshly loaded frame folded into the
+/// row's own load (the write-back then overwrites the stale words). The
+/// caller guarantees every bound fits in T (core engines enforce this via
+/// lane-type eligibility).
 template <class T>
 using MinSumRowFnT = void (*)(T* const* l_rows, T* lambda_row, T* lam_full,
                               T* lam, const T* keep, int deg,
                               const RowBounds& bounds);
-using MinSumRowFn = MinSumRowFnT<std::int32_t>;
+
+/// Hard ceiling on the degree of a layer the layer kernels walk: their
+/// per-edge cursors and the runtime-degree body's row scratch are
+/// fixed-size arrays of this many edges. Every registered mode stays at or
+/// below 22; core::StreamBatchEngineT::reconfigure rejects a code above it.
+inline constexpr int kMaxLayerDegree = 64;
+
+/// One LAYER (block row) of a quasi-cyclic code over W SoA lanes: the z
+/// check rows t = 0..z-1, each exactly the reference row above, in row
+/// order. Edge e of row t reads and writes L row
+///   blocks[e].block_col * z + (t + blocks[e].shift) mod z
+/// of `l_soa` (the kernel advances one cursor per edge by one row and wraps
+/// it once at the end of its block column's window), and row t's Lambda
+/// slice is lambda_layer[t*deg*W, (t+1)*deg*W) — the layer's edges in
+/// QCCode's edge order. `keep` applies to every row. 1 <= deg <=
+/// kMaxLayerDegree, and each block's shift lies in [0, z).
+template <class T>
+using MinSumLayerFnT = void (*)(T* l_soa, T* lambda_layer,
+                                const codes::BlockEntry* blocks, int deg,
+                                int z, const T* keep,
+                                const RowBounds& bounds);
 
 enum class Tier { kScalar = 0, kSse42 = 1, kAvx2 = 2, kAvx512 = 3 };
 
@@ -188,24 +215,32 @@ void clear_forced_lane_type();
 /// hosts).
 int preferred_lanes(LaneType type);
 
-/// Row kernel of a specific tier (clamped to detected_tier()) for lane
+/// Layer kernel of a specific tier (clamped to detected_tier()) for lane
 /// element type T at lane width `lanes` (see valid_lane_width; throws
 /// std::invalid_argument otherwise) — the equivalence tests compare tiers
-/// pairwise.
+/// pairwise. At the tier's preferred width the vector tiers run a body
+/// specialised on the layer degree for every degree of the registered
+/// modes, and a runtime-degree body otherwise.
 template <class T>
-MinSumRowFnT<T> row_kernel(Tier tier, int lanes);
+MinSumLayerFnT<T> layer_kernel(Tier tier, int lanes);
 
-/// Row kernel of the active tier.
+extern template MinSumLayerFnT<std::int32_t> layer_kernel<std::int32_t>(
+    Tier, int);
+extern template MinSumLayerFnT<std::int16_t> layer_kernel<std::int16_t>(
+    Tier, int);
+extern template MinSumLayerFnT<std::int8_t> layer_kernel<std::int8_t>(Tier,
+                                                                      int);
+
+/// The independent scalar reference row at lane width `lanes` (throws like
+/// layer_kernel). No engine calls it: the tests build a layer's row
+/// pointers from QCCode::check_vars and check every layer kernel against
+/// it.
 template <class T>
-MinSumRowFnT<T> row_kernel(int lanes) {
-  return row_kernel<T>(active_tier(), lanes);
-}
+MinSumRowFnT<T> reference_row(int lanes);
 
-extern template MinSumRowFnT<std::int32_t> row_kernel<std::int32_t>(Tier,
-                                                                    int);
-extern template MinSumRowFnT<std::int16_t> row_kernel<std::int16_t>(Tier,
-                                                                    int);
-extern template MinSumRowFnT<std::int8_t> row_kernel<std::int8_t>(Tier, int);
+extern template MinSumRowFnT<std::int32_t> reference_row<std::int32_t>(int);
+extern template MinSumRowFnT<std::int16_t> reference_row<std::int16_t>(int);
+extern template MinSumRowFnT<std::int8_t> reference_row<std::int8_t>(int);
 
 /// Batched channel-LLR quantiser: double LLRs to Qm.f raw codes, the
 /// per-element arithmetic of fixed::QFormat::quantize + the zero-excluding

@@ -18,7 +18,7 @@
 // deposited frame at iteration 1 can share a vector with a frame at
 // iteration 9. Retired-but-unrefilled lanes keep evolving harmlessly
 // (bounded by saturation, never read again) — write-masking them would
-// break the dense branch-free row kernels. Per-frame hard decisions,
+// break the dense branch-free layer kernels. Per-frame hard decisions,
 // iteration counts and datapath cycles are bit-identical to decoding each
 // frame alone on the scalar engine, for any queue length, lane width,
 // lane element type and SIMD dispatch tier (locked by the
@@ -37,9 +37,19 @@
 // decode (transmitted-length double LLRs, deposited per lane on refill —
 // the adapter the simulator's decode_batch runs).
 //
-// The row arithmetic itself runs on the runtime-dispatched kernel layer
-// (ldpc/core/kernels/minsum_kernels.hpp), over a runtime-selected SoA
-// lane ELEMENT TYPE as well as lane width:
+// The row arithmetic runs on the runtime-dispatched kernel layer
+// (ldpc/core/kernels/minsum_kernels.hpp), ONE call per layer, as the
+// paper's chip decodes a layer: z SISOs take one row each while the block
+// columns and their shifts stream past. The engine passes the L and Lambda
+// bases, the layer's (block column, shift) entries straight from
+// QCCode::layers(), the degree, z, the keep mask and the bounds; the kernel
+// walks the z rows itself (edge e of row t reads L row
+// col_e * z + (t + shift_e) mod z through a per-edge cursor that wraps
+// once, and row t's Lambda sits at t * deg * W of the layer's slice). The
+// vector tiers run a body specialised on the layer degree that keeps the
+// row's clipped APP vectors in registers across the min scan and the emit,
+// so no row scratch exists. It runs over a runtime-selected SoA lane
+// ELEMENT TYPE as well as lane width:
 //
 //   StreamBatchEngineT<T>   the engine over lane type T (int32_t /
 //                           int16_t / int8_t); rails must fit T
@@ -87,13 +97,15 @@ class StreamBatchEngineT {
   /// otherwise.
   explicit StreamBatchEngineT(DecoderConfig config, int lanes = 0);
 
-  /// Resizes the SoA memories for `code` (references, not copies).
+  /// Resizes the SoA memories for `code` (references, not copies). Throws
+  /// std::invalid_argument for a code with a layer wider than the layer
+  /// kernels walk (kernels::kMaxLayerDegree edges).
   void reconfigure(const codes::QCCode& code);
 
   bool configured() const noexcept { return code_ != nullptr; }
   const DecoderConfig& config() const noexcept { return config_; }
   int lanes() const noexcept { return lanes_; }
-  /// The SIMD tier the row kernel was dispatched to at construction.
+  /// The SIMD tier the layer kernel was dispatched to at construction.
   kernels::Tier tier() const noexcept { return tier_; }
   /// The SoA lane element type tag of this instantiation.
   static constexpr kernels::LaneType lane_type() noexcept {
@@ -134,7 +146,7 @@ class StreamBatchEngineT {
   /// arrays through the cache k times. Instead apply_fresh() merges every
   /// staged lane's L column in ONE sequential pass at the next
   /// iteration's start and clears the lane in that pass's keep mask, and
-  /// the row kernel ANDs the mask into its Lambda load, so the lane reads
+  /// the layer kernel ANDs the mask into its Lambda load, so the lane reads
   /// Lambda = 0 on every row of its first pass and the write-back replaces
   /// the stale words (each edge belongs to exactly one check row, so each
   /// entry is read masked exactly once): the same L = channel, Lambda = 0
@@ -152,7 +164,7 @@ class StreamBatchEngineT {
   const codes::QCCode* code_ = nullptr;
   int lanes_ = 0;
   kernels::Tier tier_ = kernels::Tier::kScalar;
-  kernels::MinSumRowFnT<T> row_fn_ = nullptr;
+  kernels::MinSumLayerFnT<T> layer_fn_ = nullptr;
   kernels::MergeFreshFnT<T> merge_fn_ = nullptr;
   kernels::CwScanFnT<T> cw_scan_fn_ = nullptr;
   kernels::EtScanFnT<T> et_scan_fn_ = nullptr;
@@ -163,9 +175,6 @@ class StreamBatchEngineT {
   // SoA state: [slot * lanes_ + lane].
   SoaVector<T> l_soa_;       // APP per variable
   SoaVector<T> lambda_soa_;  // extrinsic per edge
-  SoaVector<T> lam_full_;    // APP-width row scratch
-  SoaVector<T> lam_;         // clipped row scratch
-  std::vector<T*> lrow_ptrs_;  // per-edge L row pointers
 
   // Per-lane decode state.
   struct LaneState {
@@ -174,11 +183,11 @@ class StreamBatchEngineT {
   };
   std::vector<LaneState> lane_;
   // Lanes staged since the last layer pass: their L columns are merged by
-  // apply_fresh(), which also clears them in keep_, so the next pass's row
-  // kernel reads their Lambda columns as 0 (see load_lane).
+  // apply_fresh(), which also clears them in keep_, so the next pass's
+  // layer kernel reads their Lambda columns as 0 (see load_lane).
   int fresh_[kMaxLanes] = {};
   int nfresh_ = 0;
-  // The row kernel's per-pass Lambda keep mask: 0 on the fresh lanes,
+  // The layer kernel's per-pass Lambda keep mask: 0 on the fresh lanes,
   // all-ones (-1) on every other lane.
   SoaVector<T> keep_;
   const T* staged_src_[kMaxLanes] = {};  // n raw codes per lane

@@ -216,8 +216,16 @@ KernelSet<T> kernel_set(Tier tier, int lanes, const char* who) {
 }  // namespace
 
 template <class T>
-MinSumRowFnT<T> row_kernel(Tier tier, int lanes) {
-  return kernel_set<T>(tier, lanes, "row_kernel").row;
+MinSumLayerFnT<T> layer_kernel(Tier tier, int lanes) {
+  return kernel_set<T>(tier, lanes, "layer_kernel").layer;
+}
+
+template <class T>
+MinSumRowFnT<T> reference_row(int lanes) {
+  // Validates the width like every getter; the row itself is the scalar
+  // TU's, whatever the tier.
+  kernel_set<T>(Tier::kScalar, lanes, "reference_row");
+  return scalar_reference_row<T>(lanes);
 }
 
 template <class T>
@@ -242,9 +250,12 @@ MergeFreshFnT<T> merge_kernel(Tier tier, int lanes) {
   return kernel_set<T>(tier, lanes, "merge_kernel").merge;
 }
 
-template MinSumRowFnT<std::int32_t> row_kernel<std::int32_t>(Tier, int);
-template MinSumRowFnT<std::int16_t> row_kernel<std::int16_t>(Tier, int);
-template MinSumRowFnT<std::int8_t> row_kernel<std::int8_t>(Tier, int);
+template MinSumLayerFnT<std::int32_t> layer_kernel<std::int32_t>(Tier, int);
+template MinSumLayerFnT<std::int16_t> layer_kernel<std::int16_t>(Tier, int);
+template MinSumLayerFnT<std::int8_t> layer_kernel<std::int8_t>(Tier, int);
+template MinSumRowFnT<std::int32_t> reference_row<std::int32_t>(int);
+template MinSumRowFnT<std::int16_t> reference_row<std::int16_t>(int);
+template MinSumRowFnT<std::int8_t> reference_row<std::int8_t>(int);
 template QuantFnT<std::int32_t> quant_kernel<std::int32_t>(Tier);
 template QuantFnT<std::int16_t> quant_kernel<std::int16_t>(Tier);
 template QuantFnT<std::int8_t> quant_kernel<std::int8_t>(Tier);

@@ -346,9 +346,11 @@ static inline RowVec<T, C> sat_op(RowVec<T, C> a, RowVec<T, C> b) {
   }
 }
 
-// The min-sum row body (MinSumRowFnT) of every SIMD tier: one source in
+// The runtime-degree min-sum row body of every SIMD tier: one source in
 // GCC vector extensions, compiled per tier TU and walking the W lanes in
-// chunks of the TU's native register width (one register per op).
+// chunks of the TU's native register width (one register per op). It
+// serves the layer degrees outside the registered set (see layer_body
+// below), through caller scratch.
 // Output is bit-identical to the independent row_scalar reference:
 // saturate, clip, two-minima scan, sign product, minima correction,
 // saturating write-back. Two steps are cheaper forms of the reference's:
@@ -427,30 +429,202 @@ static void row_body(T* const* l_rows, T* lambda_row, T* lam_full, T* lam,
   }
 }
 
+// The walk of one layer (MinSumLayerFnT): one L-row cursor per edge, set
+// to row (shift mod z) of the edge's block-column window and advanced one
+// W-lane row per check row, wrapping once at the window's end. `N` bounds
+// the degree (the layer body's D, or kMaxLayerDegree); the cursors ARE the
+// row-pointer array a row body reads.
+template <class T, int W, int N>
+struct LayerWalk {
+  T* row[N];
+  T* end[N];
+  std::size_t window;  // z * W: one block column's words
+
+  LayerWalk(T* l_soa, const codes::BlockEntry* blocks, int deg, int z)
+      : window(static_cast<std::size_t>(z) * W) {
+    for (int e = 0; e < deg; ++e) {
+      T* const base = l_soa + static_cast<std::size_t>(blocks[e].block_col) *
+                                  window;
+      row[e] = base + static_cast<std::size_t>(blocks[e].shift) * W;
+      end[e] = base + window;
+    }
+  }
+  void advance(int deg) {
+    for (int e = 0; e < deg; ++e) {
+      row[e] += W;
+      if (row[e] == end[e]) row[e] -= window;
+    }
+  }
+};
+
+// A layer walked through a row body that needs deg*W scratch (row_scalar
+// on the scalar tier, row_body on the vector tiers for degrees without a
+// layer_body): the scratch lives on the stack, sized by kMaxLayerDegree.
+template <class T, int W, void (*Row)(T* const*, T*, T*, T*, const T*, int,
+                                      const RowBounds&)>
+static void layer_via_row(T* l_soa, T* lambda, const codes::BlockEntry* blocks,
+                          int deg, int z, const T* keep, const RowBounds& b) {
+  alignas(64) T lam_full[kMaxLayerDegree * W];
+  alignas(64) T lam[kMaxLayerDegree * W];
+  LayerWalk<T, W, kMaxLayerDegree> walk(l_soa, blocks, deg, z);
+  const std::size_t stride = static_cast<std::size_t>(deg) * W;
+  for (int t = 0; t < z; ++t, lambda += stride) {
+    Row(walk.row, lambda, lam_full, lam, keep, deg, b);
+    walk.advance(deg);
+  }
+}
+
+// The register-resident layer body for degree D: row_body's arithmetic
+// with the D clipped-APP vectors of a chunk held in registers across the
+// scan and the emit (the edge loops fully unroll on the compile-time
+// degree), and no scratch written at all — per edge-vector one L load, one
+// Lambda load, one L store and one Lambda store. The chunk loop is
+// outermost within a row, so only one chunk's D vectors are live at once.
+// Symmetric message rails (msg_lo == -msg_hi with msg_hi >= 1, as every
+// QFormat saturates) let the message clip fold into the magnitude: |clip(x)| =
+// min(|x|, msg_hi), and clip(x) has x's sign, so the clipped message is
+// never formed. Bit-identical to row_body otherwise: the same ops on the
+// same values.
+template <class T, int W, int D>
+static void layer_body(T* l_soa, T* lambda, const codes::BlockEntry* blocks,
+                       int z, const T* keep, const RowBounds& b) {
+  constexpr int kChunk = std::min<int>(W, kNativeBytes / int{sizeof(T)});
+  constexpr int kChunks = W / kChunk;
+  using vec = RowVec<T, kChunk>;
+  const auto splat = [](std::int32_t x) { return vec{} + static_cast<T>(x); };
+  const auto load = [](const T* p) {
+    vec v;
+    __builtin_memcpy(&v, p, sizeof(vec));
+    return v;
+  };
+  const auto store = [](T* p, vec v) { __builtin_memcpy(p, &v, sizeof(vec)); };
+  const vec app_lo = splat(b.app_lo), app_hi = splat(b.app_hi);
+  const vec msg_hi = splat(b.msg_hi);
+  const vec zero{};
+  const bool offset = b.offset != 0, norm = b.norm != 0;
+  const vec off = splat(b.offset);
+  // alignas: GCC may raise a local vector array's alignment to the
+  // register width on its own, which ASan's use-after-return fake stack
+  // does not honour; stating it makes the frame keep it.
+  alignas(sizeof(vec)) vec kept[kChunks];
+  for (int c = 0; c < kChunks; ++c) kept[c] = load(keep + c * kChunk);
+
+  LayerWalk<T, W, D> walk(l_soa, blocks, D, z);
+  for (int t = 0; t < z; ++t, lambda += D * W) {
+    for (int c = 0; c < kChunks; ++c) {
+      const int lane0 = c * kChunk;
+      alignas(sizeof(vec)) vec d[D];
+      vec min1 = msg_hi, min2 = msg_hi, signs = zero;
+#pragma GCC unroll 32
+      for (int e = 0; e < D; ++e) {
+        vec x = sat_op<true, T, kChunk>(
+            load(walk.row[e] + lane0), load(lambda + e * W + lane0) & kept[c]);
+        x = x > app_hi ? app_hi : x;
+        x = x < app_lo ? app_lo : x;
+        d[e] = x;
+        signs ^= x;
+        vec mag = x < zero ? -x : x;
+        mag = mag < msg_hi ? mag : msg_hi;
+        min2 = min2 < mag ? min2 : mag;
+        min2 = min2 > min1 ? min2 : min1;
+        min1 = min1 < mag ? min1 : mag;
+      }
+      vec out1 = min1, out2 = min2;
+      if (offset) {
+        out1 -= off;
+        out2 -= off;
+        out1 = out1 < zero ? zero : out1;
+        out2 = out2 < zero ? zero : out2;
+      }
+      if (norm) {
+        out1 -= out1 >> 2;
+        out2 -= out2 >> 2;
+      }
+#pragma GCC unroll 32
+      for (int e = 0; e < D; ++e) {
+        vec mag = d[e] < zero ? -d[e] : d[e];
+        mag = mag < msg_hi ? mag : msg_hi;
+        mag = mag == min1 ? out2 : out1;
+        const vec out = (signs ^ d[e]) < zero ? -mag : mag;
+        vec app = sat_op<false, T, kChunk>(d[e], out);
+        app = app > app_hi ? app_hi : app;
+        app = app < app_lo ? app_lo : app;
+        store(lambda + e * W + lane0, out);
+        store(walk.row[e] + lane0, app);
+      }
+    }
+    walk.advance(D);
+  }
+}
+
+// The layer degrees of the registered modes (3-11, 13-15, 20 and 22 over
+// codes::all_modes()), each with its own layer_body on every vector tier.
+// Register files of 16 vectors (SSE4.2, AVX2) spill part of a wide
+// degree's row, but those spills cost less than row_body's scratch
+// traffic (BM_MinSumLayerTier*_d20), so no tier caps the degree.
+template <int... Ds>
+struct DegreeList {};
+using RegisteredDegrees =
+    DegreeList<3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 20, 22>;
+
+// The vector tiers' layer kernel: one compare chain on the layer degree
+// selects layer_body<D>; any other degree, or asymmetric message rails,
+// walks row_body.
+template <class T, int W, int... Ds>
+static void layer_dispatch(T* l_soa, T* lambda,
+                           const codes::BlockEntry* blocks, int deg, int z,
+                           const T* keep, const RowBounds& b,
+                           DegreeList<Ds...>) {
+  const bool done =
+      b.msg_hi > 0 && b.msg_lo == -b.msg_hi &&
+      ((deg == Ds
+            ? (layer_body<T, W, Ds>(l_soa, lambda, blocks, z, keep, b), true)
+            : false) ||
+       ...);
+  if (!done)
+    layer_via_row<T, W, &row_body<T, W>>(l_soa, lambda, blocks, deg, z, keep,
+                                         b);
+}
+
+template <class T, int W>
+static void layer_vector(T* l_soa, T* lambda, const codes::BlockEntry* blocks,
+                         int deg, int z, const T* keep, const RowBounds& b) {
+  layer_dispatch<T, W>(l_soa, lambda, blocks, deg, z, keep, b,
+                       RegisteredDegrees{});
+}
+
 // The five kernels one tier TU serves for lane type T at one lane width.
 template <class T>
 struct KernelSet {
-  MinSumRowFnT<T> row;
+  MinSumLayerFnT<T> layer;
   QuantFnT<T> quant;
   CwScanFnT<T> cw;
   EtScanFnT<T> et;
   MergeFreshFnT<T> merge;
 };
 
-// Every shared body at lane width W, with `row` as the row kernel.
+// Every shared body at lane width W, with `layer` as the layer kernel.
 template <class T, int W>
-static KernelSet<T> body_set(MinSumRowFnT<T> row) {
-  return {row, &quantize_llrs_body<T>, &cw_scan_body<T, W>,
+static KernelSet<T> body_set(MinSumLayerFnT<T> layer) {
+  return {layer, &quantize_llrs_body<T>, &cw_scan_body<T, W>,
           &et_scan_body<T, W>, &merge_fresh_body<T, W>};
 }
 
 // The set of a vector tier TU (sse42 / avx2 / avx512): every body at this
-// TU's -m flags. `lanes` is valid (dispatch checked valid_lane_width).
+// TU's -m flags. `lanes` is valid (dispatch checked valid_lane_width). The
+// degree-specialised layer bodies are compiled only at the width the
+// engines run at on this tier (kernels::preferred_lanes); the other valid
+// width, used only by callers that pin it, walks row_body. That halves the
+// tier's code, most of which is the 14 unrolled layer bodies.
 template <class T>
 static KernelSet<T> vector_kernels(int lanes) {
   constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? body_set<T, 16 * s>(&row_body<T, 16 * s>)
-                         : body_set<T, 8 * s>(&row_body<T, 8 * s>);
+  constexpr int kPreferred = (kNativeBytes == 64 ? 16 : 8) * s;
+  constexpr int kOther = (kNativeBytes == 64 ? 8 : 16) * s;
+  return lanes == kPreferred
+             ? body_set<T, kPreferred>(&layer_vector<T, kPreferred>)
+             : body_set<T, kOther>(
+                   &layer_via_row<T, kOther, &row_body<T, kOther>>);
 }
 
 // Per-tier getters, one per TU, explicitly instantiated for the three lane
@@ -458,6 +632,9 @@ static KernelSet<T> vector_kernels(int lanes) {
 // host executes it.
 template <class T>
 KernelSet<T> scalar_kernels(int lanes);
+// The scalar TU's reference row (row_scalar) at a valid lane width.
+template <class T>
+MinSumRowFnT<T> scalar_reference_row(int lanes);
 #ifdef LDPC_KERNELS_HAVE_SSE42
 template <class T>
 KernelSet<T> sse42_kernels(int lanes);

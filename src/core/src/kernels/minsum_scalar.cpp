@@ -1,6 +1,7 @@
 // Portable scalar row kernel: the reference arithmetic every SIMD tier
-// must match bit for bit, and the fallback on hosts (or builds) without
-// SSE4.2. The inner loops are written in autovectorisable form (`#pragma
+// must match bit for bit, and (walked over each layer by layer_via_row)
+// the fallback on hosts (or builds) without SSE4.2. The inner loops are
+// written in autovectorisable form (`#pragma
 // omp simd` + __restrict, branch-free selects), so "scalar" still vectorises
 // when the compiler feels like it — the tier ladder is about *guaranteed*
 // SIMD, not about pessimising the baseline.
@@ -11,9 +12,9 @@
 // the rails — which by the lane-type eligibility rule fit the lane type —
 // so the cast is value-preserving and the result matches both the int32
 // scalar kernel and the saturating narrow SIMD kernels exactly. The SIMD
-// tiers share one vector-extension body (row_body in kernels_internal.hpp);
-// this loop stays a separate implementation so the tier matrix has an
-// independent reference.
+// tiers share one vector-extension source (layer_body / row_body in
+// kernels_internal.hpp); this loop stays a separate implementation so the
+// tier matrix has an independent reference.
 #include "kernels_internal.hpp"
 
 namespace ldpc::core::kernels {
@@ -115,17 +116,29 @@ void row_scalar(T* const* l_rows, T* lambda_row, T* lam_full, T* lam,
 
 }  // namespace
 
-// The scalar tier serves row_scalar; every other kernel is the shared
-// body at the baseline architecture.
+// The scalar tier walks every layer through row_scalar; every other kernel
+// is the shared body at the baseline architecture.
 template <class T>
 KernelSet<T> scalar_kernels(int lanes) {
   constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s ? body_set<T, 16 * s>(&row_scalar<T, 16 * s>)
-                         : body_set<T, 8 * s>(&row_scalar<T, 8 * s>);
+  return lanes == 16 * s
+             ? body_set<T, 16 * s>(
+                   &layer_via_row<T, 16 * s, &row_scalar<T, 16 * s>>)
+             : body_set<T, 8 * s>(
+                   &layer_via_row<T, 8 * s, &row_scalar<T, 8 * s>>);
+}
+
+template <class T>
+MinSumRowFnT<T> scalar_reference_row(int lanes) {
+  constexpr int s = lane_scale(lane_type_of<T>);
+  return lanes == 16 * s ? &row_scalar<T, 16 * s> : &row_scalar<T, 8 * s>;
 }
 
 template KernelSet<std::int32_t> scalar_kernels<std::int32_t>(int);
 template KernelSet<std::int16_t> scalar_kernels<std::int16_t>(int);
 template KernelSet<std::int8_t> scalar_kernels<std::int8_t>(int);
+template MinSumRowFnT<std::int32_t> scalar_reference_row<std::int32_t>(int);
+template MinSumRowFnT<std::int16_t> scalar_reference_row<std::int16_t>(int);
+template MinSumRowFnT<std::int8_t> scalar_reference_row<std::int8_t>(int);
 
 }  // namespace ldpc::core::kernels

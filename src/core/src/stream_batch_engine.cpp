@@ -20,7 +20,7 @@ StreamBatchEngineT<T>::StreamBatchEngineT(DecoderConfig config, int lanes)
   if (lanes == 0) lanes = kernels::preferred_lanes(lane_type());
   lanes_ = lanes;
   tier_ = kernels::active_tier();
-  row_fn_ = kernels::row_kernel<T>(tier_, lanes_);  // validates the width
+  layer_fn_ = kernels::layer_kernel<T>(tier_, lanes_);  // validates the width
   merge_fn_ = kernels::merge_kernel<T>(tier_, lanes_);
   cw_scan_fn_ = kernels::cw_scan_kernel<T>(tier_, lanes_);
   et_scan_fn_ = kernels::et_scan_kernel<T>(tier_, lanes_);
@@ -31,20 +31,23 @@ StreamBatchEngineT<T>::StreamBatchEngineT(DecoderConfig config, int lanes)
 
 template <class T>
 void StreamBatchEngineT<T>::reconfigure(const codes::QCCode& code) {
+  if (code.max_check_degree() > kernels::kMaxLayerDegree)
+    throw std::invalid_argument(
+        "StreamBatchEngine: code " + code.name() + " has a layer of degree " +
+        std::to_string(code.max_check_degree()) +
+        " (the layer kernels walk at most " +
+        std::to_string(kernels::kMaxLayerDegree) + ")");
   code_ = &code;
   const auto w = static_cast<std::size_t>(lanes_);
   // resize, not assign: no SoA word needs a value at reconfiguration.
   // Under the refill discipline a lane's L column is merged and its Lambda
-  // entries are masked out of the row kernel's first read, has_prev_ gates
+  // entries are masked out of the layer kernel's first read, has_prev_ gates
   // the ET scan's prev_hard read, every codeword scan rewrites hard_mask_,
   // and dead lanes are never read — so a mode switch leaves the previous
   // code's words in place (rail-bounded, like any dead lane's) instead of
   // re-zeroing megabytes of state.
   l_soa_.resize(static_cast<std::size_t>(code.n()) * w);
   lambda_soa_.resize(static_cast<std::size_t>(code.edges()) * w);
-  lam_full_.resize(static_cast<std::size_t>(code.max_check_degree()) * w);
-  lam_.resize(static_cast<std::size_t>(code.max_check_degree()) * w);
-  lrow_ptrs_.resize(static_cast<std::size_t>(code.max_check_degree()));
   prev_hard_soa_.resize(static_cast<std::size_t>(code.k_info()) * w);
   raw_scratch_.resize(static_cast<std::size_t>(code.n()) * w);
   hard_mask_.resize(static_cast<std::size_t>(code.n()));
@@ -158,7 +161,7 @@ void StreamBatchEngineT<T>::load_lane(int w, std::size_t f,
 
 template <class T>
 void StreamBatchEngineT<T>::apply_fresh() {
-  // Lambda = 0 for the fresh lanes rides the row kernel's Lambda load:
+  // Lambda = 0 for the fresh lanes rides the layer kernel's Lambda load:
   // keep_ zeroes their lanes for this pass only. Every lane is reset to
   // all-ones first, so no earlier pass can leave a lane masked.
   std::fill(keep_.begin(), keep_.end(), static_cast<T>(-1));
@@ -200,7 +203,7 @@ void StreamBatchEngineT<T>::run_queue(std::span<const int> order,
     // One full iteration for every lane — freshly refilled lanes at
     // iteration 1 share the vectors with frames deep in their decode.
     // Staged L columns are merged first; the fresh lanes' Lambda columns
-    // are masked to 0 by the row kernel's load as the pass reaches them.
+    // are masked to 0 by the layer kernel's load as the pass reaches them.
     apply_fresh();
     if (order.empty()) {
       for (int l = 0; l < j; ++l) process_layer(l);
@@ -289,32 +292,15 @@ void StreamBatchEngineT<T>::run_queue(std::span<const int> order,
 
 template <class T>
 void StreamBatchEngineT<T>::process_layer(int layer) {
+  // One call walks the layer's z rows (see kernels::MinSumLayerFnT); its
+  // Lambda slice starts at the layer's first edge.
   const int z = code_->z();
   const auto& blocks = code_->layers()[static_cast<std::size_t>(layer)];
-  const int deg = static_cast<int>(blocks.size());
-  const auto lanes = static_cast<std::size_t>(lanes_);
-
-  for (int t = 0; t < z; ++t) {
-    const int r = layer * z + t;
-    const auto vars = code_->check_vars(r);
-    const int e0 = code_->edge_index(r, 0);
-    T* const lambda_row = &lambda_soa_[static_cast<std::size_t>(e0) * lanes];
-    for (int e = 0; e < deg; ++e)
-      lrow_ptrs_[static_cast<std::size_t>(e)] =
-          &l_soa_[static_cast<std::size_t>(vars[e]) * lanes];
-    // Prefetch the NEXT row's L lines while this row computes: the L rows
-    // are scattered by the base-graph columns (no hardware-prefetchable
-    // pattern, unlike the sequential Lambda stream), and on large codes
-    // they live in L2/L3.
-    if (t + 1 < z) {
-      const auto nvars = code_->check_vars(r + 1);
-      for (int e = 0; e < deg; ++e)
-        __builtin_prefetch(
-            &l_soa_[static_cast<std::size_t>(nvars[e]) * lanes], 1);
-    }
-    row_fn_(lrow_ptrs_.data(), lambda_row, lam_full_.data(), lam_.data(),
-            keep_.data(), deg, bounds_);
-  }
+  const auto e0 = static_cast<std::size_t>(
+      code_->check_row_ptr()[static_cast<std::size_t>(layer) * z]);
+  T* const lambda = &lambda_soa_[e0 * static_cast<std::size_t>(lanes_)];
+  layer_fn_(l_soa_.data(), lambda, blocks.data(),
+            static_cast<int>(blocks.size()), z, keep_.data(), bounds_);
 }
 
 template class StreamBatchEngineT<std::int32_t>;

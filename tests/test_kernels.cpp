@@ -1,9 +1,12 @@
 // Kernel-layer unit tests: the dispatch knobs (tier / lane-type parsing,
-// width validation), the row-kernel matrix itself — every SIMD tier ×
-// lane element type × lane width × min-sum variant × Lambda keep mask,
-// locked lane-for-lane against the scalar int32 kernel on random in-rail
-// inputs, including rails where the narrow lanes saturate — and the
-// fresh-lane merge matrix against the reference merge body. The
+// width validation), the row matrix — every SIMD tier's layer kernel on a
+// one-row layer × lane element type × lane width × min-sum variant ×
+// Lambda keep mask, locked lane-for-lane against the scalar int32 row on
+// random in-rail inputs, including rails where the narrow lanes saturate —
+// the layer matrix — every tier's walk of a whole z-row layer at each
+// registered layer degree and two others, against a reference that builds
+// each row from QCCode::check_vars — and the fresh-lane merge matrix
+// against the reference merge body. The
 // engine-level refill-equivalence suite pins absolute decode semantics;
 // this suite pins the kernels directly, so a drift in one tier's
 // saturation point, tie-breaking, correction or masking shows up as a
@@ -17,11 +20,14 @@
 #include <string>
 #include <vector>
 
+#include "ldpc/codes/base_matrix.hpp"
+#include "ldpc/codes/qc_code.hpp"
 #include "ldpc/core/kernels/minsum_kernels.hpp"
 
 namespace {
 
 using namespace ldpc::core;
+namespace codes = ldpc::codes;
 
 TEST(Kernels, ParseTierAcceptsCaseInsensitively) {
   EXPECT_EQ(kernels::parse_tier("scalar"), kernels::Tier::kScalar);
@@ -72,18 +78,21 @@ TEST(Kernels, LaneTypeHelpers) {
   EXPECT_EQ(kernels::to_string(kernels::LaneType::kInt16), "int16");
 }
 
-TEST(Kernels, RowKernelValidatesWidthPerType) {
-  EXPECT_NE(kernels::row_kernel<std::int32_t>(kernels::Tier::kScalar, 8),
+TEST(Kernels, LayerKernelValidatesWidthPerType) {
+  EXPECT_NE(kernels::layer_kernel<std::int32_t>(kernels::Tier::kScalar, 8),
             nullptr);
-  EXPECT_NE(kernels::row_kernel<std::int16_t>(kernels::Tier::kScalar, 32),
+  EXPECT_NE(kernels::layer_kernel<std::int16_t>(kernels::Tier::kScalar, 32),
             nullptr);
-  EXPECT_NE(kernels::row_kernel<std::int8_t>(kernels::Tier::kScalar, 64),
+  EXPECT_NE(kernels::layer_kernel<std::int8_t>(kernels::Tier::kScalar, 64),
             nullptr);
-  EXPECT_THROW(kernels::row_kernel<std::int32_t>(kernels::Tier::kScalar, 32),
+  EXPECT_THROW(kernels::layer_kernel<std::int32_t>(kernels::Tier::kScalar, 32),
                std::invalid_argument);
-  EXPECT_THROW(kernels::row_kernel<std::int16_t>(kernels::Tier::kScalar, 8),
+  EXPECT_THROW(kernels::layer_kernel<std::int16_t>(kernels::Tier::kScalar, 8),
                std::invalid_argument);
-  EXPECT_THROW(kernels::row_kernel<std::int8_t>(kernels::Tier::kScalar, 7),
+  EXPECT_THROW(kernels::layer_kernel<std::int8_t>(kernels::Tier::kScalar, 7),
+               std::invalid_argument);
+  EXPECT_NE(kernels::reference_row<std::int16_t>(16), nullptr);
+  EXPECT_THROW(kernels::reference_row<std::int32_t>(64),
                std::invalid_argument);
 }
 
@@ -104,15 +113,17 @@ enum class Keep { kAll, kNone, kRandom };
 
 /// One random row case: `deg` edges over `lanes` lanes of type T, inputs
 /// uniform within the rails of `bounds`, and a keep mask per `keep`.
-/// The reference is the scalar int32 kernel, run in 8-lane chunks with
-/// every lane kept on a Lambda row whose masked lanes were pre-zeroed —
-/// the Lambda = 0 initialisation the mask stands for. Three calls must
-/// match it word for word (updated L rows and Lambda row): the kernel
-/// under test with the mask on the raw Lambda row, the same kernel with
-/// every lane kept on the pre-zeroed row, and the scalar tier of type T
-/// at the same width with the mask. When `alias` is set, edge 2 shares its
-/// L row with edge 0 (a variable appearing twice in one check), locking
-/// the write-back ordering too.
+/// The row runs as a one-row layer (z = 1, every shift 0, edge e on block
+/// column e), so the layer kernels see exactly the row. The reference is
+/// the scalar int32 row, run in 8-lane chunks with every lane kept on a
+/// Lambda row whose masked lanes were pre-zeroed — the Lambda = 0
+/// initialisation the mask stands for. Three calls must match it word for
+/// word (updated L rows and Lambda row): the layer kernel under test with
+/// the mask on the raw Lambda row, the same kernel with every lane kept on
+/// the pre-zeroed row, and the scalar tier of type T at the same width
+/// with the mask. When `alias` is set, edge 2 shares its L row with edge 0
+/// (block column 0 twice in one layer, a variable appearing twice in one
+/// check), locking the write-back ordering too.
 template <class T>
 void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
                                   const kernels::RowBounds& bounds,
@@ -150,9 +161,8 @@ void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
     for (std::size_t k = 0; k < w; ++k)
       if (mask[k] == 0) lam_zeroed[e * w + k] = 0;
 
-  // Reference: the scalar int32 kernel over 8-lane chunks, all lanes kept.
-  const auto ref_fn =
-      kernels::row_kernel<std::int32_t>(kernels::Tier::kScalar, 8);
+  // Reference: the scalar int32 row over 8-lane chunks, all lanes kept.
+  const auto ref_fn = kernels::reference_row<std::int32_t>(8);
   std::vector<std::vector<std::int32_t>> l_ref = l0;
   std::vector<std::int32_t> lam_ref = lam_zeroed;
   std::vector<std::int32_t> chunk_lam(d * 8), full8(d * 8), clip8(d * 8);
@@ -184,34 +194,32 @@ void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
       for (std::size_t k = 0; k < 8; ++k) l_ref[2][base + k] = l_ref[0][base + k];
   }
 
-  // One call of `fn` on narrowed copies of l0 and `lambda` under `keep_words`,
-  // checked against the reference.
-  const auto check = [&](kernels::MinSumRowFnT<T> fn,
+  // One call of `fn` on narrowed copies of l0 (L row e = block column e)
+  // and `lambda` under `keep_words`, checked against the reference.
+  std::vector<codes::BlockEntry> blocks(d);
+  for (std::size_t e = 0; e < d; ++e)
+    blocks[e] = {static_cast<int>(e), 0};
+  if (alias && d > 2) blocks[2].block_col = 0;
+  const auto check = [&](kernels::MinSumLayerFnT<T> fn,
                          const std::vector<std::int32_t>& lambda,
                          const std::vector<std::int32_t>& keep_words,
                          const std::string& call) {
     SCOPED_TRACE(call);
     ASSERT_NE(fn, nullptr);
-    std::vector<std::vector<T>> l_got(d, std::vector<T>(w));
-    std::vector<T> lam_got(d * w), full_got(d * w), clip_got(d * w);
-    std::vector<T> keep_got(w);
-    std::vector<T*> rows(d);
-    for (std::size_t e = 0; e < d; ++e) {
-      for (std::size_t k = 0; k < w; ++k)
-        l_got[e][k] = static_cast<T>(l0[e][k]);
-      rows[e] = l_got[e].data();
-      for (std::size_t k = 0; k < w; ++k)
+    std::vector<T> l_got(d * w), lam_got(d * w), keep_got(w);
+    for (std::size_t e = 0; e < d; ++e)
+      for (std::size_t k = 0; k < w; ++k) {
+        l_got[e * w + k] = static_cast<T>(l0[e][k]);
         lam_got[e * w + k] = static_cast<T>(lambda[e * w + k]);
-    }
+      }
     for (std::size_t k = 0; k < w; ++k)
       keep_got[k] = static_cast<T>(keep_words[k]);
-    if (alias && d > 2) rows[2] = rows[0];
-    fn(rows.data(), lam_got.data(), full_got.data(), clip_got.data(),
-       keep_got.data(), deg, bounds);
+    fn(l_got.data(), lam_got.data(), blocks.data(), deg, 1, keep_got.data(),
+       bounds);
 
     for (std::size_t e = 0; e < d; ++e) {
-      const T* out = (alias && e == 2 && d > 2) ? l_got[0].data()
-                                                : l_got[e].data();
+      const T* out =
+          &l_got[static_cast<std::size_t>(blocks[e].block_col) * w];
       for (std::size_t k = 0; k < w; ++k) {
         ASSERT_EQ(l_ref[e][k], static_cast<std::int32_t>(out[k]))
             << "L edge " << e << " lane " << k;
@@ -221,11 +229,11 @@ void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
       }
     }
   };
-  const auto fn = kernels::row_kernel<T>(tier, lanes);
+  const auto fn = kernels::layer_kernel<T>(tier, lanes);
   check(fn, lam0, mask, "masked");
   check(fn, lam_zeroed, std::vector<std::int32_t>(w, -1),
         "all kept, pre-zeroed");
-  check(kernels::row_kernel<T>(kernels::Tier::kScalar, lanes), lam0, mask,
+  check(kernels::layer_kernel<T>(kernels::Tier::kScalar, lanes), lam0, mask,
         "scalar tier, masked");
 }
 
@@ -287,6 +295,129 @@ TEST(Kernels, RowKernelMatrixMatchesScalarReference) {
                   tier, lanes, deg, bounds, alias, keep, seed++);
           }
         }
+      }
+    }
+  }
+}
+
+/// The layer degrees the matrix below walks: the 14 degrees of the
+/// registered modes (each with a degree-specialised body on every vector
+/// tier at that tier's preferred lane width; the other width walks the
+/// runtime-degree body) and two outside that set, 12 and 27, which take
+/// the runtime-degree body at every width.
+constexpr int kLayerDegrees[] = {3,  4,  5,  6,  7,  8,  9,  10,
+                                 11, 13, 14, 15, 20, 22, 12, 27};
+
+/// A two-layer code whose layer 0 has `deg` blocks over the block columns
+/// 0, 2, 3, ..., deg (column 1 belongs to layer 1 alone), with random
+/// shifts in [0, z) — the first two pinned to 0 and z - 1, so one window
+/// wraps on the first row and one never does.
+codes::QCCode layer_test_code(int deg, int z, std::mt19937& rng) {
+  const int cols = deg + 1;
+  std::vector<int> entries(static_cast<std::size_t>(2 * cols),
+                           codes::kZeroBlock);
+  std::uniform_int_distribution<int> shift(0, z - 1);
+  int e = 0;
+  for (int c = 0; c < cols; ++c) {
+    if (c == 1) continue;
+    entries[static_cast<std::size_t>(c)] =
+        e == 0 ? 0 : e == 1 ? z - 1 : shift(rng);
+    ++e;
+  }
+  entries[static_cast<std::size_t>(cols)] = shift(rng);
+  entries[static_cast<std::size_t>(cols + 1)] = shift(rng);
+  return codes::QCCode(codes::BaseMatrix(2, cols, std::move(entries)), z);
+}
+
+/// One layer-kernel cell: layer 0 of layer_test_code(deg, z) over `lanes`
+/// lanes of T, random in-rail L and Lambda, a keep mask per `keep`. The
+/// reference walks the layer's rows with pointers built from
+/// QCCode::check_vars and Lambda rows at QCCode::edge_index, calling the
+/// scalar reference row on each, so the kernel's rotated-window cursors
+/// are checked against the code's own index arithmetic, not assumed. The
+/// whole L memory (including layer 1's private column) and the layer's
+/// Lambda slice must match word for word.
+template <class T>
+void check_layer_against_reference(kernels::Tier tier, int lanes, int deg,
+                                   int z, const kernels::RowBounds& bounds,
+                                   Keep keep, std::uint32_t seed) {
+  SCOPED_TRACE("tier=" + kernels::to_string(tier) + " type=" +
+               kernels::to_string(kernels::lane_type_of<T>) + " lanes=" +
+               std::to_string(lanes) + " deg=" + std::to_string(deg) +
+               " z=" + std::to_string(z) + " keep=" +
+               std::to_string(static_cast<int>(keep)) + " offset=" +
+               std::to_string(bounds.offset) + " norm=" +
+               std::to_string(bounds.norm));
+  std::mt19937 rng(seed);
+  const codes::QCCode code = layer_test_code(deg, z, rng);
+  ASSERT_EQ(static_cast<int>(code.layers()[0].size()), deg);
+  const auto w = static_cast<std::size_t>(lanes);
+  const auto n = static_cast<std::size_t>(code.n());
+  const auto layer_edges = static_cast<std::size_t>(deg) *
+                           static_cast<std::size_t>(z);
+  std::uniform_int_distribution<std::int32_t> app_dist(bounds.app_lo,
+                                                       bounds.app_hi);
+  std::uniform_int_distribution<std::int32_t> msg_dist(bounds.msg_lo,
+                                                       bounds.msg_hi);
+  std::vector<T> l0(n * w), lam0(layer_edges * w), mask(w);
+  for (auto& v : l0) v = static_cast<T>(app_dist(rng));
+  for (auto& v : lam0) v = static_cast<T>(msg_dist(rng));
+  for (auto& m : mask)
+    m = keep == Keep::kNone ? T{0}
+        : keep == Keep::kAll ? T{-1}
+                             : (rng() & 1 ? T{-1} : T{0});
+
+  std::vector<T> l_ref = l0, lam_ref = lam0;
+  std::vector<T> full(static_cast<std::size_t>(deg) * w),
+      clip(static_cast<std::size_t>(deg) * w);
+  std::vector<T*> rows(static_cast<std::size_t>(deg));
+  const auto ref_row = kernels::reference_row<T>(lanes);
+  for (int t = 0; t < z; ++t) {
+    const auto vars = code.check_vars(t);
+    for (int e = 0; e < deg; ++e)
+      rows[static_cast<std::size_t>(e)] =
+          &l_ref[static_cast<std::size_t>(vars[static_cast<std::size_t>(e)]) *
+                 w];
+    ref_row(rows.data(),
+            &lam_ref[static_cast<std::size_t>(code.edge_index(t, 0)) * w],
+            full.data(), clip.data(), mask.data(), deg, bounds);
+  }
+
+  std::vector<T> l_got = l0, lam_got = lam0;
+  kernels::layer_kernel<T>(tier, lanes)(l_got.data(), lam_got.data(),
+                                        code.layers()[0].data(), deg, z,
+                                        mask.data(), bounds);
+  for (std::size_t i = 0; i < l_ref.size(); ++i)
+    ASSERT_EQ(static_cast<int>(l_ref[i]), static_cast<int>(l_got[i]))
+        << "L variable " << i / w << " lane " << i % w;
+  for (std::size_t i = 0; i < lam_ref.size(); ++i)
+    ASSERT_EQ(static_cast<int>(lam_ref[i]), static_cast<int>(lam_got[i]))
+        << "Lambda edge " << i / w << " lane " << i % w;
+}
+
+TEST(Kernels, LayerKernelMatrixMatchesCheckVarsReference) {
+  constexpr int kZ = 7;
+  for (const kernels::Tier tier : available_tiers()) {
+    for (const Keep keep : {Keep::kAll, Keep::kNone, Keep::kRandom}) {
+      for (const int deg : kLayerDegrees) {
+        std::uint32_t seed = 501 + static_cast<std::uint32_t>(deg);
+        // Plain, offset and normalized min-sum on the standard rails for
+        // int32/int16, on the strict rails for int8.
+        for (const auto& bounds : {standard_bounds(0, 0),
+                                   standard_bounds(2, 0),
+                                   standard_bounds(0, 1)}) {
+          for (const int lanes : {8, 16})
+            check_layer_against_reference<std::int32_t>(
+                tier, lanes, deg, kZ, bounds, keep, seed++);
+          for (const int lanes : {16, 32})
+            check_layer_against_reference<std::int16_t>(
+                tier, lanes, deg, kZ, bounds, keep, seed++);
+        }
+        for (const auto& bounds : {strict_bounds(0, 0), strict_bounds(2, 0),
+                                   strict_bounds(0, 1)})
+          for (const int lanes : {32, 64})
+            check_layer_against_reference<std::int8_t>(
+                tier, lanes, deg, kZ, bounds, keep, seed++);
       }
     }
   }

@@ -24,6 +24,8 @@
 #include <set>
 #include <string>
 
+#include "ldpc/channel/channel.hpp"
+#include "ldpc/codes/base_matrix.hpp"
 #include "ldpc/codes/registry.hpp"
 #include "ldpc/core/crc.hpp"
 #include "ldpc/core/decoder.hpp"
@@ -120,16 +122,21 @@ void expect_result_eq(const core::FixedDecodeResult& ref,
 /// The core check: scalar per-frame reference under `cfg` vs the refill
 /// engine over the same queue, at every available tier, every lane type in
 /// `types` (each must be eligible for `cfg`) and both lane widths of each
-/// type.
+/// type. The queue is make_queue's unless `queue` holds one (frame-major,
+/// transmitted length, 20 frames).
 void check_refill_equivalence(
     const codes::QCCode& code, const core::DecoderConfig& cfg,
-    std::initializer_list<kernels::LaneType> types) {
+    std::initializer_list<kernels::LaneType> types,
+    const std::vector<double>& queue = {}) {
   // Large codes decode slower; a 10-frame queue still refills the widest
   // engine while keeping the full-registry sweep affordable.
-  const int frames = code.n() > 8000 ? 10 : 20;
+  const int frames = !queue.empty() ? 20 : code.n() > 8000 ? 10 : 20;
   const auto tx = static_cast<std::size_t>(code.transmitted_bits());
   const auto llrs =
-      make_queue(code, frames, 0xC0FFEE ^ code.n(), cfg.frame_crc);
+      !queue.empty() ? queue
+                     : make_queue(code, frames, 0xC0FFEE ^ code.n(),
+                                  cfg.frame_crc);
+  ASSERT_EQ(llrs.size(), tx * static_cast<std::size_t>(frames));
 
   core::ReconfigurableDecoder scalar(code, cfg);
   std::vector<core::FixedDecodeResult> ref;
@@ -323,6 +330,77 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.transmitted_bits) + "_F" +
              std::to_string(info.param.filler_bits);
     });
+
+/// A synthetic code whose layers take the layer kernels' runtime-degree
+/// body: 3 x 26 blocks at z = 24 with layer degrees 12, 25 and 5 (12 and 25
+/// lie outside the registered modes' degree set, 5 inside it), shifts from
+/// a fixed LCG.
+codes::QCCode off_registry_degree_code() {
+  constexpr int kCols = 26, kZ = 24;
+  std::vector<int> entries(3 * kCols, codes::kZeroBlock);
+  std::uint32_t lcg = 12345;
+  const auto shift = [&lcg] {
+    lcg = lcg * 1664525u + 1013904223u;
+    return static_cast<int>((lcg >> 8) % kZ);
+  };
+  for (int c = 0; c < 12; ++c) entries[c] = shift();
+  for (int c = 0; c < kCols; ++c)
+    if (c != 10) entries[kCols + c] = shift();
+  for (const int c : {10, 12, 15, 20, 25}) entries[2 * kCols + c] = shift();
+  return codes::QCCode(codes::BaseMatrix(3, kCols, std::move(entries)), kZ,
+                       "synthetic deg 12/25/5");
+}
+
+/// 20 frames of the all-zero codeword (a codeword of every code, so no
+/// encoder is needed) over BPSK + AWGN, each at 4.5 or 1.0 dB Eb/N0 by a
+/// seeded coin, so stops spread over the iterations.
+std::vector<double> zero_codeword_queue(const codes::QCCode& code,
+                                        std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const std::vector<std::uint8_t> zeros(static_cast<std::size_t>(code.n()));
+  std::vector<double> llrs;
+  for (int f = 0; f < 20; ++f) {
+    const double sigma = channel::ebn0_to_sigma((rng() & 1) ? 4.5 : 1.0,
+                                                code.rate(),
+                                                channel::Modulation::kBpsk);
+    auto mod = channel::modulate(zeros, channel::Modulation::kBpsk);
+    channel::AwgnChannel(sigma).transmit(mod.samples, rng);
+    const auto llr = channel::demap_llr(mod, sigma);
+    llrs.insert(llrs.end(), llr.begin(), llr.end());
+  }
+  return llrs;
+}
+
+TEST(StreamBatchEngine, LayerDegreesOutsideTheRegisteredSetMatchScalar) {
+  const codes::QCCode code = off_registry_degree_code();
+  ASSERT_EQ(code.layers()[0].size(), 12u);
+  ASSERT_EQ(code.layers()[1].size(), 25u);
+  ASSERT_EQ(code.layers()[2].size(), 5u);
+  const auto queue = zero_codeword_queue(code, 77);
+  check_refill_equivalence(
+      code, stream_config(),
+      {kernels::LaneType::kInt32, kernels::LaneType::kInt16}, queue);
+  check_refill_equivalence(code, strict_app_config(),
+                           {kernels::LaneType::kInt8}, queue);
+}
+
+TEST(StreamBatchEngine, RejectsALayerWiderThanTheLayerKernels) {
+  // The layer kernels keep per-edge cursors and the runtime-degree body's
+  // row scratch in fixed arrays of kMaxLayerDegree edges: a wider layer
+  // must be refused at reconfigure, never walked.
+  constexpr int kWide = kernels::kMaxLayerDegree + 1;
+  const codes::QCCode wide(
+      codes::BaseMatrix(1, kWide, std::vector<int>(kWide, 0)), 1, "wide");
+  ASSERT_EQ(wide.max_check_degree(), kWide);
+  core::StreamBatchEngine engine(stream_config());
+  EXPECT_THROW(engine.reconfigure(wide), std::invalid_argument);
+  EXPECT_FALSE(engine.configured());
+  // At the ceiling it is accepted.
+  constexpr int kMax = kernels::kMaxLayerDegree;
+  const codes::QCCode widest(
+      codes::BaseMatrix(1, kMax, std::vector<int>(kMax, 0)), 1, "widest");
+  EXPECT_NO_THROW(engine.reconfigure(widest));
+}
 
 TEST(StreamBatchEngine, SelectsNarrowestEligibleLaneType) {
   // This test asserts the DEFAULT auto-selection, so it must neutralise
