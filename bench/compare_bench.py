@@ -125,9 +125,13 @@ import sys
 # every retiring pass; and the row-kernel cells (dispatched and per tier)
 # timed an entry point the engine no longer has — one row per call —
 # which the whole-layer BM_MinSumLayerKernel* / BM_MinSumLayerTier* cells
-# replace.
+# replace. The scalar-tier refill cell pinned the scalar kernels to the
+# dispatched tier's lane width, which no engine can run since the width
+# follows the tier; BM_MinSumStreamRefillMixedForcedScalar runs the scalar
+# tier at its own width.
 RETIRED = ("BM_MinSumLockstepMixed", "BM_MinSumBatchedDecode",
            "BM_RetireGather", "BM_RetireFoldedScan",
+           "BM_MinSumStreamRefillMixedScalarTier",
            "BM_MinSumRowKernelInt32", "BM_MinSumRowKernelInt16",
            "BM_MinSumRowKernelInt8") + tuple(
                f"BM_MinSumRowTier{t}_{tier}"

@@ -216,7 +216,7 @@ struct MixedIterationFixture {
 // engine and wreck the comparison.
 void BM_MinSumStreamRefillMixed(benchmark::State& state) {
   MixedIterationFixture fx;
-  core::StreamBatchEngine engine(fx.cfg, 0, core::kernels::LaneType::kInt32);
+  core::StreamBatchEngine engine(fx.cfg, core::kernels::LaneType::kInt32);
   engine.reconfigure(fx.code);
   std::vector<core::FixedDecodeResult> results(
       static_cast<std::size_t>(MixedIterationFixture::kFrames));
@@ -244,7 +244,7 @@ BENCHMARK(BM_MinSumStreamRefillMixed)->MinWarmUpTime(0.5)->MinTime(2.0);
 // breaks the CI gate.
 void BM_MinSumStreamRefillMixedInt16(benchmark::State& state) {
   MixedIterationFixture fx;
-  core::StreamBatchEngine engine(fx.cfg, 0, core::kernels::LaneType::kInt16);
+  core::StreamBatchEngine engine(fx.cfg, core::kernels::LaneType::kInt16);
   engine.reconfigure(fx.code);
   const auto tx = static_cast<std::size_t>(fx.code.transmitted_bits());
   std::vector<core::QuantisedFrame> quantised;
@@ -279,7 +279,7 @@ void BM_MinSumStreamRefillMixedInt8(benchmark::State& state) {
   MixedIterationFixture fx;
   core::DecoderConfig cfg = fx.cfg;
   cfg.app_extra_bits = 0;
-  core::StreamBatchEngine engine(cfg, 0, core::kernels::LaneType::kInt8);
+  core::StreamBatchEngine engine(cfg, core::kernels::LaneType::kInt8);
   engine.reconfigure(fx.code);
   const auto tx = static_cast<std::size_t>(fx.code.transmitted_bits());
   std::vector<core::QuantisedFrame> quantised;
@@ -321,7 +321,7 @@ void BM_StreamBinInt16(benchmark::State& state) {
       .max_iterations = 10,
       .kernel = core::CnuKernel::kMinSum,
       .early_termination = {.enabled = true, .threshold_raw = 8}};
-  core::StreamBatchEngine engine(cfg, 0, core::kernels::LaneType::kInt16);
+  core::StreamBatchEngine engine(cfg, core::kernels::LaneType::kInt16);
   engine.reconfigure(code);
   const int frames = engine.lanes();
 
@@ -445,7 +445,8 @@ BENCHMARK(BM_DepositFusedInt8)->MinWarmUpTime(0.2)->MinTime(1.0);
 struct RetireFixture {
   codes::QCCode code = codes::make_code(
       {codes::Standard::kWimax80216e, codes::Rate::kR12, 96});
-  int lanes = core::kernels::preferred_lanes(core::kernels::LaneType::kInt16);
+  core::kernels::Tier tier = core::kernels::active_tier();
+  int lanes = core::kernels::tier_lanes(tier, core::kernels::LaneType::kInt16);
   core::SoaVector<std::int16_t> l_soa;
   static constexpr int kRetirees = 4;
 
@@ -462,8 +463,7 @@ struct RetireFixture {
 void BM_RetirePass(benchmark::State& state) {
   RetireFixture fx;
   const auto n = static_cast<std::size_t>(fx.code.n());
-  const auto scan =
-      core::kernels::cw_scan_kernel<std::int16_t>(fx.lanes);
+  const auto scan = core::kernels::cw_scan_kernel<std::int16_t>(fx.tier);
   std::vector<std::uint64_t> hard_mask(n);
   std::vector<std::uint8_t> ok(static_cast<std::size_t>(fx.lanes));
   std::vector<std::vector<std::uint8_t>> bits(
@@ -487,17 +487,14 @@ void BM_RetirePass(benchmark::State& state) {
 }
 BENCHMARK(BM_RetirePass)->MinWarmUpTime(0.2)->MinTime(1.0);
 
-// Same refill engine pinned to the portable scalar kernels AT THE SAME
-// LANE WIDTH and element type as the dispatched int32 engine above
-// (forcing scalar would otherwise default to 8 lanes and conflate the
-// lane-width effect with the tier effect): the gap to
-// BM_MinSumStreamRefillMixed is the pure SIMD-dispatch win.
-void BM_MinSumStreamRefillMixedScalarTier(benchmark::State& state) {
+// Same refill engine and int32 lanes, built under the portable scalar
+// kernels, at the scalar tier's own width (8 lanes; kernels::tier_lanes):
+// the gap to BM_MinSumStreamRefillMixed is what the dispatched tier buys,
+// its register width included.
+void BM_MinSumStreamRefillMixedForcedScalar(benchmark::State& state) {
   MixedIterationFixture fx;
-  const int dispatched_lanes = core::StreamBatchEngine::preferred_lanes();
   core::kernels::force_tier(core::kernels::Tier::kScalar);
-  core::StreamBatchEngine engine(fx.cfg, dispatched_lanes,
-                                 core::kernels::LaneType::kInt32);
+  core::StreamBatchEngine engine(fx.cfg, core::kernels::LaneType::kInt32);
   core::kernels::clear_forced_tier();
   engine.reconfigure(fx.code);
   std::vector<core::FixedDecodeResult> results(
@@ -506,11 +503,13 @@ void BM_MinSumStreamRefillMixedScalarTier(benchmark::State& state) {
     engine.decode(fx.llrs, {}, results);
     benchmark::DoNotOptimize(results.data());
   }
+  state.SetLabel("tier=" + to_string(engine.tier()) +
+                 " lanes=" + std::to_string(engine.lanes()));
   state.SetItemsProcessed(state.iterations() *
                           MixedIterationFixture::kFrames *
                           fx.code.k_info());
 }
-BENCHMARK(BM_MinSumStreamRefillMixedScalarTier);
+BENCHMARK(BM_MinSumStreamRefillMixedForcedScalar);
 
 // Raw layer-kernel throughput per lane type: one whole layer of a fixed
 // code per call — layer 0 of 802.16e r5/6 z = 96 (degree 20, 96 rows), its
@@ -533,8 +532,10 @@ struct LayerKernelFixture {
 
 template <class T>
 void run_layer_kernel_bench(benchmark::State& state, core::kernels::Tier tier,
-                            int lanes, const LayerKernelFixture& fx) {
-  const auto fn = core::kernels::layer_kernel<T>(tier, lanes);
+                            const LayerKernelFixture& fx) {
+  const auto fn = core::kernels::layer_kernel<T>(tier);
+  const int lanes =
+      core::kernels::tier_lanes(tier, core::kernels::lane_type_of<T>);
   const std::int32_t app_hi = std::min<std::int32_t>(
       511, core::kernels::lane_raw_max(core::kernels::lane_type_of<T>));
   const core::kernels::RowBounds bounds{-app_hi, app_hi, -127, 127, 0, 0};
@@ -563,9 +564,7 @@ void run_layer_kernel_bench(benchmark::State& state, core::kernels::Tier tier,
 template <class T>
 void run_layer_kernel_bench(benchmark::State& state) {
   const LayerKernelFixture fx(codes::Rate::kR56, 0);
-  run_layer_kernel_bench<T>(
-      state, core::kernels::active_tier(),
-      core::kernels::preferred_lanes(core::kernels::lane_type_of<T>), fx);
+  run_layer_kernel_bench<T>(state, core::kernels::active_tier(), fx);
 }
 void BM_MinSumLayerKernelInt32(benchmark::State& state) {
   run_layer_kernel_bench<std::int32_t>(state);
@@ -599,8 +598,6 @@ bool register_layer_tier_cells(const std::string& type_name) {
     tiers.insert(kn::force_tier(t));
   kn::clear_forced_tier();
   for (const kn::Tier tier : tiers) {
-    const int lanes = (tier == kn::Tier::kAvx512 ? 16 : 8) *
-                      kn::lane_scale(kn::lane_type_of<T>);
     for (const auto& [rate, layer] :
          {std::pair{codes::Rate::kR56, 0}, std::pair{codes::Rate::kR12, 1}}) {
       const auto fx =
@@ -610,8 +607,8 @@ bool register_layer_tier_cells(const std::string& type_name) {
                                std::to_string(fx->deg());
       benchmark::RegisterBenchmark(
           name.c_str(),
-          [tier, lanes, fx](benchmark::State& state) {
-            run_layer_kernel_bench<T>(state, tier, lanes, *fx);
+          [tier, fx](benchmark::State& state) {
+            run_layer_kernel_bench<T>(state, tier, *fx);
           })
           ->MinWarmUpTime(0.2)
           ->MinTime(1.0);
@@ -711,7 +708,7 @@ struct NrZ384StreamFixture {
 template <core::kernels::LaneType Type>
 void run_nr_z384_stream_bench(benchmark::State& state) {
   NrZ384StreamFixture fx;
-  core::StreamBatchEngine engine(fx.cfg, 0, Type);
+  core::StreamBatchEngine engine(fx.cfg, Type);
   engine.reconfigure(fx.code);
   std::vector<core::FixedDecodeResult> results(
       static_cast<std::size_t>(NrZ384StreamFixture::kFrames));

@@ -30,24 +30,27 @@
 // type's saturation interval, saturate-then-clamp equals the int32 path's
 // wide-then-clamp for every input, making the narrow lanes BIT-IDENTICAL
 // to int32 (the refill-equivalence suite locks all three types against the
-// scalar engine at every tier). Valid lane widths scale with the type:
-// {8, 16} for int32, {16, 32} for int16, {32, 64} for int8.
+// scalar engine at every tier).
+//
+// Each tier runs ONE lane width per type, the width of its register file:
+// 16 int32-equivalents on AVX-512 (one 512-bit register: 16/32/64 lanes)
+// and 8 below (8/16/32 — one 256-bit register's worth, two 128-bit ones on
+// SSE4.2, the portable loops on the scalar tier). tier_lanes() names it,
+// and every kernel a tier's getter hands out is compiled at that width.
 //
 // All variants produce IDENTICAL words — same saturation points, same
 // two-minima outputs (ties included), same sign bookkeeping — so hard
-// decisions and iteration counts are bit-identical across tiers and lane
-// types.
+// decisions and iteration counts are bit-identical across tiers, lane
+// types and lane widths.
 //
 // Dispatch overrides, in precedence order:
 //   1. force_tier(t)        test hook; clamped to what the CPU supports
 //   2. LDPC_SIMD env var    "scalar" | "sse42" | "avx2" | "avx512"
 //                           (clamped likewise; read once, see reload_env())
 //   3. CPUID detection      highest tier both compiled in and supported
-// The lane element type has the parallel knob LDPC_LANE_TYPE
-// ("int32" | "int16" | "int8") and force_lane_type(); the engines treat it
-// as a PREFERENCE clamped to what the config's rails admit (see
-// core::select_lane_type), so forcing int8 on a config whose APP words
-// need more than 8 bits widens back to the narrowest eligible type.
+// The lane element type has no override: an engine runs the narrowest type
+// whose rails hold the config's (core::narrowest_lane_type) unless its
+// caller names one.
 #pragma once
 
 #include <cstdint>
@@ -157,12 +160,6 @@ constexpr std::int32_t lane_raw_max(LaneType type) noexcept {
                                     : std::int32_t{127};
 }
 
-/// Valid engine lane widths per element type: 8 or 16 int32-equivalents,
-/// i.e. {8,16} int32, {16,32} int16, {32,64} int8.
-constexpr bool valid_lane_width(LaneType type, int lanes) noexcept {
-  return lanes == 8 * lane_scale(type) || lanes == 16 * lane_scale(type);
-}
-
 std::string to_string(Tier tier);
 std::string to_string(LaneType type);
 
@@ -195,46 +192,35 @@ Tier active_tier();
 Tier force_tier(Tier tier);
 /// Clears a force_tier() pin; dispatch returns to env/CPUID selection.
 void clear_forced_tier();
-/// Re-reads LDPC_SIMD and LDPC_LANE_TYPE (the env vars are otherwise
-/// sampled once, at the first dispatch). Test hook for the env knobs.
+/// Re-reads LDPC_SIMD (the env var is otherwise sampled once, at the
+/// first dispatch). Test hook for the env knob.
 void reload_env();
 
-/// The requested lane-type preference, if any: force_lane_type() wins,
-/// then the LDPC_LANE_TYPE env var ("int32"/"int16"/"int8"; "auto" or
-/// unset = no preference). The engines clamp the preference to what the
-/// config's rails admit — see core::select_lane_type.
-std::optional<LaneType> requested_lane_type();
-/// Test hook: pins the lane-type preference. Not thread-safe.
-void force_lane_type(LaneType type);
-/// Clears a force_lane_type() pin; back to the env var.
-void clear_forced_lane_type();
-
-/// Lane width the active tier fills exactly with element type `type`:
-/// one 512-bit register on AVX-512 hosts (16/32/64 lanes), one 256-bit
-/// register otherwise (8/16/32 — also the narrower drain on scalar/SSE
-/// hosts).
+/// Lane width of every kernel the tier-`tier` getters below hand out for
+/// lane type `type` (the tier clamped to detected_tier(), as they clamp
+/// it): one 512-bit register of `type` on AVX-512 (16/32/64 lanes), 8
+/// int32-equivalents on every other tier (8/16/32).
+int tier_lanes(Tier tier, LaneType type);
+/// tier_lanes of the active tier: the width an engine built now runs.
 int preferred_lanes(LaneType type);
 
 /// Layer kernel of a specific tier (clamped to detected_tier()) for lane
-/// element type T at lane width `lanes` (see valid_lane_width; throws
-/// std::invalid_argument otherwise) — the equivalence tests compare tiers
-/// pairwise. At the tier's preferred width the vector tiers run a body
-/// specialised on the layer degree for every degree of the registered
-/// modes, and a runtime-degree body otherwise.
+/// element type T, at that tier's width (tier_lanes) — the equivalence
+/// tests compare tiers pairwise. The vector tiers run a body specialised
+/// on the layer degree for every degree of the registered modes, and a
+/// runtime-degree body otherwise.
 template <class T>
-MinSumLayerFnT<T> layer_kernel(Tier tier, int lanes);
+MinSumLayerFnT<T> layer_kernel(Tier tier);
 
-extern template MinSumLayerFnT<std::int32_t> layer_kernel<std::int32_t>(
-    Tier, int);
-extern template MinSumLayerFnT<std::int16_t> layer_kernel<std::int16_t>(
-    Tier, int);
-extern template MinSumLayerFnT<std::int8_t> layer_kernel<std::int8_t>(Tier,
-                                                                      int);
+extern template MinSumLayerFnT<std::int32_t> layer_kernel<std::int32_t>(Tier);
+extern template MinSumLayerFnT<std::int16_t> layer_kernel<std::int16_t>(Tier);
+extern template MinSumLayerFnT<std::int8_t> layer_kernel<std::int8_t>(Tier);
 
-/// The independent scalar reference row at lane width `lanes` (throws like
-/// layer_kernel). No engine calls it: the tests build a layer's row
-/// pointers from QCCode::check_vars and check every layer kernel against
-/// it.
+/// The independent scalar reference row at lane width `lanes`, any width
+/// some tier runs for T (8 or 16 int32-equivalents; throws
+/// std::invalid_argument otherwise). No engine calls it: the tests build a
+/// layer's row pointers from QCCode::check_vars and check every tier's
+/// layer kernel against it at that tier's width.
 template <class T>
 MinSumRowFnT<T> reference_row(int lanes);
 
@@ -268,7 +254,6 @@ struct QuantSpec {
 template <class T>
 using QuantFnT = void (*)(const double* llr, T* raw, std::size_t count,
                           const QuantSpec& spec);
-using QuantFn = QuantFnT<std::int32_t>;
 
 /// Quantiser of a specific tier (clamped to detected_tier()) emitting lane
 /// type T.
@@ -284,21 +269,15 @@ extern template QuantFnT<std::int32_t> quant_kernel<std::int32_t>(Tier);
 extern template QuantFnT<std::int16_t> quant_kernel<std::int16_t>(Tier);
 extern template QuantFnT<std::int8_t> quant_kernel<std::int8_t>(Tier);
 
-/// The int32 quantiser of a specific tier (legacy spelling).
-inline QuantFn quant_kernel(Tier tier) {
-  return quant_kernel<std::int32_t>(tier);
-}
-/// The int32 quantiser of the active tier.
-inline QuantFn quant_kernel() { return quant_kernel<std::int32_t>(); }
-
 /// Hard ceiling on the SoA lane count of any engine instantiation (one
-/// AVX-512 register of int8). core::kMaxSoaLanes aliases this.
+/// AVX-512 register of int8): the codeword scan packs a row's lane signs
+/// into one uint64.
 inline constexpr int kMaxScanLanes = 64;
 
 /// Per-lane parity scan over lane-major APP state: ok[w] = 1 iff the hard
 /// decisions (sign bits) of lane w satisfy every check of the CSR matrix
 /// (`row_ptr` size m+1, `col_idx` the flat variable indices). The lane
-/// width is baked into the returned function (see cw_scan_kernel), so the
+/// width is the tier's (see cw_scan_kernel), baked into the function, so the
 /// hot loops run with compile-time trip counts at the tier's full vector
 /// width — the engines' stop scans run every iteration and were the
 /// dominant per-iteration cost when instantiated in the engine TU at the
@@ -333,33 +312,19 @@ using EtScanFnT = void (*)(int k_info, std::int32_t threshold, const T* l_soa,
                            std::uint8_t* fire);
 
 /// Stop-scan kernels of a specific tier (clamped to detected_tier()) at
-/// lane width `lanes` (see valid_lane_width; throws std::invalid_argument
-/// otherwise). Every tier compiles the same bodies at its own -m flags.
+/// that tier's width (tier_lanes). Every tier compiles the same bodies at
+/// its own -m flags.
 template <class T>
-CwScanFnT<T> cw_scan_kernel(Tier tier, int lanes);
+CwScanFnT<T> cw_scan_kernel(Tier tier);
 template <class T>
-EtScanFnT<T> et_scan_kernel(Tier tier, int lanes);
+EtScanFnT<T> et_scan_kernel(Tier tier);
 
-/// Stop-scan kernels of the active tier.
-template <class T>
-CwScanFnT<T> cw_scan_kernel(int lanes) {
-  return cw_scan_kernel<T>(active_tier(), lanes);
-}
-template <class T>
-EtScanFnT<T> et_scan_kernel(int lanes) {
-  return et_scan_kernel<T>(active_tier(), lanes);
-}
-
-extern template CwScanFnT<std::int32_t> cw_scan_kernel<std::int32_t>(Tier,
-                                                                     int);
-extern template CwScanFnT<std::int16_t> cw_scan_kernel<std::int16_t>(Tier,
-                                                                     int);
-extern template CwScanFnT<std::int8_t> cw_scan_kernel<std::int8_t>(Tier, int);
-extern template EtScanFnT<std::int32_t> et_scan_kernel<std::int32_t>(Tier,
-                                                                     int);
-extern template EtScanFnT<std::int16_t> et_scan_kernel<std::int16_t>(Tier,
-                                                                     int);
-extern template EtScanFnT<std::int8_t> et_scan_kernel<std::int8_t>(Tier, int);
+extern template CwScanFnT<std::int32_t> cw_scan_kernel<std::int32_t>(Tier);
+extern template CwScanFnT<std::int16_t> cw_scan_kernel<std::int16_t>(Tier);
+extern template CwScanFnT<std::int8_t> cw_scan_kernel<std::int8_t>(Tier);
+extern template EtScanFnT<std::int32_t> et_scan_kernel<std::int32_t>(Tier);
+extern template EtScanFnT<std::int16_t> et_scan_kernel<std::int16_t>(Tier);
+extern template EtScanFnT<std::int8_t> et_scan_kernel<std::int8_t>(Tier);
 
 /// Fresh-lane column merge for the continuous-refill engine: for each lane
 /// w in fresh[0..nfresh), write that lane's staged frame into its L column,
@@ -374,23 +339,13 @@ template <class T>
 using MergeFreshFnT = void (*)(const T* const* staged, const int* fresh,
                                int nfresh, T* l_soa, std::size_t n);
 
-/// Merge kernel of a specific tier (clamped to detected_tier()) at lane
-/// width `lanes` (see valid_lane_width; throws std::invalid_argument
-/// otherwise).
+/// Merge kernel of a specific tier (clamped to detected_tier()) at that
+/// tier's width (tier_lanes).
 template <class T>
-MergeFreshFnT<T> merge_kernel(Tier tier, int lanes);
+MergeFreshFnT<T> merge_kernel(Tier tier);
 
-/// Merge kernel of the active tier.
-template <class T>
-MergeFreshFnT<T> merge_kernel(int lanes) {
-  return merge_kernel<T>(active_tier(), lanes);
-}
-
-extern template MergeFreshFnT<std::int32_t> merge_kernel<std::int32_t>(Tier,
-                                                                       int);
-extern template MergeFreshFnT<std::int16_t> merge_kernel<std::int16_t>(Tier,
-                                                                       int);
-extern template MergeFreshFnT<std::int8_t> merge_kernel<std::int8_t>(Tier,
-                                                                     int);
+extern template MergeFreshFnT<std::int32_t> merge_kernel<std::int32_t>(Tier);
+extern template MergeFreshFnT<std::int16_t> merge_kernel<std::int16_t>(Tier);
+extern template MergeFreshFnT<std::int8_t> merge_kernel<std::int8_t>(Tier);
 
 }  // namespace ldpc::core::kernels

@@ -1,6 +1,6 @@
 // Helpers of the batched SoA engine (core::StreamBatchEngine): lane-
-// parallel stop-rule scans, config validation, lane-type selection, and
-// the stop/convergence verdicts.
+// parallel stop-rule scans, config validation, the lane type a config's
+// rails admit, and the stop/convergence verdicts.
 //
 // The batched datapath made the min-sum arithmetic cheap; what remained
 // expensive was the per-lane bookkeeping between iterations — gathering a
@@ -50,13 +50,10 @@
 
 namespace ldpc::core {
 
-/// Hard ceiling on the SoA lane count of any engine instantiation (one
-/// AVX-512 register of int8).
-inline constexpr int kMaxSoaLanes = kernels::kMaxScanLanes;
-
 /// Cache-line-aligned allocator for the engine's lane-major state. The SoA
-/// row stride at the preferred lane width is exactly one cache line (64
-/// bytes: 16 int32 / 32 int16 / 64 int8), so with a 64-byte-aligned base
+/// row stride at the AVX-512 tier's lane width is exactly one cache line
+/// (64 bytes: 16 int32 / 32 int16 / 64 int8; half a line below AVX-512),
+/// so with a 64-byte-aligned base
 /// every row access is one line; from a plain std::vector base every
 /// 512-bit row load/store straddles TWO lines, and on the L2-resident
 /// working sets of realistic codes the doubled line traffic was eating
@@ -118,7 +115,9 @@ inline DecoderConfig validated_batch_config(DecoderConfig config,
 /// whenever the clamp interval sits inside the saturation interval. The
 /// default Q5.2 + 2 extra APP bits (+/-511) selects int16; the strict
 /// 8-bit-APP configuration (app_extra_bits == 0, the paper's literal
-/// datapath, +/-127) selects int8.
+/// datapath, +/-127) selects int8. Results are bit-identical across
+/// eligible types, so narrower is strictly better: this is the type every
+/// auto-typed engine runs.
 inline kernels::LaneType narrowest_lane_type(const DecoderConfig& config) {
   const fixed::QFormat app_fmt(
       config.format.total_bits() + config.app_extra_bits,
@@ -138,22 +137,6 @@ inline bool lane_type_eligible(const DecoderConfig& config,
                                kernels::LaneType type) {
   return kernels::lane_scale(type) <=
          kernels::lane_scale(narrowest_lane_type(config));
-}
-
-/// Lane element type an auto-configured engine runs `config` on: the
-/// narrowest eligible type (results are bit-identical across eligible
-/// types, so narrower is strictly better), unless the LDPC_LANE_TYPE env
-/// var / kernels::force_lane_type() requests a WIDER one. A requested type
-/// too narrow for the rails widens back to the narrowest eligible type —
-/// the env knob is a preference, so a forced-int8 CI lane can still run
-/// the standard configs.
-inline kernels::LaneType select_lane_type(const DecoderConfig& config) {
-  const kernels::LaneType narrowest = narrowest_lane_type(config);
-  const auto requested = kernels::requested_lane_type();
-  if (!requested) return narrowest;
-  return static_cast<int>(*requested) < static_cast<int>(narrowest)
-             ? *requested
-             : narrowest;
 }
 
 /// The kernel-layer bounds of one engine config: the APP / message rails
@@ -251,10 +234,11 @@ inline void soa_finish_crc(const DecoderConfig& config,
 /// Per-lane parity check over lane-major APP state: ok[w] = 1 iff the
 /// hard decisions (sign bits) of lane w satisfy every check of `code`.
 /// `scan` is the per-tier kernel (kernels::cw_scan_kernel), resolved once
-/// by the caller with the lane count baked in: the scan loop bodies there
-/// are the reference loops compiled at the tier's full vector width —
-/// instantiated in an engine TU built for the default architecture, they
-/// ran at SSE2 width and dominated the per-iteration cost.
+/// by the caller, with the tier's lane width baked in: the scan loop
+/// bodies there are the reference loops compiled at the tier's full
+/// vector width — instantiated in an engine TU built for the default
+/// architecture, they ran at SSE2 width and dominated the per-iteration
+/// cost.
 ///
 /// `hard_mask` (size code.n()) receives the packed hard decisions the scan
 /// walks: bit w of hard_mask[v] is lane w's sign for variable v. Retiring

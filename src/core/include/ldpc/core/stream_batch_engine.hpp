@@ -48,25 +48,26 @@
 // once, and row t's Lambda sits at t * deg * W of the layer's slice). The
 // vector tiers run a body specialised on the layer degree that keeps the
 // row's clipped APP vectors in registers across the min scan and the emit,
-// so no row scratch exists. It runs over a runtime-selected SoA lane
-// ELEMENT TYPE as well as lane width:
+// so no row scratch exists.
 //
-//   StreamBatchEngineT<T>   the engine over lane type T (int32_t /
+// The engine's SoA shape follows the host and the config, never a caller's
+// option, as the chip's SISO array is fixed in silicon:
+//
+//   lane width              the dispatched tier's register width, read
+//                           once at construction (kernels::tier_lanes):
+//                           16/32/64 lanes of int32/int16/int8 on
+//                           AVX-512, 8/16/32 below. The kernels and the
+//                           width come from that one tier read.
+//   StreamBatchEngineT<T>   the engine over lane element type T (int32_t /
 //                           int16_t / int8_t); rails must fit T
-//   StreamBatchEngine       the runtime wrapper the decode_batch() entry
-//                           points construct: picks the narrowest lane
-//                           type whose saturation range holds the
-//                           config's APP and message rails (bit-identical
-//                           by containment — int16 for the default Q5.2 +
-//                           2 APP extra bits, int8 for the strict
-//                           8-bit-APP config), honouring the
-//                           LDPC_LANE_TYPE / kernels::force_lane_type
-//                           preference when it requests a wider type.
-//
-// The lane width is the second runtime choice — one 256-bit register per
-// operation (8/16/32 lanes by type) or one 512-bit register (16/32/64) —
-// selected at construction from the dispatched tier (or pinned by the
-// caller / the LDPC_SIMD env knob).
+//   StreamBatchEngine       the runtime wrapper every library caller
+//                           constructs: runs the narrowest lane type whose
+//                           saturation range holds the config's APP and
+//                           message rails (core::narrowest_lane_type;
+//                           bit-identical by containment — int16 for the
+//                           default Q5.2 + 2 APP extra bits, int8 for the
+//                           strict 8-bit-APP config). Only the tests and
+//                           the microbench name a wider type.
 #pragma once
 
 #include <cstdint>
@@ -89,13 +90,13 @@ class StreamBatchEngineT {
   /// Hard ceiling on the lane width (one AVX-512 register of T).
   static constexpr int kMaxLanes =
       16 * kernels::lane_scale(kernels::lane_type_of<T>);
+  static_assert(kMaxLanes <= kernels::kMaxScanLanes);
 
-  /// `lanes` must be a valid width for T (8/16 int32-equivalents, see
-  /// kernels::valid_lane_width) or 0 (= kernels::preferred_lanes). The
-  /// config must be min-sum family on the quantized datapath with rails
-  /// that fit T (validated_batch_config); throws std::invalid_argument
-  /// otherwise.
-  explicit StreamBatchEngineT(DecoderConfig config, int lanes = 0);
+  /// Runs the active tier (kernels::active_tier, read once) at that tier's
+  /// width for T (kernels::tier_lanes). The config must be min-sum family
+  /// on the quantized datapath with rails that fit T
+  /// (validated_batch_config); throws std::invalid_argument otherwise.
+  explicit StreamBatchEngineT(DecoderConfig config);
 
   /// Resizes the SoA memories for `code` (references, not copies). Throws
   /// std::invalid_argument for a code with a layer wider than the layer
@@ -105,7 +106,8 @@ class StreamBatchEngineT {
   bool configured() const noexcept { return code_ != nullptr; }
   const DecoderConfig& config() const noexcept { return config_; }
   int lanes() const noexcept { return lanes_; }
-  /// The SIMD tier the layer kernel was dispatched to at construction.
+  /// The SIMD tier the kernels were dispatched to at construction; lanes()
+  /// is its width.
   kernels::Tier tier() const noexcept { return tier_; }
   /// The SoA lane element type tag of this instantiation.
   static constexpr kernels::LaneType lane_type() noexcept {
@@ -223,30 +225,19 @@ extern template class StreamBatchEngineT<std::int16_t>;
 extern template class StreamBatchEngineT<std::int8_t>;
 
 /// Runtime lane-type front end: owns one StreamBatchEngineT instantiation
-/// chosen at construction (see core::select_lane_type) and forwards the
-/// engine API. This is what ReconfigurableDecoder::decode_batch and the
-/// chip's batched entry point construct.
+/// chosen at construction and forwards the engine API. This is what
+/// ReconfigurableDecoder::decode_batch, the chip's batched entry point and
+/// DecodeService's workers construct.
 class StreamBatchEngine {
  public:
-  /// Hard ceiling on the lane width across instantiations (one AVX-512
-  /// register of int8).
-  static constexpr int kMaxLanes = 16 * 4;
-
-  /// Lane width the dispatched SIMD tier fills exactly with `type` lanes:
-  /// one 512-bit register on AVX-512 hosts (AVX-512BW for the narrow
-  /// types), one 256-bit register otherwise.
-  static int preferred_lanes(
-      kernels::LaneType type = kernels::LaneType::kInt32);
-
   /// Constructs the engine over `lane_type` lanes — or, when nullopt,
-  /// over select_lane_type(config): the narrowest type whose saturation
+  /// over narrowest_lane_type(config): the narrowest type whose saturation
   /// range holds the config's rails (bit-identical to int32 by
-  /// containment), widened on request by the LDPC_LANE_TYPE env knob /
-  /// kernels::force_lane_type. An explicit `lane_type` is strict: throws
-  /// std::invalid_argument when the rails do not fit. `lanes` is the lane
-  /// width for the chosen type (0 = preferred_lanes(type)).
+  /// containment). An explicit `lane_type` is strict: throws
+  /// std::invalid_argument when the rails do not fit. The lane width is
+  /// the active tier's for the chosen type (kernels::preferred_lanes).
   explicit StreamBatchEngine(
-      DecoderConfig config, int lanes = 0,
+      DecoderConfig config,
       std::optional<kernels::LaneType> lane_type = std::nullopt);
 
   void reconfigure(const codes::QCCode& code);
@@ -267,7 +258,7 @@ class StreamBatchEngine {
   using Impl = std::variant<StreamBatchEngineT<std::int32_t>,
                             StreamBatchEngineT<std::int16_t>,
                             StreamBatchEngineT<std::int8_t>>;
-  static Impl make_impl(DecoderConfig config, int lanes,
+  static Impl make_impl(DecoderConfig config,
                         std::optional<kernels::LaneType> lane_type);
 
   Impl impl_;

@@ -1,9 +1,8 @@
 // Kernel dispatch: pick the tier once, hand out plain function pointers
 // from that tier's KernelSet. Selection = CPUID ceiling, optionally
 // lowered by the LDPC_SIMD environment variable, optionally pinned by the
-// force_tier() test hook.
-// The lane element type has the parallel LDPC_LANE_TYPE / force_lane_type
-// preference, consumed by the engines (core::select_lane_type).
+// force_tier() test hook. Each tier's set runs that tier's one lane width
+// (tier_lanes).
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -98,10 +97,6 @@ struct DispatchState {
   Tier forced_tier = Tier::kScalar;
   bool env_present = false;
   Tier env_tier = Tier::kScalar;
-  bool lane_forced = false;
-  LaneType forced_lane = LaneType::kInt32;
-  bool lane_env_present = false;
-  LaneType env_lane = LaneType::kInt32;
 
   DispatchState() { read_env(); }
   void read_env() {
@@ -117,20 +112,6 @@ struct DispatchState {
         std::fprintf(stderr,
                      "ldpc: ignoring unknown LDPC_SIMD value '%s' "
                      "(expected scalar, sse42, avx2 or avx512)\n",
-                     v);
-      }
-    }
-    lane_env_present = false;
-    if (const char* v = std::getenv("LDPC_LANE_TYPE")) {
-      const std::string s = lowered(v);
-      if (s.empty() || s == "auto") return;
-      if (const auto type = try_parse_lane_type(s)) {
-        lane_env_present = true;
-        env_lane = *type;
-      } else {
-        std::fprintf(stderr,
-                     "ldpc: ignoring unknown LDPC_LANE_TYPE value '%s' "
-                     "(expected int32, int16, int8 or auto)\n",
                      v);
       }
     }
@@ -168,105 +149,93 @@ void clear_forced_tier() { state().forced = false; }
 
 void reload_env() { state().read_env(); }
 
-std::optional<LaneType> requested_lane_type() {
-  const DispatchState& s = state();
-  if (s.lane_forced) return s.forced_lane;
-  if (s.lane_env_present) return s.env_lane;
-  return std::nullopt;
-}
-
-void force_lane_type(LaneType type) {
-  DispatchState& s = state();
-  s.lane_forced = true;
-  s.forced_lane = type;
-}
-
-void clear_forced_lane_type() { state().lane_forced = false; }
-
-int preferred_lanes(LaneType type) {
-  return (active_tier() == Tier::kAvx512 ? 16 : 8) * lane_scale(type);
-}
-
 namespace {
 
 // The one tier ladder: every kernel getter below reads its pointer from
 // the KernelSet of the requested tier, clamped to detected_tier().
 template <class T>
-KernelSet<T> kernel_set(Tier tier, int lanes, const char* who) {
-  constexpr LaneType type = lane_type_of<T>;
-  if (!valid_lane_width(type, lanes))
-    throw std::invalid_argument(
-        std::string("kernels::") + who + ": lane width must be " +
-        std::to_string(8 * lane_scale(type)) + " or " +
-        std::to_string(16 * lane_scale(type)) + " for " + to_string(type));
+KernelSet<T> kernel_set(Tier tier) {
   switch (clamp(tier, state().detected)) {
 #ifdef LDPC_KERNELS_HAVE_AVX512
-    case Tier::kAvx512: return avx512_kernels<T>(lanes);
+    case Tier::kAvx512: return avx512_kernels<T>();
 #endif
 #ifdef LDPC_KERNELS_HAVE_AVX2
-    case Tier::kAvx2: return avx2_kernels<T>(lanes);
+    case Tier::kAvx2: return avx2_kernels<T>();
 #endif
 #ifdef LDPC_KERNELS_HAVE_SSE42
-    case Tier::kSse42: return sse42_kernels<T>(lanes);
+    case Tier::kSse42: return sse42_kernels<T>();
 #endif
-    default: return scalar_kernels<T>(lanes);
+    default: return scalar_kernels<T>();
   }
 }
 
 }  // namespace
 
+int tier_lanes(Tier tier, LaneType type) {
+  // Read from the tier's own set: the width its TU compiled.
+  switch (type) {
+    case LaneType::kInt16: return kernel_set<std::int16_t>(tier).lanes;
+    case LaneType::kInt8: return kernel_set<std::int8_t>(tier).lanes;
+    case LaneType::kInt32: break;
+  }
+  return kernel_set<std::int32_t>(tier).lanes;
+}
+
+int preferred_lanes(LaneType type) { return tier_lanes(active_tier(), type); }
+
 template <class T>
-MinSumLayerFnT<T> layer_kernel(Tier tier, int lanes) {
-  return kernel_set<T>(tier, lanes, "layer_kernel").layer;
+MinSumLayerFnT<T> layer_kernel(Tier tier) {
+  return kernel_set<T>(tier).layer;
 }
 
 template <class T>
 MinSumRowFnT<T> reference_row(int lanes) {
-  // Validates the width like every getter; the row itself is the scalar
-  // TU's, whatever the tier.
-  kernel_set<T>(Tier::kScalar, lanes, "reference_row");
+  constexpr int s = lane_scale(lane_type_of<T>);
+  if (lanes != 8 * s && lanes != 16 * s)
+    throw std::invalid_argument(
+        "kernels::reference_row: lane width must be " + std::to_string(8 * s) +
+        " or " + std::to_string(16 * s) + " for " +
+        to_string(lane_type_of<T>));
   return scalar_reference_row<T>(lanes);
 }
 
 template <class T>
 QuantFnT<T> quant_kernel(Tier tier) {
-  // The quantiser is lane-count independent: any valid width selects it.
-  constexpr int lanes = 8 * lane_scale(lane_type_of<T>);
-  return kernel_set<T>(tier, lanes, "quant_kernel").quant;
+  return kernel_set<T>(tier).quant;
 }
 
 template <class T>
-CwScanFnT<T> cw_scan_kernel(Tier tier, int lanes) {
-  return kernel_set<T>(tier, lanes, "cw_scan_kernel").cw;
+CwScanFnT<T> cw_scan_kernel(Tier tier) {
+  return kernel_set<T>(tier).cw;
 }
 
 template <class T>
-EtScanFnT<T> et_scan_kernel(Tier tier, int lanes) {
-  return kernel_set<T>(tier, lanes, "et_scan_kernel").et;
+EtScanFnT<T> et_scan_kernel(Tier tier) {
+  return kernel_set<T>(tier).et;
 }
 
 template <class T>
-MergeFreshFnT<T> merge_kernel(Tier tier, int lanes) {
-  return kernel_set<T>(tier, lanes, "merge_kernel").merge;
+MergeFreshFnT<T> merge_kernel(Tier tier) {
+  return kernel_set<T>(tier).merge;
 }
 
-template MinSumLayerFnT<std::int32_t> layer_kernel<std::int32_t>(Tier, int);
-template MinSumLayerFnT<std::int16_t> layer_kernel<std::int16_t>(Tier, int);
-template MinSumLayerFnT<std::int8_t> layer_kernel<std::int8_t>(Tier, int);
+template MinSumLayerFnT<std::int32_t> layer_kernel<std::int32_t>(Tier);
+template MinSumLayerFnT<std::int16_t> layer_kernel<std::int16_t>(Tier);
+template MinSumLayerFnT<std::int8_t> layer_kernel<std::int8_t>(Tier);
 template MinSumRowFnT<std::int32_t> reference_row<std::int32_t>(int);
 template MinSumRowFnT<std::int16_t> reference_row<std::int16_t>(int);
 template MinSumRowFnT<std::int8_t> reference_row<std::int8_t>(int);
 template QuantFnT<std::int32_t> quant_kernel<std::int32_t>(Tier);
 template QuantFnT<std::int16_t> quant_kernel<std::int16_t>(Tier);
 template QuantFnT<std::int8_t> quant_kernel<std::int8_t>(Tier);
-template CwScanFnT<std::int32_t> cw_scan_kernel<std::int32_t>(Tier, int);
-template CwScanFnT<std::int16_t> cw_scan_kernel<std::int16_t>(Tier, int);
-template CwScanFnT<std::int8_t> cw_scan_kernel<std::int8_t>(Tier, int);
-template EtScanFnT<std::int32_t> et_scan_kernel<std::int32_t>(Tier, int);
-template EtScanFnT<std::int16_t> et_scan_kernel<std::int16_t>(Tier, int);
-template EtScanFnT<std::int8_t> et_scan_kernel<std::int8_t>(Tier, int);
-template MergeFreshFnT<std::int32_t> merge_kernel<std::int32_t>(Tier, int);
-template MergeFreshFnT<std::int16_t> merge_kernel<std::int16_t>(Tier, int);
-template MergeFreshFnT<std::int8_t> merge_kernel<std::int8_t>(Tier, int);
+template CwScanFnT<std::int32_t> cw_scan_kernel<std::int32_t>(Tier);
+template CwScanFnT<std::int16_t> cw_scan_kernel<std::int16_t>(Tier);
+template CwScanFnT<std::int8_t> cw_scan_kernel<std::int8_t>(Tier);
+template EtScanFnT<std::int32_t> et_scan_kernel<std::int32_t>(Tier);
+template EtScanFnT<std::int16_t> et_scan_kernel<std::int16_t>(Tier);
+template EtScanFnT<std::int8_t> et_scan_kernel<std::int8_t>(Tier);
+template MergeFreshFnT<std::int32_t> merge_kernel<std::int32_t>(Tier);
+template MergeFreshFnT<std::int16_t> merge_kernel<std::int16_t>(Tier);
+template MergeFreshFnT<std::int8_t> merge_kernel<std::int8_t>(Tier);
 
 }  // namespace ldpc::core::kernels

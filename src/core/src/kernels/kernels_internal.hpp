@@ -1,8 +1,8 @@
 // Internal cross-TU interface of the kernel layer: the shared kernel bodies
 // and, per tier translation unit (compiled with that tier's -m flags), one
 // KernelSet getter explicitly instantiated for the three lane element
-// types; dispatch.cpp selects among them. Not installed — include only
-// from src/core/src/kernels.
+// types, each at the TU's one lane width; dispatch.cpp selects among them.
+// Not installed — include only from src/core/src/kernels.
 #pragma once
 
 #include <algorithm>
@@ -98,9 +98,10 @@ static inline void quantize_llrs_body(const double* __restrict llr,
 template <class T, int W>
 struct ScanVecT {
   // aligned(alignof(T)): the engines 64-byte-align their SoA bases (see
-  // core::SoaVector), but at the half-width lane counts rows sit at 32-byte
-  // strides, so loads must still be emitted as unaligned moves (same speed
-  // as aligned moves on aligned addresses).
+  // core::SoaVector), but below AVX-512 the tier width puts rows at 32-byte
+  // strides, and the row bodies' chunks and scratch are only
+  // element-aligned, so loads must still be emitted as unaligned moves
+  // (same speed as aligned moves on aligned addresses).
   typedef T type
       __attribute__((vector_size(W * sizeof(T)), aligned(alignof(T))));
 };
@@ -593,9 +594,18 @@ static void layer_vector(T* l_soa, T* lambda, const codes::BlockEntry* blocks,
                        RegisteredDegrees{});
 }
 
-// The five kernels one tier TU serves for lane type T at one lane width.
+// This TU's lane width for lane type T, the width kernels::tier_lanes
+// reports for its tier: one native register of T on AVX-512, 8
+// int32-equivalents below (one 256-bit register's worth; the scalar TU
+// builds at the baseline, so its loops run 8 int32-equivalents too).
+template <class T>
+static constexpr int kTierLanes =
+    (kNativeBytes == 64 ? 16 : 8) * lane_scale(lane_type_of<T>);
+
+// The five kernels one tier TU serves for lane type T, all at `lanes`.
 template <class T>
 struct KernelSet {
+  int lanes;
   MinSumLayerFnT<T> layer;
   QuantFnT<T> quant;
   CwScanFnT<T> cw;
@@ -603,51 +613,47 @@ struct KernelSet {
   MergeFreshFnT<T> merge;
 };
 
-// Every shared body at lane width W, with `layer` as the layer kernel.
-template <class T, int W>
+// Every shared body at this TU's width, with `layer` as the layer kernel.
+template <class T>
 static KernelSet<T> body_set(MinSumLayerFnT<T> layer) {
-  return {layer, &quantize_llrs_body<T>, &cw_scan_body<T, W>,
-          &et_scan_body<T, W>, &merge_fresh_body<T, W>};
+  constexpr int W = kTierLanes<T>;
+  return {W,
+          layer,
+          &quantize_llrs_body<T>,
+          &cw_scan_body<T, W>,
+          &et_scan_body<T, W>,
+          &merge_fresh_body<T, W>};
 }
 
 // The set of a vector tier TU (sse42 / avx2 / avx512): every body at this
-// TU's -m flags. `lanes` is valid (dispatch checked valid_lane_width). The
-// degree-specialised layer bodies are compiled only at the width the
-// engines run at on this tier (kernels::preferred_lanes); the other valid
-// width, used only by callers that pin it, walks row_body. That halves the
-// tier's code, most of which is the 14 unrolled layer bodies.
+// TU's -m flags and width, with the degree-specialised layer bodies.
 template <class T>
-static KernelSet<T> vector_kernels(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  constexpr int kPreferred = (kNativeBytes == 64 ? 16 : 8) * s;
-  constexpr int kOther = (kNativeBytes == 64 ? 8 : 16) * s;
-  return lanes == kPreferred
-             ? body_set<T, kPreferred>(&layer_vector<T, kPreferred>)
-             : body_set<T, kOther>(
-                   &layer_via_row<T, kOther, &row_body<T, kOther>>);
+static KernelSet<T> vector_kernels() {
+  return body_set<T>(&layer_vector<T, kTierLanes<T>>);
 }
 
 // Per-tier getters, one per TU, explicitly instantiated for the three lane
 // types; dispatch.cpp only calls a tier's getter after CPUID confirmed the
 // host executes it.
 template <class T>
-KernelSet<T> scalar_kernels(int lanes);
-// The scalar TU's reference row (row_scalar) at a valid lane width.
+KernelSet<T> scalar_kernels();
+// The scalar TU's reference row (row_scalar) at 8 or 16
+// int32-equivalents: the tests' reference for every tier's width.
 template <class T>
 MinSumRowFnT<T> scalar_reference_row(int lanes);
 #ifdef LDPC_KERNELS_HAVE_SSE42
 template <class T>
-KernelSet<T> sse42_kernels(int lanes);
+KernelSet<T> sse42_kernels();
 #endif
 #ifdef LDPC_KERNELS_HAVE_AVX2
 template <class T>
-KernelSet<T> avx2_kernels(int lanes);
+KernelSet<T> avx2_kernels();
 #endif
 #ifdef LDPC_KERNELS_HAVE_AVX512
 // AVX-512F+BW: the TU is compiled with -mavx512f -mavx512bw, and the
 // kAvx512 tier is only detected on hosts executing both.
 template <class T>
-KernelSet<T> avx512_kernels(int lanes);
+KernelSet<T> avx512_kernels();
 #endif
 
 }  // namespace ldpc::core::kernels

@@ -1,5 +1,5 @@
-// AVX2 tier: one 256-bit vector holds 8 int32, 16 int16 or 32 int8 lanes.
-// The narrower widths run one vector per operation, the wider ones two.
+// AVX2 tier: one 256-bit vector holds 8 int32, 16 int16 or 32 int8 lanes,
+// the tier's lane width, so every operation is one vector.
 // Every kernel is a shared body from kernels_internal.hpp compiled with
 // -mavx2 — dispatch.cpp only hands these pointers out after
 // __builtin_cpu_supports("avx2") says the host can execute them.
@@ -8,12 +8,12 @@
 namespace ldpc::core::kernels {
 
 template <class T>
-KernelSet<T> avx2_kernels(int lanes) {
-  return vector_kernels<T>(lanes);
+KernelSet<T> avx2_kernels() {
+  return vector_kernels<T>();
 }
 
-template KernelSet<std::int32_t> avx2_kernels<std::int32_t>(int);
-template KernelSet<std::int16_t> avx2_kernels<std::int16_t>(int);
-template KernelSet<std::int8_t> avx2_kernels<std::int8_t>(int);
+template KernelSet<std::int32_t> avx2_kernels<std::int32_t>();
+template KernelSet<std::int16_t> avx2_kernels<std::int16_t>();
+template KernelSet<std::int8_t> avx2_kernels<std::int8_t>();
 
 }  // namespace ldpc::core::kernels

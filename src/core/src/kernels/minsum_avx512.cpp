@@ -1,9 +1,8 @@
-// AVX-512 tier (AVX-512F+BW): a full 512-bit engine fits one register per
+// AVX-512 tier (AVX-512F+BW): the tier's lane width fills one register per
 // operation — 16 int32, 32 int16 or 64 int8 lanes — with compare results
 // living in mask registers. Every kernel is a shared body from
-// kernels_internal.hpp compiled with -mavx512f -mavx512bw (the half-width
-// engines run 256-bit chunks of the same bodies), except the int16
-// full-width fresh-lane merge below. Dispatch only detects this tier on
+// kernels_internal.hpp compiled with -mavx512f -mavx512bw, except the
+// int16 fresh-lane merge below. Dispatch only detects this tier on
 // hosts executing both avx512f and avx512bw.
 #include <immintrin.h>
 
@@ -109,16 +108,17 @@ void merge_avx512_w32_epi16(const std::int16_t* const* staged,
 }  // namespace
 
 template <class T>
-KernelSet<T> avx512_kernels(int lanes) {
-  KernelSet<T> set = vector_kernels<T>(lanes);
+KernelSet<T> avx512_kernels() {
+  KernelSet<T> set = vector_kernels<T>();
   if constexpr (std::is_same_v<T, std::int16_t>) {
-    if (lanes == 32) set.merge = &merge_avx512_w32_epi16;
+    static_assert(kTierLanes<T> == 32, "the transpose merge is 32 lanes");
+    set.merge = &merge_avx512_w32_epi16;
   }
   return set;
 }
 
-template KernelSet<std::int32_t> avx512_kernels<std::int32_t>(int);
-template KernelSet<std::int16_t> avx512_kernels<std::int16_t>(int);
-template KernelSet<std::int8_t> avx512_kernels<std::int8_t>(int);
+template KernelSet<std::int32_t> avx512_kernels<std::int32_t>();
+template KernelSet<std::int16_t> avx512_kernels<std::int16_t>();
+template KernelSet<std::int8_t> avx512_kernels<std::int8_t>();
 
 }  // namespace ldpc::core::kernels

@@ -116,16 +116,14 @@ void row_scalar(T* const* l_rows, T* lambda_row, T* lam_full, T* lam,
 
 }  // namespace
 
-// The scalar tier walks every layer through row_scalar; every other kernel
-// is the shared body at the baseline architecture.
+// The scalar tier walks every layer through row_scalar at its own width;
+// every other kernel is the shared body at the baseline architecture.
+// row_scalar is also compiled at the vector tiers' widths: it is the
+// tests' reference for every tier.
 template <class T>
-KernelSet<T> scalar_kernels(int lanes) {
-  constexpr int s = lane_scale(lane_type_of<T>);
-  return lanes == 16 * s
-             ? body_set<T, 16 * s>(
-                   &layer_via_row<T, 16 * s, &row_scalar<T, 16 * s>>)
-             : body_set<T, 8 * s>(
-                   &layer_via_row<T, 8 * s, &row_scalar<T, 8 * s>>);
+KernelSet<T> scalar_kernels() {
+  constexpr int W = kTierLanes<T>;
+  return body_set<T>(&layer_via_row<T, W, &row_scalar<T, W>>);
 }
 
 template <class T>
@@ -134,9 +132,9 @@ MinSumRowFnT<T> scalar_reference_row(int lanes) {
   return lanes == 16 * s ? &row_scalar<T, 16 * s> : &row_scalar<T, 8 * s>;
 }
 
-template KernelSet<std::int32_t> scalar_kernels<std::int32_t>(int);
-template KernelSet<std::int16_t> scalar_kernels<std::int16_t>(int);
-template KernelSet<std::int8_t> scalar_kernels<std::int8_t>(int);
+template KernelSet<std::int32_t> scalar_kernels<std::int32_t>();
+template KernelSet<std::int16_t> scalar_kernels<std::int16_t>();
+template KernelSet<std::int8_t> scalar_kernels<std::int8_t>();
 template MinSumRowFnT<std::int32_t> scalar_reference_row<std::int32_t>(int);
 template MinSumRowFnT<std::int16_t> scalar_reference_row<std::int16_t>(int);
 template MinSumRowFnT<std::int8_t> scalar_reference_row<std::int8_t>(int);

@@ -10,20 +10,20 @@
 namespace ldpc::core {
 
 template <class T>
-StreamBatchEngineT<T>::StreamBatchEngineT(DecoderConfig config, int lanes)
+StreamBatchEngineT<T>::StreamBatchEngineT(DecoderConfig config)
     : config_(validated_batch_config(config, "StreamBatchEngine")),
       traits_(config_) {
   if (!lane_type_eligible(config_, lane_type()))
     throw std::invalid_argument(
         "StreamBatchEngine: config rails do not fit lane type " +
         kernels::to_string(lane_type()));
-  if (lanes == 0) lanes = kernels::preferred_lanes(lane_type());
-  lanes_ = lanes;
+  // One tier read: the kernels and the width below are that tier's.
   tier_ = kernels::active_tier();
-  layer_fn_ = kernels::layer_kernel<T>(tier_, lanes_);  // validates the width
-  merge_fn_ = kernels::merge_kernel<T>(tier_, lanes_);
-  cw_scan_fn_ = kernels::cw_scan_kernel<T>(tier_, lanes_);
-  et_scan_fn_ = kernels::et_scan_kernel<T>(tier_, lanes_);
+  lanes_ = kernels::tier_lanes(tier_, lane_type());
+  layer_fn_ = kernels::layer_kernel<T>(tier_);
+  merge_fn_ = kernels::merge_kernel<T>(tier_);
+  cw_scan_fn_ = kernels::cw_scan_kernel<T>(tier_);
+  et_scan_fn_ = kernels::et_scan_kernel<T>(tier_);
   bounds_ = make_row_bounds(config_, traits_);
   lane_.resize(static_cast<std::size_t>(lanes_));
   keep_.resize(static_cast<std::size_t>(lanes_));
@@ -310,42 +310,24 @@ template class StreamBatchEngineT<std::int8_t>;
 // ---------------------------------------------------------------------------
 // Runtime lane-type wrapper.
 
-int StreamBatchEngine::preferred_lanes(kernels::LaneType type) {
-  return kernels::preferred_lanes(type);
-}
-
 StreamBatchEngine::Impl StreamBatchEngine::make_impl(
-    DecoderConfig config, int lanes,
-    std::optional<kernels::LaneType> lane_type) {
-  kernels::LaneType type;
-  if (lane_type) {
-    // An explicitly requested type is strict: the caller asked for THIS
-    // datapath, so a config whose rails overflow it is an error, not a
-    // silent widening (contrast the LDPC_LANE_TYPE preference, which
-    // select_lane_type clamps back to the narrowest eligible type).
-    if (!lane_type_eligible(config, *lane_type))
-      throw std::invalid_argument(
-          "StreamBatchEngine: config rails do not fit lane type " +
-          kernels::to_string(*lane_type));
-    type = *lane_type;
-  } else {
-    type = select_lane_type(config);
-  }
-  switch (type) {
+    DecoderConfig config, std::optional<kernels::LaneType> lane_type) {
+  // An explicitly requested type is strict: StreamBatchEngineT throws when
+  // the config's rails do not fit it, never widening silently.
+  switch (lane_type.value_or(narrowest_lane_type(config))) {
     case kernels::LaneType::kInt16:
-      return StreamBatchEngineT<std::int16_t>(std::move(config), lanes);
+      return StreamBatchEngineT<std::int16_t>(std::move(config));
     case kernels::LaneType::kInt8:
-      return StreamBatchEngineT<std::int8_t>(std::move(config), lanes);
+      return StreamBatchEngineT<std::int8_t>(std::move(config));
     case kernels::LaneType::kInt32:
     default:
-      return StreamBatchEngineT<std::int32_t>(std::move(config), lanes);
+      return StreamBatchEngineT<std::int32_t>(std::move(config));
   }
 }
 
 StreamBatchEngine::StreamBatchEngine(
-    DecoderConfig config, int lanes,
-    std::optional<kernels::LaneType> lane_type)
-    : impl_(make_impl(std::move(config), lanes, lane_type)) {}
+    DecoderConfig config, std::optional<kernels::LaneType> lane_type)
+    : impl_(make_impl(std::move(config), lane_type)) {}
 
 void StreamBatchEngine::reconfigure(const codes::QCCode& code) {
   std::visit([&](auto& e) { e.reconfigure(code); }, impl_);

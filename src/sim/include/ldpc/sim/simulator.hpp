@@ -167,7 +167,7 @@ struct SimConfig {
   /// built with a BatchDecoderFactory. The claim is the worker's refill
   /// queue: the larger it is, the more the continuous engine amortises
   /// its end-of-queue drain. 0 = four refill rounds of the stream
-  /// engine's preferred lane width. Results are independent of this
+  /// engine's int16 lane width on the dispatched tier. Results are independent of this
   /// value: outcomes still fold into the statistics strictly in frame
   /// order.
   int batch = 0;

@@ -256,8 +256,8 @@ Simulator::Simulator(const codes::QCCode& code, BatchDecoderFactory factory,
   // int32 engine: it just spans more refill rounds).
   batch_ = config_.batch > 0
                ? config_.batch
-               : 4 * core::StreamBatchEngine::preferred_lanes(
-                         core::kernels::LaneType::kInt16);
+               : 4 * core::kernels::preferred_lanes(
+                             core::kernels::LaneType::kInt16);
 }
 
 SweepPoint Simulator::run_point(double ebn0_db) {

@@ -3,8 +3,9 @@
 //
 // Where stream::StreamScheduler *simulates* N chips in modeled cycles,
 // DecodeService actually runs N worker threads, each owning one
-// core::StreamBatchEngine (the continuous SIMD lane-refill engine, with
-// the narrowest eligible lane type auto-selected per the decoder config)
+// core::StreamBatchEngine (the continuous SIMD lane-refill engine, over
+// the narrowest lane type the decoder config's rails admit, at the
+// dispatched SIMD tier's lane width — the service has no shape option)
 // and decoding under the SAME optimised layer schedule the chip model
 // programs (arch::chip_layer_order at universal chip dimensions). Frame
 // content is pure in the submitter's data, the engines are bit-identical
@@ -102,8 +103,6 @@ struct ServiceConfig {
   /// Must be a quantized min-sum-family config (the StreamBatchEngine
   /// contract); the constructor throws otherwise.
   core::DecoderConfig decoder{};
-  /// Engine lane width override (0 = the dispatched tier's preference).
-  int lanes = 0;
   /// Completion hook: invoked from the decoding worker's thread with each
   /// finished job record, before finish() composes the report. This is
   /// the live ACK/NACK feedback path — a closed-loop driver applies its

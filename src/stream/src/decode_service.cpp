@@ -17,7 +17,7 @@ std::string to_string(Admission admission) {
 
 struct DecodeService::Worker {
   explicit Worker(const ServiceConfig& config)
-      : engine(config.decoder, config.lanes) {}
+      : engine(config.decoder) {}
 
   core::StreamBatchEngine engine;
   int mode = -1;  // currently configured mode (-1 = none)

@@ -12,7 +12,8 @@
 //
 //   - the scalar fixed-point engine        (LayerEngineT<std::int32_t>)
 //   - the SoA batched fixed-point engine   (StreamBatchEngine, quantised
-//                                           ingest, a 3-frame queue)
+//                                           ingest, a 3-frame queue, at
+//                                           each eligible lane type)
 //   - the chip model                       (arch::DecoderChip, natural order)
 //   - the float reference engine           (LayerEngineT<double>)
 //
@@ -31,6 +32,7 @@
 #include "ldpc/codes/registry.hpp"
 #include "ldpc/core/golden.hpp"
 #include "ldpc/core/layer_engine.hpp"
+#include "ldpc/core/soa_scan.hpp"
 #include "ldpc/core/stream_batch_engine.hpp"
 
 namespace {
@@ -104,23 +106,29 @@ void check_all_datapaths(const codes::QCCode& code,
 
   // Batched fixed-point path: the serving entry over a 3-frame queue of
   // int32 QuantisedFrames holding the stored codes (a ragged, partially
-  // filled lane set at the auto-selected lane type, so the forced
-  // LDPC_LANE_TYPE lanes narrow the same frames) must reproduce the
-  // golden bits in every lane.
-  core::StreamBatchEngine batch(cfg);
-  batch.reconfigure(code);
+  // filled lane set) must reproduce the golden bits in every lane, at
+  // every lane type the config's rails admit (int32 and int16 for the
+  // golden config: the narrower engine narrows the same frames).
   constexpr int kFrames = 3;
   core::QuantisedFrame frame;
   const auto codes = frame.emplace<std::int32_t>(
       core::kernels::LaneType::kInt32, code.n());
   std::copy(entry.raw.begin(), entry.raw.end(), codes.begin());
   const std::vector<const core::QuantisedFrame*> queue(kFrames, &frame);
-  std::vector<core::FixedDecodeResult> results(kFrames);
-  batch.decode_quantised(queue, {}, results);
-  for (int f = 0; f < kFrames; ++f)
-    EXPECT_EQ(bits_to_hex(results[static_cast<std::size_t>(f)].bits),
-              entry.fixed_hex)
-        << code.name() << " (batched fixed, lane " << f << ")";
+  for (const auto type :
+       {core::kernels::LaneType::kInt32, core::kernels::LaneType::kInt16,
+        core::kernels::LaneType::kInt8}) {
+    if (!core::lane_type_eligible(cfg, type)) continue;
+    core::StreamBatchEngine batch(cfg, type);
+    batch.reconfigure(code);
+    std::vector<core::FixedDecodeResult> results(kFrames);
+    batch.decode_quantised(queue, {}, results);
+    for (int f = 0; f < kFrames; ++f)
+      EXPECT_EQ(bits_to_hex(results[static_cast<std::size_t>(f)].bits),
+                entry.fixed_hex)
+          << code.name() << " (batched fixed, "
+          << core::kernels::to_string(type) << " lane " << f << ")";
+  }
 
   // Chip model pinned to the natural layer order: layered decoding is
   // order-dependent and the generator ran the natural schedule, so the

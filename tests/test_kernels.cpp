@@ -1,7 +1,7 @@
 // Kernel-layer unit tests: the dispatch knobs (tier / lane-type parsing,
-// width validation), the row matrix — every SIMD tier's layer kernel on a
-// one-row layer × lane element type × lane width × min-sum variant ×
-// Lambda keep mask, locked lane-for-lane against the scalar int32 row on
+// each tier's lane width), the row matrix — every SIMD tier's layer kernel
+// on a one-row layer, at that tier's lane width, × lane element type ×
+// min-sum variant × Lambda keep mask, locked lane-for-lane against the scalar int32 row on
 // random in-rail inputs, including rails where the narrow lanes saturate —
 // the layer matrix — every tier's walk of a whole z-row layer at each
 // registered layer degree and two others, against a reference that builds
@@ -69,30 +69,26 @@ TEST(Kernels, LaneTypeHelpers) {
   EXPECT_EQ(kernels::lane_scale(kernels::LaneType::kInt8), 4);
   EXPECT_EQ(kernels::lane_raw_max(kernels::LaneType::kInt16), 32767);
   EXPECT_EQ(kernels::lane_raw_max(kernels::LaneType::kInt8), 127);
-  EXPECT_TRUE(kernels::valid_lane_width(kernels::LaneType::kInt32, 8));
-  EXPECT_TRUE(kernels::valid_lane_width(kernels::LaneType::kInt16, 32));
-  EXPECT_TRUE(kernels::valid_lane_width(kernels::LaneType::kInt8, 64));
-  EXPECT_FALSE(kernels::valid_lane_width(kernels::LaneType::kInt32, 32));
-  EXPECT_FALSE(kernels::valid_lane_width(kernels::LaneType::kInt16, 8));
-  EXPECT_FALSE(kernels::valid_lane_width(kernels::LaneType::kInt8, 16));
   EXPECT_EQ(kernels::to_string(kernels::LaneType::kInt16), "int16");
 }
 
 TEST(Kernels, LayerKernelValidatesWidthPerType) {
-  EXPECT_NE(kernels::layer_kernel<std::int32_t>(kernels::Tier::kScalar, 8),
+  EXPECT_NE(kernels::layer_kernel<std::int32_t>(kernels::Tier::kScalar),
             nullptr);
-  EXPECT_NE(kernels::layer_kernel<std::int16_t>(kernels::Tier::kScalar, 32),
+  EXPECT_NE(kernels::layer_kernel<std::int16_t>(kernels::Tier::kScalar),
             nullptr);
-  EXPECT_NE(kernels::layer_kernel<std::int8_t>(kernels::Tier::kScalar, 64),
+  EXPECT_NE(kernels::layer_kernel<std::int8_t>(kernels::Tier::kScalar),
             nullptr);
-  EXPECT_THROW(kernels::layer_kernel<std::int32_t>(kernels::Tier::kScalar, 32),
-               std::invalid_argument);
-  EXPECT_THROW(kernels::layer_kernel<std::int16_t>(kernels::Tier::kScalar, 8),
-               std::invalid_argument);
-  EXPECT_THROW(kernels::layer_kernel<std::int8_t>(kernels::Tier::kScalar, 7),
-               std::invalid_argument);
+  // The reference row serves every tier's width of its type, and only
+  // those: 8 or 16 int32-equivalents.
   EXPECT_NE(kernels::reference_row<std::int16_t>(16), nullptr);
+  EXPECT_NE(kernels::reference_row<std::int16_t>(32), nullptr);
+  EXPECT_NE(kernels::reference_row<std::int8_t>(64), nullptr);
   EXPECT_THROW(kernels::reference_row<std::int32_t>(64),
+               std::invalid_argument);
+  EXPECT_THROW(kernels::reference_row<std::int16_t>(8),
+               std::invalid_argument);
+  EXPECT_THROW(kernels::reference_row<std::int8_t>(7),
                std::invalid_argument);
 }
 
@@ -107,11 +103,17 @@ std::vector<kernels::Tier> available_tiers() {
   return {seen.begin(), seen.end()};
 }
 
+/// The lane width every tier-`tier` kernel of type T runs.
+template <class T>
+int tier_width(kernels::Tier tier) {
+  return kernels::tier_lanes(tier, kernels::lane_type_of<T>);
+}
+
 /// Keep-mask patterns of the row matrix: every lane kept, no lane kept
 /// (a pass whose every lane was just loaded), and a random mix.
 enum class Keep { kAll, kNone, kRandom };
 
-/// One random row case: `deg` edges over `lanes` lanes of type T, inputs
+/// One random row case: `deg` edges over the tier's lanes of type T, inputs
 /// uniform within the rails of `bounds`, and a keep mask per `keep`.
 /// The row runs as a one-row layer (z = 1, every shift 0, edge e on block
 /// column e), so the layer kernels see exactly the row. The reference is
@@ -120,15 +122,16 @@ enum class Keep { kAll, kNone, kRandom };
 /// initialisation the mask stands for. Three calls must match it word for
 /// word (updated L rows and Lambda row): the layer kernel under test with
 /// the mask on the raw Lambda row, the same kernel with every lane kept on
-/// the pre-zeroed row, and the scalar tier of type T at the same width
-/// with the mask. When `alias` is set, edge 2 shares its L row with edge 0
+/// the pre-zeroed row, and — when the scalar tier runs the same width —
+/// the scalar tier of type T with the mask. When `alias` is set, edge 2 shares its L row with edge 0
 /// (block column 0 twice in one layer, a variable appearing twice in one
 /// check), locking the write-back ordering too.
 template <class T>
-void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
+void check_row_against_scalar_ref(kernels::Tier tier, int deg,
                                   const kernels::RowBounds& bounds,
                                   bool alias, Keep keep,
                                   std::uint32_t seed) {
+  const int lanes = tier_width<T>(tier);
   SCOPED_TRACE("tier=" + kernels::to_string(tier) + " type=" +
                kernels::to_string(kernels::lane_type_of<T>) + " lanes=" +
                std::to_string(lanes) + " deg=" + std::to_string(deg) +
@@ -229,12 +232,13 @@ void check_row_against_scalar_ref(kernels::Tier tier, int lanes, int deg,
       }
     }
   };
-  const auto fn = kernels::layer_kernel<T>(tier, lanes);
+  const auto fn = kernels::layer_kernel<T>(tier);
   check(fn, lam0, mask, "masked");
   check(fn, lam_zeroed, std::vector<std::int32_t>(w, -1),
         "all kept, pre-zeroed");
-  check(kernels::layer_kernel<T>(kernels::Tier::kScalar, lanes), lam0, mask,
-        "scalar tier, masked");
+  if (tier_width<T>(kernels::Tier::kScalar) == lanes)
+    check(kernels::layer_kernel<T>(kernels::Tier::kScalar), lam0, mask,
+          "scalar tier, masked");
 }
 
 /// RowBounds of the standard config (Q5.2 messages, 10-bit APP) and of the
@@ -274,13 +278,10 @@ TEST(Kernels, RowKernelMatrixMatchesScalarReference) {
             standard_bounds(0, 1), kFull16, kWide16}) {
         for (const int deg : {2, 7, 19}) {
           for (const bool alias : {false, true}) {
-            std::uint32_t seed = 1;
-            for (const int lanes : {8, 16})
-              check_row_against_scalar_ref<std::int32_t>(
-                  tier, lanes, deg, bounds, alias, keep, seed++);
-            for (const int lanes : {16, 32})
-              check_row_against_scalar_ref<std::int16_t>(
-                  tier, lanes, deg, bounds, alias, keep, seed++);
+            check_row_against_scalar_ref<std::int32_t>(tier, deg, bounds,
+                                                       alias, keep, 1);
+            check_row_against_scalar_ref<std::int16_t>(tier, deg, bounds,
+                                                       alias, keep, 2);
           }
         }
       }
@@ -289,10 +290,8 @@ TEST(Kernels, RowKernelMatrixMatchesScalarReference) {
                                  strict_bounds(0, 1), kNarrowQ8}) {
         for (const int deg : {2, 7, 19}) {
           for (const bool alias : {false, true}) {
-            std::uint32_t seed = 101;
-            for (const int lanes : {32, 64})
-              check_row_against_scalar_ref<std::int8_t>(
-                  tier, lanes, deg, bounds, alias, keep, seed++);
+            check_row_against_scalar_ref<std::int8_t>(tier, deg, bounds,
+                                                      alias, keep, 101);
           }
         }
       }
@@ -302,9 +301,8 @@ TEST(Kernels, RowKernelMatrixMatchesScalarReference) {
 
 /// The layer degrees the matrix below walks: the 14 degrees of the
 /// registered modes (each with a degree-specialised body on every vector
-/// tier at that tier's preferred lane width; the other width walks the
-/// runtime-degree body) and two outside that set, 12 and 27, which take
-/// the runtime-degree body at every width.
+/// tier) and two outside that set, 12 and 27, which take the
+/// runtime-degree body.
 constexpr int kLayerDegrees[] = {3,  4,  5,  6,  7,  8,  9,  10,
                                  11, 13, 14, 15, 20, 22, 12, 27};
 
@@ -329,8 +327,8 @@ codes::QCCode layer_test_code(int deg, int z, std::mt19937& rng) {
   return codes::QCCode(codes::BaseMatrix(2, cols, std::move(entries)), z);
 }
 
-/// One layer-kernel cell: layer 0 of layer_test_code(deg, z) over `lanes`
-/// lanes of T, random in-rail L and Lambda, a keep mask per `keep`. The
+/// One layer-kernel cell: layer 0 of layer_test_code(deg, z) over the
+/// tier's lanes of T, random in-rail L and Lambda, a keep mask per `keep`. The
 /// reference walks the layer's rows with pointers built from
 /// QCCode::check_vars and Lambda rows at QCCode::edge_index, calling the
 /// scalar reference row on each, so the kernel's rotated-window cursors
@@ -338,9 +336,10 @@ codes::QCCode layer_test_code(int deg, int z, std::mt19937& rng) {
 /// whole L memory (including layer 1's private column) and the layer's
 /// Lambda slice must match word for word.
 template <class T>
-void check_layer_against_reference(kernels::Tier tier, int lanes, int deg,
-                                   int z, const kernels::RowBounds& bounds,
+void check_layer_against_reference(kernels::Tier tier, int deg, int z,
+                                   const kernels::RowBounds& bounds,
                                    Keep keep, std::uint32_t seed) {
+  const int lanes = tier_width<T>(tier);
   SCOPED_TRACE("tier=" + kernels::to_string(tier) + " type=" +
                kernels::to_string(kernels::lane_type_of<T>) + " lanes=" +
                std::to_string(lanes) + " deg=" + std::to_string(deg) +
@@ -384,9 +383,9 @@ void check_layer_against_reference(kernels::Tier tier, int lanes, int deg,
   }
 
   std::vector<T> l_got = l0, lam_got = lam0;
-  kernels::layer_kernel<T>(tier, lanes)(l_got.data(), lam_got.data(),
-                                        code.layers()[0].data(), deg, z,
-                                        mask.data(), bounds);
+  kernels::layer_kernel<T>(tier)(l_got.data(), lam_got.data(),
+                                 code.layers()[0].data(), deg, z,
+                                 mask.data(), bounds);
   for (std::size_t i = 0; i < l_ref.size(); ++i)
     ASSERT_EQ(static_cast<int>(l_ref[i]), static_cast<int>(l_got[i]))
         << "L variable " << i / w << " lane " << i % w;
@@ -406,31 +405,30 @@ TEST(Kernels, LayerKernelMatrixMatchesCheckVarsReference) {
         for (const auto& bounds : {standard_bounds(0, 0),
                                    standard_bounds(2, 0),
                                    standard_bounds(0, 1)}) {
-          for (const int lanes : {8, 16})
-            check_layer_against_reference<std::int32_t>(
-                tier, lanes, deg, kZ, bounds, keep, seed++);
-          for (const int lanes : {16, 32})
-            check_layer_against_reference<std::int16_t>(
-                tier, lanes, deg, kZ, bounds, keep, seed++);
+          check_layer_against_reference<std::int32_t>(tier, deg, kZ, bounds,
+                                                      keep, seed++);
+          check_layer_against_reference<std::int16_t>(tier, deg, kZ, bounds,
+                                                      keep, seed++);
         }
         for (const auto& bounds : {strict_bounds(0, 0), strict_bounds(2, 0),
                                    strict_bounds(0, 1)})
-          for (const int lanes : {32, 64})
-            check_layer_against_reference<std::int8_t>(
-                tier, lanes, deg, kZ, bounds, keep, seed++);
+          check_layer_against_reference<std::int8_t>(tier, deg, kZ, bounds,
+                                                     keep, seed++);
       }
     }
   }
 }
 
 /// One fresh-lane merge case: `nfresh` distinct lanes (random order) of a
-/// `lanes`-wide L memory with `n` variables receive staged frames; every
+/// tier-wide L memory with `n` variables receive staged frames; every
 /// other `staged` slot is nullptr. The kernel under test must write
-/// exactly the fresh columns, matching both a direct column loop and the
-/// scalar tier's kernel (the blocked merge_fresh_body reference).
+/// exactly the fresh columns, matching a direct column loop and — when
+/// the scalar tier runs the same width — the scalar tier's kernel (the
+/// blocked merge_fresh_body reference).
 template <class T>
-void check_merge_against_reference(kernels::Tier tier, int lanes, int nfresh,
+void check_merge_against_reference(kernels::Tier tier, int nfresh,
                                    std::size_t n, std::uint32_t seed) {
+  const int lanes = tier_width<T>(tier);
   SCOPED_TRACE("tier=" + kernels::to_string(tier) + " type=" +
                kernels::to_string(kernels::lane_type_of<T>) + " lanes=" +
                std::to_string(lanes) + " nfresh=" + std::to_string(nfresh) +
@@ -457,25 +455,25 @@ void check_merge_against_reference(kernels::Tier tier, int lanes, int nfresh,
       expect[v * w + static_cast<std::size_t>(lane)] = frame[v];
   }
 
-  std::vector<T> body = l0;
-  kernels::merge_kernel<T>(kernels::Tier::kScalar, lanes)(
-      staged.data(), fresh.data(), nfresh, body.data(), n);
-  ASSERT_EQ(body, expect);
+  if (tier_width<T>(kernels::Tier::kScalar) == lanes) {
+    std::vector<T> body = l0;
+    kernels::merge_kernel<T>(kernels::Tier::kScalar)(
+        staged.data(), fresh.data(), nfresh, body.data(), n);
+    ASSERT_EQ(body, expect);
+  }
   std::vector<T> got = l0;
-  kernels::merge_kernel<T>(tier, lanes)(staged.data(), fresh.data(), nfresh,
-                                        got.data(), n);
+  kernels::merge_kernel<T>(tier)(staged.data(), fresh.data(), nfresh,
+                                 got.data(), n);
   ASSERT_EQ(got, expect);
 }
 
 template <class T>
 void check_merge_widths(kernels::Tier tier, std::uint32_t& seed) {
-  const int s = kernels::lane_scale(kernels::lane_type_of<T>);
-  for (const int lanes : {8 * s, 16 * s})
-    // {1, 5, 6, W} straddles the AVX-512 int16 transpose's fresh-count
-    // threshold; n = 103 leaves a 7-row tail after three 32-row blocks.
-    for (const int nfresh : {1, 5, 6, lanes})
-      for (const std::size_t n : {std::size_t{20}, std::size_t{103}})
-        check_merge_against_reference<T>(tier, lanes, nfresh, n, seed++);
+  // {1, 5, 6, W} straddles the AVX-512 int16 transpose's fresh-count
+  // threshold; n = 103 leaves a 7-row tail after three 32-row blocks.
+  for (const int nfresh : {1, 5, 6, tier_width<T>(tier)})
+    for (const std::size_t n : {std::size_t{20}, std::size_t{103}})
+      check_merge_against_reference<T>(tier, nfresh, n, seed++);
 }
 
 TEST(Kernels, MergeKernelMatrixMatchesReferenceBody) {
@@ -489,29 +487,23 @@ TEST(Kernels, MergeKernelMatrixMatchesReferenceBody) {
 
 TEST(Kernels, PreferredLanesFollowsTierAndType) {
   for (const kernels::Tier tier : available_tiers()) {
-    ASSERT_EQ(kernels::force_tier(tier), tier);
-    // kAvx512 implies AVX-512BW, so every lane type fills 512 bits there.
+    // kAvx512 implies AVX-512BW, so every lane type fills 512 bits there;
+    // every other tier runs one 256-bit register's worth.
     const bool full512 = tier == kernels::Tier::kAvx512;
-    EXPECT_EQ(kernels::preferred_lanes(kernels::LaneType::kInt32),
+    EXPECT_EQ(kernels::tier_lanes(tier, kernels::LaneType::kInt32),
               full512 ? 16 : 8);
-    EXPECT_EQ(kernels::preferred_lanes(kernels::LaneType::kInt16),
+    EXPECT_EQ(kernels::tier_lanes(tier, kernels::LaneType::kInt16),
               full512 ? 32 : 16);
-    EXPECT_EQ(kernels::preferred_lanes(kernels::LaneType::kInt8),
+    EXPECT_EQ(kernels::tier_lanes(tier, kernels::LaneType::kInt8),
               full512 ? 64 : 32);
+    ASSERT_EQ(kernels::force_tier(tier), tier);
+    for (const auto type : {kernels::LaneType::kInt32,
+                            kernels::LaneType::kInt16,
+                            kernels::LaneType::kInt8})
+      EXPECT_EQ(kernels::preferred_lanes(type),
+                kernels::tier_lanes(tier, type));
   }
   kernels::clear_forced_tier();
-}
-
-TEST(Kernels, ForceLaneTypePinsThePreference) {
-  kernels::force_lane_type(kernels::LaneType::kInt32);
-  ASSERT_TRUE(kernels::requested_lane_type().has_value());
-  EXPECT_EQ(*kernels::requested_lane_type(), kernels::LaneType::kInt32);
-  kernels::clear_forced_lane_type();
-  // Back to the env var (absent in this test binary unless CI set it).
-  const char* env = std::getenv("LDPC_LANE_TYPE");
-  if (!env || kernels::try_parse_lane_type(env) == std::nullopt) {
-    EXPECT_EQ(kernels::requested_lane_type(), std::nullopt);
-  }
 }
 
 }  // namespace

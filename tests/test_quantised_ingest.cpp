@@ -159,7 +159,7 @@ void check_quantised_ingest(
   for (const kernels::Tier tier : available_tiers()) {
     for (const kernels::LaneType type : types) {
       ASSERT_EQ(kernels::force_tier(tier), tier);
-      core::StreamBatchEngine engine(cfg, 0, type);
+      core::StreamBatchEngine engine(cfg, type);
       engine.reconfigure(code);
       std::vector<core::FixedDecodeResult> ref(
           static_cast<std::size_t>(frames));

@@ -11,9 +11,9 @@
 // host can run (scalar, SSE4.2, AVX2, AVX-512 — forced in turn via the
 // kernels test hooks), every lane ELEMENT TYPE the config's rails admit
 // (int32 and int16 for the standard configs; int8 for the strict
-// 8-bit-APP config, checked against its own re-derived scalar golden), and
-// both lane widths of each type — because a tier, type or width that
-// drifts by one saturation point or min-scan tie would silently corrupt
+// 8-bit-APP config, checked against its own re-derived scalar golden), at
+// each tier's lane width — because a tier or type that drifts by one
+// saturation point or min-scan tie would silently corrupt
 // every batched consumer (sim workers, chip bursts, the stream scheduler
 // farm).
 #include <gtest/gtest.h>
@@ -120,9 +120,9 @@ void expect_result_eq(const core::FixedDecodeResult& ref,
 }
 
 /// The core check: scalar per-frame reference under `cfg` vs the refill
-/// engine over the same queue, at every available tier, every lane type in
-/// `types` (each must be eligible for `cfg`) and both lane widths of each
-/// type. The queue is make_queue's unless `queue` holds one (frame-major,
+/// engine over the same queue, at every available tier (at that tier's lane
+/// width) and every lane type in `types` (each must be eligible for `cfg`).
+/// The queue is make_queue's unless `queue` holds one (frame-major,
 /// transmitted length, 20 frames).
 void check_refill_equivalence(
     const codes::QCCode& code, const core::DecoderConfig& cfg,
@@ -172,25 +172,22 @@ void check_refill_equivalence(
 
   for (const kernels::Tier tier : available_tiers()) {
     for (const kernels::LaneType type : types) {
-      const int scale = kernels::lane_scale(type);
-      for (const int lanes : {8 * scale, 16 * scale}) {
-        ASSERT_EQ(kernels::force_tier(tier), tier);
-        core::StreamBatchEngine engine(cfg, lanes, type);
-        ASSERT_EQ(engine.tier(), tier);
-        ASSERT_EQ(engine.lane_type(), type);
-        ASSERT_EQ(engine.lanes(), lanes);
-        engine.reconfigure(code);
-        std::vector<core::FixedDecodeResult> got(
-            static_cast<std::size_t>(frames));
-        engine.decode(llrs, {}, got);
-        for (int f = 0; f < frames; ++f)
-          expect_result_eq(ref[static_cast<std::size_t>(f)],
-                           got[static_cast<std::size_t>(f)],
-                           code.name() + " tier=" + to_string(tier) +
-                               " type=" + to_string(type) + " lanes=" +
-                               std::to_string(lanes) + " frame " +
-                               std::to_string(f));
-      }
+      ASSERT_EQ(kernels::force_tier(tier), tier);
+      core::StreamBatchEngine engine(cfg, type);
+      ASSERT_EQ(engine.tier(), tier);
+      ASSERT_EQ(engine.lane_type(), type);
+      ASSERT_EQ(engine.lanes(), kernels::tier_lanes(tier, type));
+      engine.reconfigure(code);
+      std::vector<core::FixedDecodeResult> got(
+          static_cast<std::size_t>(frames));
+      engine.decode(llrs, {}, got);
+      for (int f = 0; f < frames; ++f)
+        expect_result_eq(ref[static_cast<std::size_t>(f)],
+                         got[static_cast<std::size_t>(f)],
+                         code.name() + " tier=" + to_string(tier) +
+                             " type=" + to_string(type) + " lanes=" +
+                             std::to_string(engine.lanes()) + " frame " +
+                             std::to_string(f));
     }
   }
   kernels::clear_forced_tier();
@@ -403,81 +400,33 @@ TEST(StreamBatchEngine, RejectsALayerWiderThanTheLayerKernels) {
 }
 
 TEST(StreamBatchEngine, SelectsNarrowestEligibleLaneType) {
-  // This test asserts the DEFAULT auto-selection, so it must neutralise
-  // any ambient LDPC_LANE_TYPE (the forced-lane CI jobs export one for
-  // the whole binary, which would legitimately widen the strict-config
-  // pick from int8 to int16).
-  const char* ambient = std::getenv("LDPC_LANE_TYPE");
-  const std::string saved = ambient ? ambient : "";
-  ASSERT_EQ(unsetenv("LDPC_LANE_TYPE"), 0);
-  kernels::reload_env();
-
   // The default config's APP words span 10 bits -> int16; the strict
   // 8-bit-APP config fits int8. QFormat caps words at 16 bits, so every
   // supported config fits int16 — int32 is only reachable by request
   // (it remains the reference instantiation the matrix tests pin).
-  EXPECT_EQ(core::select_lane_type(stream_config()),
+  EXPECT_EQ(core::narrowest_lane_type(stream_config()),
             kernels::LaneType::kInt16);
-  EXPECT_EQ(core::select_lane_type(strict_app_config()),
+  EXPECT_EQ(core::narrowest_lane_type(strict_app_config()),
             kernels::LaneType::kInt8);
   core::DecoderConfig wide = stream_config();
   wide.format = fixed::QFormat(14, 2);  // 16-bit APP words: still int16
-  EXPECT_EQ(core::select_lane_type(wide), kernels::LaneType::kInt16);
+  EXPECT_EQ(core::narrowest_lane_type(wide), kernels::LaneType::kInt16);
 
   core::StreamBatchEngine standard(stream_config());
   EXPECT_EQ(standard.lane_type(), kernels::LaneType::kInt16);
   EXPECT_EQ(standard.lanes(),
-            core::StreamBatchEngine::preferred_lanes(
-                kernels::LaneType::kInt16));
+            kernels::preferred_lanes(kernels::LaneType::kInt16));
   core::StreamBatchEngine strict(strict_app_config());
   EXPECT_EQ(strict.lane_type(), kernels::LaneType::kInt8);
 
   // An EXPLICITLY requested type is strict: int8 cannot hold the standard
   // config's 10-bit APP words.
-  EXPECT_THROW(core::StreamBatchEngine(stream_config(), 0,
+  EXPECT_THROW(core::StreamBatchEngine(stream_config(),
                                        kernels::LaneType::kInt8),
                std::invalid_argument);
   // ...but any wider type than the narrowest eligible one is fine.
-  core::StreamBatchEngine wide32(stream_config(), 0,
-                                 kernels::LaneType::kInt32);
+  core::StreamBatchEngine wide32(stream_config(), kernels::LaneType::kInt32);
   EXPECT_EQ(wide32.lane_type(), kernels::LaneType::kInt32);
-
-  if (ambient) {
-    ASSERT_EQ(setenv("LDPC_LANE_TYPE", saved.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("LDPC_LANE_TYPE"), 0);
-  }
-  kernels::reload_env();
-}
-
-TEST(StreamBatchEngine, LaneTypeEnvKnobIsAClampedPreference) {
-  // LDPC_LANE_TYPE mirrors LDPC_SIMD: it pins the lane type of engines
-  // built afterwards — but as a PREFERENCE clamped to eligibility, so a
-  // forced-int8 CI lane can still run standard configs (they widen back
-  // to int16 instead of throwing).
-  const char* ambient = std::getenv("LDPC_LANE_TYPE");
-  const std::string saved = ambient ? ambient : "";
-
-  ASSERT_EQ(setenv("LDPC_LANE_TYPE", "int32", 1), 0);
-  kernels::reload_env();
-  ASSERT_TRUE(kernels::requested_lane_type().has_value());
-  EXPECT_EQ(*kernels::requested_lane_type(), kernels::LaneType::kInt32);
-  core::StreamBatchEngine widened(stream_config());
-  EXPECT_EQ(widened.lane_type(), kernels::LaneType::kInt32);
-
-  ASSERT_EQ(setenv("LDPC_LANE_TYPE", "int8", 1), 0);
-  kernels::reload_env();
-  core::StreamBatchEngine clamped(stream_config());
-  EXPECT_EQ(clamped.lane_type(), kernels::LaneType::kInt16);  // widened back
-  core::StreamBatchEngine narrow(strict_app_config());
-  EXPECT_EQ(narrow.lane_type(), kernels::LaneType::kInt8);
-
-  if (ambient) {
-    ASSERT_EQ(setenv("LDPC_LANE_TYPE", saved.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("LDPC_LANE_TYPE"), 0);
-  }
-  kernels::reload_env();
 }
 
 TEST(StreamBatchEngine, ForceScalarEnvKnobLowersDispatch) {
@@ -496,7 +445,7 @@ TEST(StreamBatchEngine, ForceScalarEnvKnobLowersDispatch) {
   const core::DecoderConfig cfg = stream_config();
   core::StreamBatchEngine engine(cfg);
   EXPECT_EQ(engine.tier(), kernels::Tier::kScalar);
-  // Non-AVX-512 dispatch prefers one 256-bit register's worth of lanes.
+  // The scalar tier runs one 256-bit register's worth of lanes.
   EXPECT_EQ(engine.lanes(), 8 * kernels::lane_scale(engine.lane_type()));
   engine.reconfigure(code);
 
@@ -527,17 +476,6 @@ TEST(StreamBatchEngine, ForceScalarEnvKnobLowersDispatch) {
 
 TEST(StreamBatchEngine, ValidatesConfigAndLaneWidth) {
   core::DecoderConfig cfg = stream_config();
-  // Over int16 lanes (the default config's type, pinned here because the
-  // LDPC_LANE_TYPE preference may widen the auto-selected one) the valid
-  // widths are 16 and 32.
-  const auto int16 = kernels::LaneType::kInt16;
-  EXPECT_THROW(core::StreamBatchEngine(cfg, 7, int16), std::invalid_argument);
-  EXPECT_THROW(core::StreamBatchEngine(cfg, 8, int16), std::invalid_argument);
-  EXPECT_THROW(core::StreamBatchEngine(cfg, 64, int16),
-               std::invalid_argument);
-  // Width validation is per chosen type: 32 lanes of int32 is no engine.
-  EXPECT_THROW(core::StreamBatchEngine(cfg, 32, kernels::LaneType::kInt32),
-               std::invalid_argument);
   core::DecoderConfig bp = cfg;
   bp.kernel = core::CnuKernel::kFullBp;
   EXPECT_THROW(core::StreamBatchEngine{bp}, std::invalid_argument);
@@ -561,21 +499,22 @@ TEST(StreamBatchEngine, ValidatesConfigAndLaneWidth) {
   std::vector<core::FixedDecodeResult> one(1);
   EXPECT_THROW(unconfigured.decode({}, {}, one), std::logic_error);
 
-  // preferred_lanes follows the dispatched tier — one full 512-bit
-  // register only on AVX-512, one 256-bit register otherwise — scaled by
-  // the element width.
+  // The width is the dispatched tier's — one full 512-bit register only on
+  // AVX-512, one 256-bit register otherwise — scaled by the element width,
+  // for the auto-selected and for an explicit lane type alike.
   const bool avx512 = kernels::active_tier() == kernels::Tier::kAvx512;
-  EXPECT_EQ(core::StreamBatchEngine::preferred_lanes(), avx512 ? 16 : 8);
-  EXPECT_EQ(
-      core::StreamBatchEngine::preferred_lanes(kernels::LaneType::kInt16),
-      avx512 ? 32 : 16);
-  EXPECT_EQ(
-      core::StreamBatchEngine::preferred_lanes(kernels::LaneType::kInt8),
-      avx512 ? 64 : 32);
+  EXPECT_EQ(kernels::preferred_lanes(kernels::LaneType::kInt32),
+            avx512 ? 16 : 8);
+  EXPECT_EQ(kernels::preferred_lanes(kernels::LaneType::kInt16),
+            avx512 ? 32 : 16);
+  EXPECT_EQ(kernels::preferred_lanes(kernels::LaneType::kInt8),
+            avx512 ? 64 : 32);
   core::StreamBatchEngine auto_engine(cfg);
+  EXPECT_EQ(auto_engine.tier(), kernels::active_tier());
   EXPECT_EQ(auto_engine.lanes(),
-            core::StreamBatchEngine::preferred_lanes(
-                auto_engine.lane_type()));
+            kernels::preferred_lanes(auto_engine.lane_type()));
+  core::StreamBatchEngine int32_engine(cfg, kernels::LaneType::kInt32);
+  EXPECT_EQ(int32_engine.lanes(), avx512 ? 16 : 8);
 }
 
 TEST(StreamBatchEngine, RepeatedQueuesLeaveNoStateBehind) {
@@ -602,19 +541,18 @@ TEST(StreamBatchEngine, RepeatedQueuesLeaveNoStateBehind) {
   for (const Case& c : {Case{kernels::LaneType::kInt32, stream_config()},
                         Case{kernels::LaneType::kInt16, stream_config()},
                         Case{kernels::LaneType::kInt8, strict_app_config()}}) {
-    const int lanes = 8 * kernels::lane_scale(c.type);
     const std::string type = to_string(c.type);
     // One queue on a freshly built engine: the reference.
     auto fresh = [&](const codes::QCCode& code,
                      const std::vector<double>& llrs, int frames) {
-      core::StreamBatchEngine engine(c.cfg, lanes, c.type);
+      core::StreamBatchEngine engine(c.cfg, c.type);
       engine.reconfigure(code);
       std::vector<core::FixedDecodeResult> out(
           static_cast<std::size_t>(frames));
       engine.decode(llrs, {}, out);
       return out;
     };
-    core::StreamBatchEngine reused(c.cfg, lanes, c.type);
+    core::StreamBatchEngine reused(c.cfg, c.type);
     auto run = [&](const codes::QCCode& code, const std::vector<double>& llrs,
                    int frames, const std::string& step) {
       std::vector<core::FixedDecodeResult> got(
@@ -644,7 +582,7 @@ TEST(StreamBatchEngine, FullWidthBinAfterModeSwitchMatchesFreshEngine) {
   // lane fresh. Right after a switch down from the larger NR code, every
   // lane's Lambda entries hold the NR decode's words; the first pass must
   // read them as 0 and the bin must equal a fresh engine's, bit for bit,
-  // at the full preferred width of every lane type.
+  // at the tier's full width of every lane type.
   const auto wimax = codes::make_code(
       {codes::Standard::kWimax80216e, codes::Rate::kR12, 96});
   const auto nr = codes::make_nr_code(codes::Rate::kR13, 96, 5000, 64);
@@ -659,17 +597,18 @@ TEST(StreamBatchEngine, FullWidthBinAfterModeSwitchMatchesFreshEngine) {
   for (const Case& c : {Case{kernels::LaneType::kInt32, et_only_config()},
                         Case{kernels::LaneType::kInt16, et_only_config()},
                         Case{kernels::LaneType::kInt8, strict}}) {
-    const int lanes = 16 * kernels::lane_scale(c.type);
+    const int lanes = kernels::preferred_lanes(c.type);
     const std::string type = to_string(c.type);
     const auto bin = make_queue(wimax, lanes, 51);
     std::vector<core::FixedDecodeResult> want(
         static_cast<std::size_t>(lanes));
     {
-      core::StreamBatchEngine fresh(c.cfg, lanes, c.type);
+      core::StreamBatchEngine fresh(c.cfg, c.type);
       fresh.reconfigure(wimax);
       fresh.decode(bin, {}, want);
     }
-    core::StreamBatchEngine reused(c.cfg, lanes, c.type);
+    core::StreamBatchEngine reused(c.cfg, c.type);
+    ASSERT_EQ(reused.lanes(), lanes);
     reused.reconfigure(nr);
     std::vector<core::FixedDecodeResult> nr_out(
         static_cast<std::size_t>(lanes));
