@@ -53,9 +53,9 @@ namespace ldpc::core {
 /// Cache-line-aligned allocator for the engine's lane-major state. The SoA
 /// row stride at the AVX-512 tier's lane width is exactly one cache line
 /// (64 bytes: 16 int32 / 32 int16 / 64 int8; half a line below AVX-512),
-/// so with a 64-byte-aligned base
-/// every row access is one line; from a plain std::vector base every
-/// 512-bit row load/store straddles TWO lines, and on the L2-resident
+/// so with a 64-byte-aligned base every row access is one line; from a
+/// plain std::vector base every 512-bit row load/store straddles TWO
+/// lines, and on the L2-resident
 /// working sets of realistic codes the doubled line traffic was eating
 /// most of the narrow lanes' per-item advantage over int32.
 template <class T>
