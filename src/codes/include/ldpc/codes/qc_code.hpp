@@ -168,6 +168,32 @@ class QCCode {
   /// rv_start(scheme().redundancy_version): the read offset of the
   /// attached scheme.
   int rv_start() const { return rv_start(scheme_.redundancy_version); }
+  /// Walks redundancy version `rv`'s transmitted window as dense runs, in
+  /// transmission order: f(i, v, len) says transmitted positions
+  /// [i, i + len) land on codeword indices [v, v + len) — the same map as
+  /// tx_bit_index((rv_start(rv) + i) % sendable_bits()), without a
+  /// per-position modulo or branch. Each pass over the circular buffer
+  /// crosses the filler gap at most once, so a window with E <=
+  /// sendable_bits() (it wraps at most once) is at most four runs.
+  template <class F>
+  void for_each_tx_run(int rv, F&& f) const {
+    const int sendable = sendable_bits();
+    const int e_bits = transmitted_bits();
+    const int punct = scheme_.punctured_block_cols * z_;
+    // Sendable positions below s_break land at punct + s; the rest shift
+    // up by filler_bits.
+    const int s_break = k_info() - scheme_.filler_bits - punct;
+    int s = rv_start(rv);
+    for (int i = 0; i < e_bits;) {
+      const bool low = s < s_break;
+      const int run_end = low ? s_break : sendable;
+      const int len = run_end - s < e_bits - i ? run_end - s : e_bits - i;
+      f(i, punct + s + (low ? 0 : scheme_.filler_bits), len);
+      i += len;
+      s += len;
+      if (s == sendable) s = 0;
+    }
+  }
   /// Extracts the transmitted sequence (size transmitted_bits(), with
   /// wraparound repetition) from a full codeword (size n), reading from
   /// the attached scheme's redundancy-version start offset.

@@ -126,11 +126,9 @@ void QCCode::extract_transmitted(std::span<const std::uint8_t> codeword,
     throw std::invalid_argument("QCCode::extract_transmitted: codeword");
   if (tx.size() != static_cast<std::size_t>(transmitted_bits()))
     throw std::invalid_argument("QCCode::extract_transmitted: tx size");
-  const int sendable = sendable_bits();
-  const int k0 = rv_start(rv);
-  for (std::size_t i = 0; i < tx.size(); ++i)
-    tx[i] = codeword[static_cast<std::size_t>(
-        tx_bit_index((k0 + static_cast<int>(i)) % sendable))];
+  for_each_tx_run(rv, [&](int i, int v, int len) {
+    std::copy_n(codeword.begin() + v, len, tx.begin() + i);
+  });
 }
 
 std::span<const std::int32_t> QCCode::check_vars(int r) const {

@@ -13,7 +13,8 @@
 //
 //   - every received transmitted position adds its unquantised LLR into a
 //     codeword-indexed double accumulator via the identical
-//     tx_bit_index((k0 + i) % sendable) walk;
+//     tx_bit_index((k0 + i) % sendable) map, walked as dense runs
+//     (QCCode::for_each_tx_run);
 //   - quantisation happens exactly once, when the combined frame is handed
 //     to a decoder — never per round (quantising each round separately
 //     would round twice and rail early, losing the combining gain);
@@ -28,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -40,58 +42,85 @@
 namespace ldpc::core {
 
 /// Per-session receiver soft state: the double-domain LLR accumulator over
-/// the full codeword plus the coverage mask separating "received, sums to
-/// x" from "never transmitted" (an exact-zero erasure — quantisers must
-/// not apply the zero-excluding nudge there).
+/// the full codeword plus the coverage separating "received, sums to x"
+/// from "never transmitted" (an exact-zero erasure — quantisers must not
+/// apply the zero-excluding nudge there). Coverage is kept as the sorted,
+/// disjoint codeword-index runs the received windows hit: every window is
+/// a handful of dense runs (QCCode::for_each_tx_run), so the union stays
+/// a few runs however many rounds land.
 class HarqSoftBuffer {
  public:
+  /// Half-open codeword-index run [begin, end) that some round covered.
+  struct Run {
+    int begin = 0;
+    int end = 0;
+    bool operator==(const Run&) const = default;
+  };
+
   HarqSoftBuffer() = default;
 
   /// Clears the buffer for a new transport block of code `code`.
   void reset(const codes::QCCode& code) {
     acc_.assign(static_cast<std::size_t>(code.n()), 0.0);
-    covered_.assign(static_cast<std::size_t>(code.n()), 0);
+    covered_.clear();
     rounds_ = 0;
   }
 
   /// Accumulates one round's transmitted LLRs (size
   /// code.transmitted_bits()) received with redundancy version `rv`. The
-  /// walk is the deposit layer's own: transmitted position i lands on
-  /// codeword index tx_bit_index((rv_start(rv) + i) % sendable).
+  /// map is the deposit layer's own — transmitted position i lands on
+  /// codeword index tx_bit_index((rv_start(rv) + i) % sendable) — walked
+  /// as dense runs in transmission order, so every position sums its
+  /// repeats in the same order as a per-position walk (bit-identical).
   void add_round(const codes::QCCode& code, std::span<const double> tx,
                  int rv) {
     if (acc_.size() != static_cast<std::size_t>(code.n()))
       throw std::invalid_argument("HarqSoftBuffer::add_round: not reset");
     if (tx.size() != static_cast<std::size_t>(code.transmitted_bits()))
       throw std::invalid_argument("HarqSoftBuffer::add_round: tx size");
-    const int sendable = code.sendable_bits();
-    const int k0 = code.rv_start(rv);
-    for (int i = 0; i < static_cast<int>(tx.size()); ++i) {
-      const auto v = static_cast<std::size_t>(
-          code.tx_bit_index((k0 + i) % sendable));
-      acc_[v] += tx[i];
-      covered_[v] = 1;
-    }
+    code.for_each_tx_run(rv, [&](int i, int v, int len) {
+      double* dst = acc_.data() + v;
+      const double* src = tx.data() + i;
+      for (int j = 0; j < len; ++j) dst[j] += src[j];
+      cover({v, v + len});
+    });
     ++rounds_;
   }
 
   int rounds() const noexcept { return rounds_; }
   std::span<const double> llrs() const noexcept { return acc_; }
-  std::span<const std::uint8_t> covered() const noexcept { return covered_; }
+  /// The covered codeword runs, ascending and pairwise disjoint
+  /// (non-adjacent). Punctured columns and fillers are never covered.
+  std::span<const Run> covered() const noexcept { return covered_; }
 
  private:
-  std::vector<double> acc_;          // codeword-indexed LLR sums
-  std::vector<std::uint8_t> covered_;  // 1 = at least one round hit it
+  /// Unions `run` into the sorted run list, merging overlaps and
+  /// neighbours.
+  void cover(Run run) {
+    auto it = std::lower_bound(
+        covered_.begin(), covered_.end(), run,
+        [](const Run& a, const Run& b) { return a.begin < b.begin; });
+    it = covered_.insert(it, run);
+    if (it != covered_.begin() && std::prev(it)->end >= it->begin) --it;
+    auto last = std::next(it);
+    while (last != covered_.end() && last->begin <= it->end) {
+      it->end = std::max(it->end, last->end);
+      ++last;
+    }
+    covered_.erase(std::next(it), last);
+  }
+
+  std::vector<double> acc_;  // codeword-indexed LLR sums
+  std::vector<Run> covered_;
   int rounds_ = 0;
 };
 
 /// Quantises a combined soft buffer into lane element type T raw codes
 /// (size n) with the dispatched batch quantiser — the fused counterpart of
-/// deposit_transmitted_quant for the cross-round case. The union of rv
-/// windows is not contiguous in general, so this quantises the two dense
-/// sendable segments wholesale and then restores the exact-zero erasure on
-/// uncovered positions (cheap: one branchy pass over n), keeping every
-/// emitted code equal to the int32 path's code narrowed.
+/// deposit_transmitted_quant for the cross-round case. Only the covered
+/// runs are quantised; everything else keeps the exact-zero erasure and
+/// fillers rail to the APP max, so every emitted code equals the int32
+/// path's code narrowed.
 template <class T>
 void deposit_combined_quant(const codes::QCCode& code,
                             const DatapathTraits<std::int32_t>& traits,
@@ -112,23 +141,12 @@ void deposit_combined_quant(const codes::QCCode& code,
       static_cast<double>(std::int64_t{1} << traits.fmt.frac_bits()),
       traits.fmt.raw_max(), traits.exclude_zero};
   const kernels::QuantFnT<T> quant = kernels::quant_kernel<T>();
-  const std::span<const double> acc = buf.llrs();
-  const std::span<const std::uint8_t> covered = buf.covered();
+  const double* acc = buf.llrs().data();
 
-  const int sendable = code.sendable_bits();
-  const int punct = code.tx_bit_index(0);
-  const int s_break = code.k_info() - scheme.filler_bits - punct;
   std::fill(raw.begin(), raw.end(), T{});
-  const int a = std::min(sendable, s_break);
-  if (a > 0) quant(acc.data() + punct, raw.data() + punct, a, spec);
-  if (sendable > a) {
-    const int base = punct + a + scheme.filler_bits;
-    quant(acc.data() + base, raw.data() + base,
-          static_cast<std::size_t>(sendable - a), spec);
-  }
-  for (int v = 0; v < n; ++v)
-    if (!covered[static_cast<std::size_t>(v)])
-      raw[static_cast<std::size_t>(v)] = T{};
+  for (const HarqSoftBuffer::Run& run : buf.covered())
+    quant(acc + run.begin, raw.data() + run.begin,
+          static_cast<std::size_t>(run.end - run.begin), spec);
   const int filler_start = code.k_info() - scheme.filler_bits;
   for (int f = 0; f < scheme.filler_bits; ++f)
     raw[static_cast<std::size_t>(filler_start + f)] =
@@ -154,12 +172,11 @@ void deposit_combined(const codes::QCCode& code, const Traits& traits,
       throw std::invalid_argument("deposit_combined: raw size");
     const codes::TransmissionScheme& scheme = code.scheme();
     const std::span<const double> acc = buf.llrs();
-    const std::span<const std::uint8_t> covered = buf.covered();
-    for (int v = 0; v < n; ++v)
-      raw[static_cast<std::size_t>(v)] =
-          covered[static_cast<std::size_t>(v)]
-              ? traits.quantize_llr(acc[static_cast<std::size_t>(v)])
-              : V{};
+    std::fill(raw.begin(), raw.end(), V{});
+    for (const HarqSoftBuffer::Run& run : buf.covered())
+      for (int v = run.begin; v < run.end; ++v)
+        raw[static_cast<std::size_t>(v)] =
+            traits.quantize_llr(acc[static_cast<std::size_t>(v)]);
     const int filler_start = code.k_info() - scheme.filler_bits;
     for (int f = 0; f < scheme.filler_bits; ++f)
       raw[static_cast<std::size_t>(filler_start + f)] = traits.filler_value();

@@ -118,40 +118,29 @@ void deposit_transmitted_quant(const codes::QCCode& code,
   const int sendable = code.sendable_bits();
   const int e_bits = code.transmitted_bits();
   const int punct = code.tx_bit_index(0);
-  // Sendable positions before the filler gap land at punct + s; the rest
-  // shift up by filler_bits. Both ranges are contiguous in s.
-  const int s_break = code.k_info() - scheme.filler_bits - punct;
-  const int k0 = code.rv_start();
-  // Quantises the s-interval [lo, hi) of the circular buffer from the
-  // dense source `src` (src[0] holds position lo): one interval crosses
-  // the filler gap at most once, so it is at most two dense codeword
-  // segments.
-  const auto quant_interval = [&](const double* src, int lo, int hi) {
-    const int a = std::clamp(s_break, lo, hi);
-    if (a > lo)
-      quant(src, raw.data() + punct + lo, static_cast<std::size_t>(a - lo),
-            spec);
-    if (hi > a)
-      quant(src + (a - lo), raw.data() + punct + a + scheme.filler_bits,
-            static_cast<std::size_t>(hi - a), spec);
-  };
+  const int rv = scheme.redundancy_version;
   if (e_bits <= sendable) {
-    // No circular-buffer repetition: quantise straight from tx. Bits the
-    // rv window [k0, k0 + E) never reaches keep the exact-zero erasure
-    // with the punctured prefix. The window wraps the buffer end at most
-    // once, so this is at most two s-intervals (four dense segments).
-    const int first = std::min(e_bits, sendable - k0);
-    quant_interval(tx.data(), k0, k0 + first);
-    if (e_bits > first) quant_interval(tx.data() + first, 0, e_bits - first);
+    // No circular-buffer repetition: quantise straight from tx, run by
+    // run (at most four). Bits the rv window never reaches keep the
+    // exact-zero erasure with the punctured prefix.
+    code.for_each_tx_run(rv, [&](int i, int v, int len) {
+      quant(tx.data() + i, raw.data() + v, static_cast<std::size_t>(len),
+            spec);
+    });
   } else {
     // Repetition (E > sendable): every buffer position is covered at
     // least once whatever k0 is. Accumulate in the double domain first —
     // a soft combiner in front of the chip — then quantise once, from
-    // the same two contiguous segments of the accumulator.
+    // the two contiguous sendable segments of the accumulator (sendable
+    // positions below the filler gap land at punct + s, the rest shift
+    // up by filler_bits).
     acc.assign(static_cast<std::size_t>(n), 0.0);
-    for (int i = 0; i < e_bits; ++i)
-      acc[static_cast<std::size_t>(
-          code.tx_bit_index((k0 + i) % sendable))] += tx[i];
+    code.for_each_tx_run(rv, [&](int i, int v, int len) {
+      for (int j = 0; j < len; ++j)
+        acc[static_cast<std::size_t>(v + j)] +=
+            tx[static_cast<std::size_t>(i + j)];
+    });
+    const int s_break = code.k_info() - scheme.filler_bits - punct;
     const int a = std::min(sendable, s_break);
     if (a > 0) quant(acc.data() + punct, raw.data() + punct, a, spec);
     if (sendable > a) {

@@ -54,12 +54,11 @@ void transmit_llrs_into(const codes::QCCode& code,
   const double a = channel::modulation_amplitude(modulation);
   // Indexed, not branched: codeword bits are coin flips.
   const double level[2] = {a, -a};
-  const int sendable = code.sendable_bits();
-  int s = code.rv_start(rv);
-  for (double& x : out) {
-    x = level[codeword[static_cast<std::size_t>(code.tx_bit_index(s))] != 0];
-    if (++s == sendable) s = 0;
-  }
+  code.for_each_tx_run(rv, [&](int i, int v, int len) {
+    const std::uint8_t* bits = codeword.data() + v;
+    double* x = out.data() + i;
+    for (int j = 0; j < len; ++j) x[j] = level[bits[j] != 0];
+  });
   chan.transmit_demap(out, a, rng);
 }
 

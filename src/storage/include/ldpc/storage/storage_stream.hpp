@@ -13,7 +13,9 @@
 // Chase-combined soft state of rungs 0..r (TrafficSource custom modes
 // accumulate rung LLRs in the double domain and quantise once), so per-
 // (frame, rung) decode results are bit-identical between the two paths
-// and across worker counts — only timelines differ.
+// and across worker counts — only timelines differ. Both drivers carry
+// each open page's soft state, so an escalation to rung r performs one
+// rung read (the RungSynth call for rung r), not r + 1.
 //
 // Results: the familiar StreamReport (harq block re-used as the per-rung
 // attempts/deliveries/latency tally) plus the RetryLadderLedger with
@@ -60,9 +62,10 @@ StorageRunResult run_storage_modeled(stream::TrafficSource& source,
 /// TrafficClass::kStorage, so same-mode reads share engine bins.
 /// `service_config.on_complete` must be empty (the driver owns the
 /// escalation hook). The worker that completes a non-delivered read
-/// synthesises the next rung's frame, so the source's RungSynth runs
-/// concurrently on several threads; an exception it throws is rethrown
-/// here.
+/// synthesises the next rung's frame from the page's carried soft state,
+/// so the source's RungSynth runs concurrently on several threads; an
+/// exception it throws is rethrown here. Back-to-back runs on one source
+/// without reset() serve the stream's next pages (ids stay unique).
 StorageRunResult run_storage_live(stream::TrafficSource& source,
                                   stream::ServiceConfig service_config,
                                   long long frames,

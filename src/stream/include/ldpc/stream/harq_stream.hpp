@@ -28,14 +28,26 @@
 //                     escalations. Workers never submit, so admission
 //                     backpressure cannot deadlock the farm.
 //
+// Both drivers carry each open session's combined soft state
+// (SessionState) from round to round, so a round-r frame is the carried
+// per-round step TrafficSource::make_frame(job, state) — one new channel
+// read on top of rounds 0..r-1 — rather than a replay of every round.
+// The live driver opens a session's state before submitting its round 0;
+// afterwards only the thread holding the session's single in-flight
+// request touches it (the completing worker advances or releases it; the
+// driver releases it on a refused submit), and the admission queue and
+// the feedback mutex order those hand-offs. A state is released when its
+// session resolves, so the carried memory is bounded by the open
+// sessions, and StreamReport::harq reports its high-water marks.
+//
 // Both paths decode a round-r attempt from the SAME combined
-// core::QuantisedFrame (TrafficSource::make_frame is pure in
-// (seed, session, round)) under the SAME chip layer order, so per-
-// (session, round) decode results — decision hash, iterations,
-// convergence — are bit-identical between the modeled and live paths and
-// across worker counts; only timelines differ. Both fill the report's
-// StreamReport::harq block: sessions/delivered/goodput and per-round
-// attempt/ACK/latency tallies under the policy's ACK rule.
+// core::QuantisedFrame (the carried step equals the pure
+// make_frame(job), which replays it, byte for byte) under the SAME chip
+// layer order, so per-(session, round) decode results — decision hash,
+// iterations, convergence — are bit-identical between the modeled and
+// live paths and across worker counts; only timelines differ. Both fill
+// the report's StreamReport::harq block: sessions/delivered/goodput and
+// per-round attempt/ACK/latency tallies under the policy's ACK rule.
 //
 // HARQ is the policy {ACK = converged, max_rounds, feedback delay,
 // best-effort class}: each round retransmits the next redundancy version.
@@ -66,7 +78,11 @@ struct ClosedLoopPolicy {
 /// Runs `sessions` sessions through the modeled farm under `policy`. The
 /// source must emit quantised frames (rounds > 0 carry combined soft
 /// state — TrafficSource::emit_quantised with the scheduler's decoder
-/// config) and should be freshly reset: the driver owns the draw order.
+/// config) and must hold no pending retransmissions (the driver owns the
+/// draw order; with max_rounds > 1 such a source throws
+/// std::logic_error); its cursor need not be at 0. A session pushed back
+/// to the next generation keeps its soft state, so each round costs one
+/// channel read.
 /// Returns the merged report: job records of every round (ordered by id),
 /// summed ledgers, the makespan of the last generation, and the filled
 /// StreamReport::harq. Throws std::invalid_argument for a negative
@@ -82,13 +98,16 @@ StreamReport run_closed_loop_modeled(TrafficSource& source,
 /// config must match the source's quantised-emission config for the
 /// served frames to be the modeled path's bit-identical twins. Round
 /// latencies land in StreamReport::harq in wall nanoseconds. Escalation
-/// frames are synthesised on the decoding workers, so the source's
-/// make_frame (and any RungSynth behind it) runs concurrently with
-/// itself and with the driver's next(). Throws std::runtime_error when
-/// no completion arrives within 30 s (naming the sessions outstanding,
-/// the submitted and completed counts and the ready-queue depth); an
-/// exception thrown while synthesising an escalation is rethrown here as
-/// soon as the driver sees it.
+/// frames are synthesised on the decoding workers from the session's
+/// carried state, so the source's make_frame (and any RungSynth behind
+/// it) runs concurrently with itself and with the driver's next(). Job
+/// ids are unique within the run: escalations are numbered after the
+/// round-0 ids drawn, wherever the source's cursor stood; a source
+/// holding pending retransmissions is refused with std::logic_error.
+/// Throws std::runtime_error when no completion arrives within 30 s
+/// (naming the sessions outstanding, the submitted and completed counts
+/// and the ready-queue depth); an exception thrown while synthesising an
+/// escalation is rethrown here as soon as the driver sees it.
 StreamReport run_closed_loop_live(TrafficSource& source,
                                   ServiceConfig service_config,
                                   long long sessions,

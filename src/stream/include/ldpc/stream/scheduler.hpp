@@ -59,6 +59,13 @@ struct SchedulerConfig {
 // ledger vocabulary, also produced by stream::DecodeService) live in
 // ldpc/stream/stream_types.hpp.
 
+struct ClosedLoopPolicy;
+class SessionCarry;
+StreamReport run_closed_loop_modeled(TrafficSource& source,
+                                     SchedulerConfig config,
+                                     long long sessions,
+                                     const ClosedLoopPolicy& policy);
+
 class StreamScheduler {
  public:
   /// The scheduler references `source` (job metadata and frame synthesis);
@@ -75,6 +82,15 @@ class StreamScheduler {
   const SchedulerConfig& config() const noexcept { return config_; }
 
  private:
+  // The closed-loop driver's hand-off (harq_stream.hpp): with `carry`,
+  // frames are synthesised from the carried session states and the
+  // states of sessions that go again stay in the table for the next
+  // generation.
+  friend StreamReport run_closed_loop_modeled(TrafficSource&,
+                                              SchedulerConfig, long long,
+                                              const ClosedLoopPolicy&);
+  StreamReport run(long long jobs, SessionCarry* carry);
+
   TrafficSource& source_;
   SchedulerConfig config_;
 };

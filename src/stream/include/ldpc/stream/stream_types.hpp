@@ -178,6 +178,11 @@ struct HarqStreamStats {
   long long tx_bits_sent = 0;           // channel bits across every round
   long long payload_bits_delivered = 0; // payload of ACKed sessions
   std::vector<HarqRoundServing> rounds; // indexed by HARQ round
+  /// Soft-state occupancy: the most sessions open at once, and the most
+  /// carried session states (one per open session that may go again)
+  /// the driver held at once — the receiver's soft-buffer memory.
+  long long peak_open = 0;
+  long long peak_carried = 0;
 
   /// Payload bits delivered per transmitted channel bit (the link-layer
   /// goodput of the served stream).

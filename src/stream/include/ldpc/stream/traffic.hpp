@@ -14,7 +14,11 @@
 // generator seeded util::substream_seed(seed, 2i), and its frame content
 // (payload bits + channel noise) from a second generator seeded
 // util::substream_seed(seed, 2i + 1), so scheduling metadata and frame
-// synthesis can be recomputed independently.
+// synthesis can be recomputed independently. A HARQ round q >= 1 of
+// session s reads its noise from substream q of s's content key, so a
+// driver that carries the session's soft state (SessionState) adds one
+// read per round, while make_frame(job) replays the same rounds from
+// scratch and gets the same bytes.
 #pragma once
 
 #include <array>
@@ -27,6 +31,7 @@
 #include "ldpc/channel/channel.hpp"
 #include "ldpc/codes/qc_code.hpp"
 #include "ldpc/core/datapath.hpp"
+#include "ldpc/core/harq.hpp"
 #include "ldpc/core/quantised_frame.hpp"
 #include "ldpc/enc/encoder.hpp"
 
@@ -69,6 +74,22 @@ struct JobFrame {
   /// quantised emission (TrafficSource::emit_quantised) — the front end of
   /// the quantised-domain serving path.
   core::QuantisedFrame quantised;
+};
+
+/// What a HARQ session carries between rounds: its transport block and
+/// the receiver's combined soft state through its latest round. With it,
+/// TrafficSource::make_frame(job, state) emits round r from ONE new
+/// channel read (one RungSynth call or one rv transmission), one
+/// HarqSoftBuffer::add_round and one quantise_combined, instead of
+/// re-deriving rounds 0..r. A default-constructed state is empty; a
+/// round-0 job fills it.
+struct SessionState {
+  long long session = -1;  // -1: empty
+  int mode = 0;
+  int round = -1;          // latest round folded into `soft`
+  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> codeword;
+  core::HarqSoftBuffer soft;
 };
 
 /// Custom per-round LLR synthesiser for modes whose channel is not one of
@@ -155,17 +176,33 @@ class TrafficSource {
   /// modes or switching emission (add_mode, add_custom_mode,
   /// emit_quantised) must not overlap any make_frame call.
   ///
-  /// HARQ rounds: a round-r job re-derives its session's payload and
-  /// every earlier round's channel LLRs (round q's noise comes from
-  /// substream_seed(content_key, q) for q >= 1; round 0 continues the
-  /// content generator exactly like a fresh job), accumulates rounds
-  /// 0..r into a core::HarqSoftBuffer and emits the *combined* soft state
-  /// as JobFrame::quantised via sim::quantise_combined. JobFrame::llrs
-  /// holds round r's own transmitted LLRs (reference/diagnostics only —
-  /// decoding a round > 0 frame from them would discard the combining
-  /// gain). Rounds > 0 therefore require emit_quantised; make_frame
-  /// throws std::logic_error otherwise.
+  /// HARQ rounds: the session's content comes from content key
+  /// substream_seed(seed, 2 session + 1); round 0's channel draw continues
+  /// the content generator exactly like a fresh job, and round q >= 1
+  /// draws from substream_seed(content_key, q) (custom modes: the
+  /// RungSynth's round q). A round-r frame carries the *combined* soft
+  /// state of rounds 0..r as JobFrame::quantised (sim::quantise_combined
+  /// of a core::HarqSoftBuffer); JobFrame::llrs holds round r's own
+  /// transmitted LLRs (reference/diagnostics only — decoding a round > 0
+  /// frame from them would discard the combining gain). Rounds > 0
+  /// therefore require emit_quantised; make_frame throws
+  /// std::logic_error otherwise.
+  ///
+  /// This overload replays the per-round step of the carried overload
+  /// below from round 0, so a round-r frame costs r + 1 channel reads;
+  /// a round-0 frame builds no soft state at all.
   JobFrame make_frame(const Job& job) const;
+
+  /// The carried per-round step, byte-identical to make_frame(job). A
+  /// round-0 job (re)fills `state` with the session's transport block and
+  /// its round-0 soft state. A round-r job (r > 0) needs `state` through
+  /// round r - 1 of the same session and mode, and advances it by exactly
+  /// one round: one channel read, one add_round, one quantise_combined.
+  /// Throws std::invalid_argument for a state that does not hold round
+  /// r - 1 of job's session (left unchanged), std::logic_error for a
+  /// round > 0 without quantised emission. Thread-safe like make_frame
+  /// as long as no two threads touch the same state.
+  JobFrame make_frame(const Job& job, SessionState& state) const;
 
   /// Switches the source to quantised emission: every subsequent
   /// make_frame additionally runs the front-end quantiser
@@ -186,6 +223,19 @@ class TrafficSource {
 
  private:
   struct Mode;
+  /// Round 0 of `job`'s session into `state` (payload, codeword, soft
+  /// state when `with_soft`); returns round 0's transmitted LLRs.
+  std::vector<double> open_session(const Job& job, SessionState& state,
+                                   bool with_soft) const;
+  /// The per-round step: draws round `round` of `state`'s session and
+  /// folds it into state.soft; returns the round's transmitted LLRs.
+  std::vector<double> add_round(SessionState& state, int round) const;
+  /// The frame of `state`'s latest round, whose transmitted LLRs are
+  /// `llrs`: the combined soft state quantised past round 0, the one-shot
+  /// quantisation at round 0 (quantised emission only). The transport
+  /// block is copied when `keep_state`, moved out otherwise.
+  JobFrame frame_of(SessionState& state, std::vector<double> llrs,
+                    bool keep_state) const;
   /// A queued HARQ retransmission: a Job missing only its final id.
   struct PendingRetx {
     long long arrival_cycle = 0;

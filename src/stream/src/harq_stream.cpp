@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "session_carry.hpp"
+
 namespace ldpc::stream {
 
 namespace {
@@ -61,6 +63,12 @@ bool retries(const StreamJob& rec, const ClosedLoopPolicy& policy) {
   return !policy.ack(rec) && rec.round + 1 < policy.max_rounds;
 }
 
+/// Every session resolved, so every carried state must be gone.
+void check_released(const SessionCarry& table) {
+  if (table.held() != 0)
+    throw std::logic_error("closed loop: a resolved session kept its state");
+}
+
 bool acked(const StreamJob& rec) { return rec.converged; }
 
 ClosedLoopPolicy harq_policy(const HarqStreamConfig& harq) {
@@ -77,6 +85,12 @@ StreamReport run_closed_loop_modeled(TrafficSource& source,
                                      const ClosedLoopPolicy& policy) {
   validate(source, sessions, policy);
   StreamScheduler scheduler(source, config);
+  // A session that goes again keeps its combined soft state across the
+  // generation boundary; one-shot policies carry nothing.
+  SessionCarry table(sessions, [&policy](const StreamJob& rec) {
+    return retries(rec, policy);
+  });
+  SessionCarry* const carry = policy.max_rounds > 1 ? &table : nullptr;
 
   StreamReport merged;
   merged.worker_ledgers.assign(static_cast<std::size_t>(config.workers),
@@ -84,7 +98,7 @@ StreamReport run_closed_loop_modeled(TrafficSource& source,
 
   long long generation_jobs = sessions;
   while (generation_jobs > 0) {
-    const StreamReport gen = scheduler.run(generation_jobs);
+    const StreamReport gen = scheduler.run(generation_jobs, carry);
 
     // Feed every NACK with budget left back as the session's next round,
     // arriving one modeled feedback delay after its decode finished.
@@ -116,6 +130,9 @@ StreamReport run_closed_loop_modeled(TrafficSource& source,
               return a.id < b.id;
             });
   fill_loop_stats(source, sessions, policy, /*modeled=*/true, merged);
+  check_released(table);
+  merged.harq.peak_open = sessions;  // generation 0 opens every session
+  merged.harq.peak_carried = table.peak();
   return merged;
 }
 
@@ -128,10 +145,17 @@ StreamReport run_closed_loop_live(TrafficSource& source,
     throw std::invalid_argument(
         "closed loop: the driver owns the completion hook");
 
-  // make_frame is const and pure in (seed, session, round), so any thread
-  // may build a request while the driver draws jobs with next().
-  auto request_for = [&source, &policy](const Job& job) {
-    JobFrame frame = source.make_frame(job);
+  // Open sessions that may go again carry their combined soft state, so
+  // an escalation is one channel read on top of it (make_frame(job,
+  // state)). The driver opens a session's state before submitting its
+  // round 0; from then on only the thread holding the session's one
+  // request touches it (see session_carry.hpp).
+  SessionCarry table(sessions, [&policy](const StreamJob& rec) {
+    return retries(rec, policy);
+  });
+  SessionCarry* const carry = policy.max_rounds > 1 ? &table : nullptr;
+
+  auto request_for = [&source, &policy](const Job& job, JobFrame frame) {
     ServiceRequest req;
     req.id = job.id;
     req.mode = job.mode;
@@ -158,7 +182,10 @@ StreamReport run_closed_loop_live(TrafficSource& source,
     long long completed = 0;  // completions so far
     std::exception_ptr error;  // first escalation-synthesis failure
   } fb;
-  std::atomic<long long> next_id{sessions};  // round 0 takes ids < sessions
+  // Escalations are numbered after the round-0 ids this run draws (the
+  // driver stores the first one before its first submit), so ids stay
+  // unique whatever the source's cursor was.
+  std::atomic<long long> next_id{0};
 
   service_config.on_complete = [&](const StreamJob& rec) {
     std::optional<ServiceRequest> next;
@@ -170,10 +197,12 @@ StreamReport run_closed_loop_live(TrafficSource& source,
         job.mode = rec.mode;
         job.session = rec.session;
         job.round = rec.round + 1;
-        next = request_for(job);
+        next = request_for(job, source.make_frame(job, carry->at(job.session)));
       } catch (...) {
         error = std::current_exception();
       }
+    } else if (carry) {
+      carry->release(rec.session);
     }
     {
       const std::lock_guard<std::mutex> lock(fb.mu);
@@ -195,10 +224,29 @@ StreamReport run_closed_loop_live(TrafficSource& source,
 
   long long started = 0;    // sessions whose round 0 was drawn
   long long open = 0;       // sessions not yet ended, as the driver knows
+  long long peak_open = 0;
   long long submitted = 0;  // requests handed to submit()
   auto submit = [&](ServiceRequest req) {
     ++submitted;
-    if (!service.submit(std::move(req))) --open;  // admission refused
+    const long long session = req.session;
+    if (!service.submit(std::move(req))) {  // admission refused: resolved
+      --open;
+      if (carry) carry->release(session);
+    }
+  };
+  // Round 0 of the next session, drawn and synthesised on this thread.
+  auto open_session = [&] {
+    const Job job = source.next();
+    if (job.round != 0)
+      throw std::logic_error(
+          "closed loop: the source holds pending retransmissions; reset it "
+          "first");
+    if (started == 0) next_id = job.id + sessions;
+    ++started;
+    peak_open = std::max(peak_open, ++open);
+    return request_for(job, carry ? source.make_frame(
+                                        job, carry->open(job.session))
+                                  : source.make_frame(job));
   };
 
   // The driver synthesises round-0 frames and, between its own submits,
@@ -225,9 +273,7 @@ StreamReport run_closed_loop_live(TrafficSource& source,
     for (ServiceRequest& req : escalations) submit(std::move(req));
     escalations.clear();
     if (started < sessions) {
-      ++started;
-      ++open;
-      submit(request_for(source.next()));
+      submit(open_session());
     } else if (open == 0) {
       break;
     }
@@ -235,6 +281,9 @@ StreamReport run_closed_loop_live(TrafficSource& source,
 
   StreamReport report = service.finish();
   fill_loop_stats(source, sessions, policy, /*modeled=*/false, report);
+  check_released(table);
+  report.harq.peak_open = peak_open;
+  report.harq.peak_carried = table.peak();
   return report;
 }
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "ldpc/sim/simulator.hpp"
+#include "session_carry.hpp"
 
 namespace ldpc::stream {
 
@@ -24,6 +25,10 @@ StreamScheduler::StreamScheduler(TrafficSource& source,
 }
 
 StreamReport StreamScheduler::run(long long njobs) {
+  return run(njobs, nullptr);
+}
+
+StreamReport StreamScheduler::run(long long njobs, SessionCarry* carry) {
   if (njobs < 0) throw std::invalid_argument("StreamScheduler: jobs");
   const int nmodes = source_.mode_count();
   if (nmodes == 0)
@@ -133,8 +138,13 @@ StreamReport StreamScheduler::run(long long njobs) {
     frames.reserve(burst_ids.size());
     burst_frames.reserve(burst_ids.size());
     for (std::size_t f = 0; f < burst_ids.size(); ++f) {
-      frames.push_back(
-          source_.make_frame(jobs[static_cast<std::size_t>(burst_ids[f])]));
+      const Job& job = jobs[static_cast<std::size_t>(burst_ids[f])];
+      if (carry)
+        frames.push_back(source_.make_frame(
+            job, job.round == 0 ? carry->open(job.session)
+                                : carry->at(job.session)));
+      else
+        frames.push_back(source_.make_frame(job));
       if (!source_.emits_quantised())
         frames[f].quantised =
             sim::quantise_llrs(code, config_.decoder, frames[f].llrs);
@@ -173,6 +183,7 @@ StreamReport StreamScheduler::run(long long njobs) {
       t += burst.frame_elapsed_cycles[f];
       rec.finish_cycle = t;
       report.total_payload_bits += code.payload_bits();
+      if (carry && !carry->keeps(rec)) carry->release(job.session);
     }
     w.free_at = t;
     report.makespan_cycles = std::max(report.makespan_cycles, t);

@@ -202,67 +202,126 @@ void TrafficSource::reset() noexcept {
   retx_.clear();
 }
 
-JobFrame TrafficSource::make_frame(const Job& job) const {
-  const Mode& m = *modes_.at(static_cast<std::size_t>(job.mode));
-  if (job.round < 0)
-    throw std::invalid_argument("TrafficSource::make_frame: round");
-  // Content is keyed on the session head's id, so every round of a session
-  // re-derives the same payload. A fresh (round-0) job has session == id,
-  // which keeps this byte-identical to the historical per-id keying.
-  const std::uint64_t content_key = util::substream_seed(
-      config_.seed, 2ULL * static_cast<std::uint64_t>(job.session) + 1);
-  util::Xoshiro256 rng(content_key);
+namespace {
 
-  JobFrame frame;
-  frame.payload.resize(static_cast<std::size_t>(m.code.payload_bits()));
-  enc::random_bits(rng, frame.payload);
-  // Outer CRC: overwrite the payload tail with the CRC of the data prefix
-  // before encoding, so the codeword carries a checkable payload.
-  if (m.crc != core::FrameCrc::kNone) core::crc_append(m.crc, frame.payload);
-  frame.codeword = m.encoder->encode(frame.payload);
-  // Round 0's noise continues the content generator (the historical
-  // stream); round q >= 1 draws from its own substream so any round's
-  // frame is synthesised without replaying the rounds before it. Custom
-  // modes route every round through their synthesiser instead (which
-  // derives its noise from content_key substreams internally).
-  frame.llrs =
-      m.synth
-          ? m.synth(m.code, frame.codeword, content_key, 0)
-          : sim::transmit_llrs(m.code, frame.codeword,
-                               channel::Modulation::kBpsk, *m.channel, rng,
-                               rv_for_round(job.mode, 0));
-  if (job.round == 0) {
-    if (emit_quantised_)
-      frame.quantised =
-          sim::quantise_llrs(m.code, quant_config_, frame.llrs);
-    return frame;
-  }
+/// Content is keyed on the session head's id, so every round of a session
+/// re-derives the same payload. A fresh (round-0) job has session == id,
+/// which keeps this byte-identical to the historical per-id keying.
+std::uint64_t content_key(std::uint64_t seed, long long session) {
+  return util::substream_seed(
+      seed, 2ULL * static_cast<std::uint64_t>(session) + 1);
+}
 
-  if (!emit_quantised_)
+void require_quantised(bool emits) {
+  if (!emits)
     throw std::logic_error(
         "TrafficSource::make_frame: HARQ rounds > 0 carry combined soft "
         "state and need quantised emission (call emit_quantised first)");
-  core::HarqSoftBuffer soft;
-  soft.reset(m.code);
-  soft.add_round(m.code, frame.llrs, rv_for_round(job.mode, 0));
-  for (int q = 1; q <= job.round; ++q) {
-    const int rv = rv_for_round(job.mode, q);
-    std::vector<double> round_llrs;
-    if (m.synth) {
-      round_llrs = m.synth(m.code, frame.codeword, content_key, q);
-    } else {
-      util::Xoshiro256 round_rng(
-          util::substream_seed(content_key, static_cast<std::uint64_t>(q)));
-      round_llrs =
-          sim::transmit_llrs(m.code, frame.codeword,
-                             channel::Modulation::kBpsk, *m.channel,
-                             round_rng, rv);
-    }
-    soft.add_round(m.code, round_llrs, rv);
-    if (q == job.round) frame.llrs = std::move(round_llrs);
+}
+
+}  // namespace
+
+std::vector<double> TrafficSource::open_session(const Job& job,
+                                                SessionState& state,
+                                                bool with_soft) const {
+  const Mode& m = *modes_.at(static_cast<std::size_t>(job.mode));
+  const std::uint64_t key = content_key(config_.seed, job.session);
+  util::Xoshiro256 rng(key);
+  state.payload.resize(static_cast<std::size_t>(m.code.payload_bits()));
+  enc::random_bits(rng, state.payload);
+  // Outer CRC: overwrite the payload tail with the CRC of the data prefix
+  // before encoding, so the codeword carries a checkable payload.
+  if (m.crc != core::FrameCrc::kNone) core::crc_append(m.crc, state.payload);
+  state.codeword = m.encoder->encode(state.payload);
+  // Round 0's noise continues the content generator (the historical
+  // stream). Custom modes route every round through their synthesiser
+  // instead (which derives its noise from content-key substreams).
+  const int rv = rv_for_round(job.mode, 0);
+  std::vector<double> llrs =
+      m.synth ? m.synth(m.code, state.codeword, key, 0)
+              : sim::transmit_llrs(m.code, state.codeword,
+                                   channel::Modulation::kBpsk, *m.channel,
+                                   rng, rv);
+  state.session = job.session;
+  state.mode = job.mode;
+  state.round = 0;
+  if (with_soft) {
+    state.soft.reset(m.code);
+    state.soft.add_round(m.code, llrs, rv);
   }
-  frame.quantised = sim::quantise_combined(m.code, quant_config_, soft);
+  return llrs;
+}
+
+std::vector<double> TrafficSource::add_round(SessionState& state,
+                                             int round) const {
+  const Mode& m = *modes_.at(static_cast<std::size_t>(state.mode));
+  const std::uint64_t key = content_key(config_.seed, state.session);
+  const int rv = rv_for_round(state.mode, round);
+  // Round q >= 1 draws from its own substream, so a round needs only the
+  // codeword, never the rounds before it.
+  std::vector<double> llrs;
+  if (m.synth) {
+    llrs = m.synth(m.code, state.codeword, key, round);
+  } else {
+    util::Xoshiro256 rng(
+        util::substream_seed(key, static_cast<std::uint64_t>(round)));
+    llrs = sim::transmit_llrs(m.code, state.codeword,
+                              channel::Modulation::kBpsk, *m.channel, rng,
+                              rv);
+  }
+  state.soft.add_round(m.code, llrs, rv);
+  state.round = round;
+  return llrs;
+}
+
+JobFrame TrafficSource::frame_of(SessionState& state,
+                                 std::vector<double> llrs,
+                                 bool keep_state) const {
+  const Mode& m = *modes_.at(static_cast<std::size_t>(state.mode));
+  JobFrame frame;
+  if (state.round > 0)
+    frame.quantised = sim::quantise_combined(m.code, quant_config_,
+                                             state.soft);
+  else if (emit_quantised_)
+    frame.quantised = sim::quantise_llrs(m.code, quant_config_, llrs);
+  frame.llrs = std::move(llrs);
+  if (keep_state) {
+    frame.payload = state.payload;
+    frame.codeword = state.codeword;
+  } else {
+    frame.payload = std::move(state.payload);
+    frame.codeword = std::move(state.codeword);
+  }
   return frame;
+}
+
+JobFrame TrafficSource::make_frame(const Job& job) const {
+  if (job.round < 0)
+    throw std::invalid_argument("TrafficSource::make_frame: round");
+  if (job.round > 0) require_quantised(emit_quantised_);
+  // The replay of the carried step: open the session, fold rounds 1..r,
+  // quantise once.
+  SessionState state;
+  std::vector<double> llrs =
+      open_session(job, state, /*with_soft=*/job.round > 0);
+  for (int q = 1; q <= job.round; ++q) llrs = add_round(state, q);
+  return frame_of(state, std::move(llrs), /*keep_state=*/false);
+}
+
+JobFrame TrafficSource::make_frame(const Job& job,
+                                   SessionState& state) const {
+  if (job.round < 0)
+    throw std::invalid_argument("TrafficSource::make_frame: round");
+  if (job.round == 0)
+    return frame_of(state, open_session(job, state, /*with_soft=*/true),
+                    /*keep_state=*/true);
+  if (state.session != job.session || state.mode != job.mode ||
+      state.round != job.round - 1)
+    throw std::invalid_argument(
+        "TrafficSource::make_frame: the carried state does not hold the "
+        "session's previous round");
+  require_quantised(emit_quantised_);
+  return frame_of(state, add_round(state, job.round), /*keep_state=*/true);
 }
 
 void TrafficSource::emit_quantised(core::DecoderConfig config) {

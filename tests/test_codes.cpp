@@ -231,9 +231,10 @@ TEST(NrRegistry, ShiftsScaleByVModZ) {
     for (int r = 0; r < base.rows(); ++r)
       for (int c = 0; c < base.cols(); ++c) {
         ASSERT_EQ(base.is_zero(r, c), code.base().is_zero(r, c));
-        if (!base.is_zero(r, c))
+        if (!base.is_zero(r, c)) {
           ASSERT_EQ(code.base().at(r, c), base.at(r, c) % z)
               << r << "," << c << " z=" << z;
+        }
       }
   }
 }

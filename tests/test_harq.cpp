@@ -14,7 +14,9 @@
 //      int32/int16/int8, every dispatch tier) to exactly the int32
 //      deposit_combined codes, and a single-rv0-round buffer reproduces
 //      deposit_transmitted_quant byte for byte — round-1 HARQ is the
-//      one-shot path, no special case.
+//      one-shot path, no special case. The buffer's run walk (rv 0-3,
+//      fillers, punctured columns, E > sendable repetition) sums and
+//      covers exactly what the per-position walk does.
 //   3. Channel models: AwgnChannel::transmit_demap is the historical
 //      noise stream; BlockFadingChannel is unit-power, per-block
 //      constant, and deterministic per seed.
@@ -25,6 +27,7 @@
 //      LinkPoint statistic is bit-identical across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -331,7 +334,9 @@ TEST(HarqCombining, UncoveredPositionsStayExactZeroErasures) {
   std::vector<std::int16_t> raw(static_cast<std::size_t>(code.n()));
   core::deposit_combined_quant<std::int16_t>(code, traits, soft,
                                              std::span<std::int16_t>(raw));
-  const auto covered = soft.covered();
+  std::vector<std::uint8_t> covered(static_cast<std::size_t>(code.n()));
+  for (const auto& run : soft.covered())
+    std::fill(covered.begin() + run.begin, covered.begin() + run.end, 1);
   long long uncovered = 0, nonzero_uncovered = 0;
   for (int v = 0; v < code.n(); ++v) {
     if (covered[static_cast<std::size_t>(v)]) continue;
@@ -340,6 +345,89 @@ TEST(HarqCombining, UncoveredPositionsStayExactZeroErasures) {
   }
   EXPECT_GT(uncovered, 0);  // rv2's window cannot cover the whole buffer
   EXPECT_EQ(nonzero_uncovered, 0);
+}
+
+TEST(HarqCombining, RunWalkMatchesThePerPositionReference) {
+  // add_round walks each rv window as dense runs; the reference is the
+  // per-position tx_bit_index((k0 + i) % sendable) walk. Sums must agree
+  // bit for bit (same per-position addition order), the covered runs
+  // must be exactly the reference coverage, and the combined deposit must
+  // equal a per-position quantisation of the reference.
+  std::vector<codes::QCCode> codes_under_test;
+  for (const auto& c : core::golden::nr_rate_matched_cases())
+    codes_under_test.push_back(codes::make_nr_code(
+        c.rate, c.z, c.transmitted_bits, c.filler_bits));
+  codes_under_test.push_back(codes::make_code(
+      {codes::Standard::kWimax80216e, codes::Rate::kR12, 24}));
+  const std::vector<std::vector<int>> rv_sequences = {
+      {0}, {1}, {2}, {3}, {0, 2, 3, 1}, {3, 3}, {2, 0}};
+  const core::DatapathTraits<std::int32_t> traits{harq_config()};
+
+  for (const auto& code : codes_under_test) {
+    const auto n = static_cast<std::size_t>(code.n());
+    const int e_bits = code.transmitted_bits();
+    const int sendable = code.sendable_bits();
+    for (const auto& rvs : rv_sequences) {
+      SCOPED_TRACE(code.name() + " rounds=" + std::to_string(rvs.size()) +
+                   " first rv=" + std::to_string(rvs[0]));
+      util::Xoshiro256 rng(code.n() * 31u + rvs.size());
+      core::HarqSoftBuffer soft;
+      soft.reset(code);
+      std::vector<double> acc(n, 0.0);
+      std::vector<std::uint8_t> mask(n, 0);
+      for (const int rv : rvs) {
+        std::vector<double> tx(static_cast<std::size_t>(e_bits));
+        for (double& x : tx) x = 8.0 * rng.uniform() - 4.0;
+        soft.add_round(code, tx, rv);
+        const int k0 = code.rv_start(rv);
+        for (int i = 0; i < e_bits; ++i) {
+          const auto v = static_cast<std::size_t>(
+              code.tx_bit_index((k0 + i) % sendable));
+          acc[v] += tx[static_cast<std::size_t>(i)];
+          mask[v] = 1;
+        }
+      }
+      EXPECT_EQ(soft.rounds(), static_cast<int>(rvs.size()));
+      ASSERT_TRUE(std::equal(acc.begin(), acc.end(), soft.llrs().begin(),
+                             soft.llrs().end()));
+
+      std::vector<std::uint8_t> from_runs(n, 0);
+      int prev_end = -1;
+      for (const auto& run : soft.covered()) {
+        EXPECT_LT(run.begin, run.end);
+        EXPECT_GT(run.begin, prev_end) << "runs overlap or touch";
+        prev_end = run.end;
+        std::fill(from_runs.begin() + run.begin, from_runs.begin() + run.end,
+                  1);
+      }
+      EXPECT_EQ(from_runs, mask);
+
+      std::vector<std::int32_t> want(n, 0);
+      for (std::size_t v = 0; v < n; ++v)
+        if (mask[v]) want[v] = traits.quantize_llr(acc[v]);
+      const int filler_start = code.k_info() - code.scheme().filler_bits;
+      for (int f = 0; f < code.scheme().filler_bits; ++f)
+        want[static_cast<std::size_t>(filler_start + f)] =
+            traits.filler_value();
+      std::vector<std::int16_t> fused(n);
+      core::deposit_combined_quant<std::int16_t>(
+          code, traits, soft, std::span<std::int16_t>(fused));
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), fused.begin()));
+      // The generic (double-datapath) deposit walks the same runs.
+      const core::DatapathTraits<double> exact{harq_config()};
+      std::vector<double> generic(n);
+      core::deposit_combined(code, exact, soft, std::span<double>(generic));
+      for (std::size_t v = 0; v < n; ++v) {
+        const bool filler = static_cast<int>(v) >= filler_start &&
+                            static_cast<int>(v) <
+                                filler_start + code.scheme().filler_bits;
+        const double expect = filler    ? exact.filler_value()
+                              : mask[v] ? exact.quantize_llr(acc[v])
+                                        : 0.0;
+        ASSERT_EQ(generic[v], expect) << "v=" << v;
+      }
+    }
+  }
 }
 
 TEST(RvExtraction, TransmitWalkEqualsExtractModulateDemap) {

@@ -7,6 +7,9 @@
 //      preempt fresh traffic, carry session / round + 1 / next-rv, and
 //      synthesise the *combined* soft state of rounds 0..r; round-0
 //      frames stay byte-identical to the historical per-id synthesis.
+//      The carried per-round step (make_frame(job, state)) emits exactly
+//      the replayed frame — payload, codeword, round LLRs, quantised
+//      codes — at every rv, channel and SIMD tier.
 //   2. run_harq_modeled closes the loop on the discrete-event farm:
 //      NACKs respawn as next-round jobs, deeper rounds ACK what round 0
 //      could not, and per-(session, round) decode results are invariant
@@ -19,10 +22,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <string>
 #include <tuple>
 
 #include "ldpc/channel/channel.hpp"
 #include "ldpc/codes/registry.hpp"
+#include "ldpc/core/kernels/minsum_kernels.hpp"
 #include "ldpc/enc/encoder.hpp"
 #include "ldpc/sim/simulator.hpp"
 #include "ldpc/stream/harq_stream.hpp"
@@ -65,6 +71,29 @@ stream::ServiceConfig live_config(int workers) {
   cfg.workers = workers;
   cfg.decoder = stream_config();
   return cfg;
+}
+
+std::vector<core::kernels::Tier> available_tiers() {
+  std::set<core::kernels::Tier> seen;
+  for (const auto t : {core::kernels::Tier::kScalar,
+                       core::kernels::Tier::kSse42,
+                       core::kernels::Tier::kAvx2,
+                       core::kernels::Tier::kAvx512})
+    seen.insert(core::kernels::force_tier(t));
+  core::kernels::clear_forced_tier();
+  return {seen.begin(), seen.end()};
+}
+
+/// Byte-for-byte frame equality: payload, codeword, the round's own
+/// LLRs and the quantised (combined) codes.
+void expect_same_frame(const stream::JobFrame& got,
+                       const stream::JobFrame& want) {
+  EXPECT_EQ(got.payload, want.payload);
+  EXPECT_EQ(got.codeword, want.codeword);
+  EXPECT_EQ(got.llrs, want.llrs);
+  EXPECT_EQ(got.quantised.type, want.quantised.type);
+  EXPECT_EQ(got.quantised.n, want.quantised.n);
+  EXPECT_EQ(got.quantised.bytes, want.quantised.bytes);
 }
 
 using RoundKey = std::pair<long long, int>;          // (session, round)
@@ -186,6 +215,69 @@ TEST(HarqTraffic, CombinedFrameAccumulatesEveryRound) {
   EXPECT_NE(r0.llrs, r2.llrs);
 }
 
+TEST(HarqTraffic, CarriedRoundsEqualReplayedFramesOnEveryTier) {
+  // One carried step per round must reproduce the pure replay byte for
+  // byte: rv 0, 2, 3, 1 and on around the sequence, under AWGN and block
+  // fading, at every SIMD tier quantise_combined dispatches to.
+  for (const auto kind : {channel::ChannelKind::kAwgn,
+                          channel::ChannelKind::kRayleighBlock}) {
+    stream::TrafficSource source({.seed = 23});
+    source.add_mode(codes::make_nr_code(codes::Rate::kR15, 36, 1500, 40),
+                    2.0, 1.0, kind, 0);
+    source.emit_quantised(stream_config());
+    for (const auto tier : available_tiers()) {
+      ASSERT_EQ(core::kernels::force_tier(tier), tier);
+      source.reset();
+      for (int s = 0; s < 3; ++s) {
+        const stream::Job head = source.next();
+        stream::SessionState state;
+        for (int r = 0; r <= 5; ++r) {
+          SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)) +
+                       " tier=" + core::kernels::to_string(tier) +
+                       " session=" + std::to_string(head.session) +
+                       " round=" + std::to_string(r));
+          stream::Job job = head;
+          job.round = r;
+          job.rv = source.rv_for_round(job.mode, r);
+          const stream::JobFrame carried = source.make_frame(job, state);
+          expect_same_frame(carried, source.make_frame(job));
+          EXPECT_EQ(state.round, r);
+          EXPECT_EQ(state.soft.rounds(), r + 1);
+        }
+      }
+    }
+    core::kernels::clear_forced_tier();
+  }
+}
+
+TEST(HarqTraffic, CarriedStepNeedsThePreviousRoundOfTheSession) {
+  auto source = fading_nr_source(29);
+  const stream::Job a = source.next();
+  const stream::Job b = source.next();
+  stream::SessionState state;
+  (void)source.make_frame(a, state);
+  stream::Job skip = a;
+  skip.round = 2;
+  EXPECT_THROW(source.make_frame(skip, state), std::invalid_argument);
+  stream::Job foreign = b;
+  foreign.round = 1;
+  EXPECT_THROW(source.make_frame(foreign, state), std::invalid_argument);
+  EXPECT_EQ(state.session, a.session);  // a refused step leaves it as is
+  EXPECT_EQ(state.round, 0);
+  stream::Job next = a;
+  next.round = 1;
+  expect_same_frame(source.make_frame(next, state), source.make_frame(next));
+
+  // Without quantised emission a carried round > 0 is refused too.
+  stream::TrafficSource plain({.seed = 29});
+  plain.add_mode(codes::make_nr_code(codes::Rate::kR15, 36, 1500, 40), 2.0);
+  stream::SessionState plain_state;
+  stream::Job head = plain.next();
+  (void)plain.make_frame(head, plain_state);
+  head.round = 1;
+  EXPECT_THROW(plain.make_frame(head, plain_state), std::logic_error);
+}
+
 // ---------------------------------------------------------------------------
 // Contract 2: the modeled closed loop.
 
@@ -271,7 +363,15 @@ TEST(HarqLive, ClosedLoopMatchesModeledBitForBit) {
               live.harq.rounds[r].attempts);
     EXPECT_EQ(modeled.harq.rounds[r].acks, live.harq.rounds[r].acks);
   }
-  // The live payload check ran against the re-synthesised codewords.
+  // Each open session that may go again carries one soft state; every
+  // one is released by the time the driver returns (it checks).
+  EXPECT_GE(live.harq.peak_carried, 1);
+  EXPECT_LE(live.harq.peak_carried, live.harq.peak_open);
+  EXPECT_LE(live.harq.peak_open, 24);
+  EXPECT_GE(modeled.harq.peak_carried, 1);
+  EXPECT_LE(modeled.harq.peak_carried,
+            modeled.harq.rounds[1].attempts + modeled_config(2).max_burst);
+  // The live payload check ran against the carried codewords.
   for (const auto& job : live.jobs) {
     if (job.converged) {
       EXPECT_TRUE(job.payload_ok) << job.id;

@@ -18,6 +18,10 @@
 //      path-independent ledger fields agree exactly; and the streaming
 //      drivers agree with the single-frame reference controller.
 //      A synthesis failure on a worker reaches the live caller promptly.
+//      The carried per-rung step equals the replayed frame byte for byte
+//      (every rung, clamped rounds, every tier); the drivers' carried
+//      state is bounded by the open pages; back-to-back live passes on
+//      one source keep ids unique and serve their pages like a fresh run.
 //   5. Driver/controller validation errors.
 #include <gtest/gtest.h>
 
@@ -25,9 +29,11 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "ldpc/codes/registry.hpp"
+#include "ldpc/core/kernels/minsum_kernels.hpp"
 #include "ldpc/storage/read_retry.hpp"
 #include "ldpc/storage/storage_stream.hpp"
 #include "ldpc/util/rng.hpp"
@@ -324,6 +330,48 @@ TEST(ReadRetry, DeeperLaddersStrictlyReduceUberAndLedgerConserves) {
             rerun.rungs[0].decode_cycles);
 }
 
+TEST(NandLadder, CarriedRungsEqualReplayedFramesOnEveryTier) {
+  // The carried step folds one rung read per round into the session's
+  // soft state; the replay re-reads every rung. Rounds past the deepest
+  // rung (the synth clamps them to it) included, on both fused lane
+  // types and at every SIMD tier.
+  const storage::NandLadderConfig ladder = test_ladder();
+  const int rounds = storage::NandReadLadder(ladder).rungs() + 2;
+  std::set<core::kernels::Tier> tiers;
+  for (const auto t : {core::kernels::Tier::kScalar,
+                       core::kernels::Tier::kSse42,
+                       core::kernels::Tier::kAvx2,
+                       core::kernels::Tier::kAvx512})
+    tiers.insert(core::kernels::force_tier(t));
+  for (const core::DecoderConfig& decoder :
+       {storage_decoder(), strict_storage_decoder()}) {
+    auto source = storage_source(53, ladder, decoder);
+    for (const auto tier : tiers) {
+      ASSERT_EQ(core::kernels::force_tier(tier), tier);
+      source.reset();
+      for (int s = 0; s < 4; ++s) {
+        const stream::Job head = source.next();
+        stream::SessionState state;
+        for (int r = 0; r < rounds; ++r) {
+          SCOPED_TRACE("tier=" + core::kernels::to_string(tier) +
+                       " page=" + std::to_string(head.session) +
+                       " rung=" + std::to_string(r));
+          stream::Job job = head;
+          job.round = r;
+          const stream::JobFrame carried = source.make_frame(job, state);
+          const stream::JobFrame replayed = source.make_frame(job);
+          EXPECT_EQ(carried.payload, replayed.payload);
+          EXPECT_EQ(carried.codeword, replayed.codeword);
+          EXPECT_EQ(carried.llrs, replayed.llrs);
+          EXPECT_EQ(carried.quantised.type, replayed.quantised.type);
+          EXPECT_EQ(carried.quantised.bytes, replayed.quantised.bytes);
+        }
+      }
+    }
+  }
+  core::kernels::clear_forced_tier();
+}
+
 // ---------------------------------------------------------------------------
 // Contract 4: modeled == live == reference controller.
 
@@ -424,6 +472,89 @@ TEST(StorageStream, AgreesWithTheReferenceController) {
                          run.ledger.rungs[r].decode_cycles),
               reconfig)
         << "rung " << r;
+}
+
+TEST(StorageStream, BackToBackLivePassesOnOneSourceMatchFreshSessions) {
+  // A second live pass on an unreset source serves the next pages of the
+  // stream. Its escalations must be numbered after the round-0 ids it
+  // drew (not from 0 + pages, where they collide with those very ids and
+  // the ledger picks round-0 records as final), and it must serve those
+  // pages exactly like a run that starts at them.
+  constexpr long long kPages = 200;
+  const storage::NandLadderConfig ladder = test_ladder();
+  const core::DecoderConfig decoder = storage_decoder();
+  storage::StorageStreamConfig storage_cfg;
+  storage_cfg.ladder = ladder;
+
+  auto source = storage_source(61, ladder, decoder);
+  const auto first = storage::run_storage_live(
+      source, live_config(2, decoder), kPages, storage_cfg);
+  const auto second = storage::run_storage_live(
+      source, live_config(2, decoder), kPages, storage_cfg);
+
+  for (const auto* pass : {&first, &second}) {
+    std::set<long long> ids;
+    for (const auto& job : pass->report.jobs)
+      EXPECT_TRUE(ids.insert(job.id).second) << "duplicate id " << job.id;
+    EXPECT_EQ(pass->ledger.frames, kPages);
+    expect_ledger_conserves(pass->ledger);
+  }
+  EXPECT_GT(second.report.harq.rounds[1].attempts, 0);
+  for (const auto& job : second.report.jobs) {
+    EXPECT_GE(job.session, kPages);
+    EXPECT_LT(job.session, 2 * kPages);
+  }
+
+  // The same pages run fresh: a new source whose first kPages draws are
+  // skipped, so its run opens at page kPages too.
+  auto fresh = storage_source(61, ladder, decoder);
+  for (long long p = 0; p < kPages; ++p) (void)fresh.next();
+  const auto want = storage::run_storage_live(
+      fresh, live_config(2, decoder), kPages, storage_cfg);
+  EXPECT_EQ(by_rung(second.report), by_rung(want.report));
+  expect_ledgers_agree(second.ledger, want.ledger);
+
+  // A source holding a queued retransmission is refused outright.
+  fresh.reset();
+  fresh.push_retransmission(fresh.next(), 0);
+  EXPECT_THROW(storage::run_storage_live(fresh, live_config(1, decoder),
+                                         kPages, storage_cfg),
+               std::logic_error);
+}
+
+TEST(StorageStream, CarriedStateIsBoundedByOpenPages) {
+  // The drivers carry one soft state per open page that may escalate.
+  // The live one holds at most one per open page (and releases all of
+  // them before it returns — it checks), so with a small admission queue
+  // its memory follows the pages in flight, not the run length; the
+  // modeled one holds the pages it pushes back plus one burst.
+  constexpr long long kPages = 300;
+  const storage::NandLadderConfig ladder = test_ladder();
+  const core::DecoderConfig decoder = storage_decoder();
+  storage::StorageStreamConfig storage_cfg;
+  storage_cfg.ladder = ladder;
+  auto source = storage_source(67, ladder, decoder);
+
+  stream::ServiceConfig cfg = live_config(2, decoder);
+  cfg.queue_capacity = 4;
+  cfg.max_local_batch = 2;
+  const auto live = storage::run_storage_live(source, cfg, kPages,
+                                              storage_cfg);
+  const auto& h = live.report.harq;
+  EXPECT_GT(h.rounds[1].attempts, 0);
+  EXPECT_GE(h.peak_carried, 1);
+  EXPECT_LE(h.peak_carried, h.peak_open);
+  EXPECT_LT(h.peak_open, kPages / 2);
+
+  source.reset();
+  const stream::SchedulerConfig model_cfg = modeled_config(2, decoder);
+  const auto modeled = storage::run_storage_modeled(source, model_cfg,
+                                                    kPages, storage_cfg);
+  const auto& m = modeled.report.harq;
+  EXPECT_EQ(m.peak_open, kPages);
+  EXPECT_GE(m.peak_carried, 1);
+  EXPECT_LE(m.peak_carried, m.rounds[1].attempts + model_cfg.max_burst);
+  EXPECT_EQ(by_rung(modeled.report), by_rung(live.report));
 }
 
 TEST(StorageStream, LiveRethrowsAnEscalationSynthesisFailurePromptly) {
